@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bigint/biguint.hpp"
+#include "bigint/cache_aligned.hpp"
 
 namespace pisa::bn {
 
@@ -52,6 +53,14 @@ class MontgomeryWorkspace {
     return total;
   }
 
+  /// True when every reserved buffer starts on a cache line (tests).
+  bool cache_line_aligned() const {
+    for (const auto& b : bufs_)
+      if (reinterpret_cast<std::uintptr_t>(b.data()) % kCacheLineBytes != 0)
+        return false;
+    return true;
+  }
+
  private:
   friend class Montgomery;
   friend class FixedBaseTable;
@@ -71,7 +80,9 @@ class MontgomeryWorkspace {
     return b.data();
   }
 
-  std::array<std::vector<std::uint64_t>, kSlotCount> bufs_;
+  // Cache-line aligned, so the IFMA kernel's 64-byte accesses to every
+  // k52-limb (multiple of eight) sub-buffer stay inside one line.
+  std::array<AlignedLimbs, kSlotCount> bufs_;
 };
 
 /// Precomputed context for arithmetic modulo a fixed odd modulus.
@@ -228,7 +239,7 @@ class FixedBaseTable {
   std::size_t row_limbs_;  // residue width of one row (k, or k52 under IFMA)
   // table_[i * digits_ + (j - 1)] = native mont form of base^(j * 2^(w*i)),
   // flattened into one contiguous buffer of row_limbs_-limb rows.
-  std::vector<Montgomery::Limb> table_;
+  AlignedLimbs table_;
 };
 
 }  // namespace pisa::bn

@@ -12,7 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "bigint/cache_aligned.hpp"
 
 namespace pisa::bn::ifma {
 
@@ -24,9 +25,9 @@ bool available();
 struct Ctx {
   std::size_t k52 = 0;        // 52-bit limb count, multiple of 8
   std::uint64_t n0inv52 = 0;  // -n^{-1} mod 2^52
-  std::vector<std::uint64_t> n52;    // modulus
-  std::vector<std::uint64_t> r2_52;  // R52^2 mod n (mont form of R52)
-  std::vector<std::uint64_t> one52;  // R52 mod n (mont form of 1)
+  AlignedLimbs n52;    // modulus
+  AlignedLimbs r2_52;  // R52^2 mod n (mont form of R52)
+  AlignedLimbs one52;  // R52 mod n (mont form of 1)
 };
 
 /// out = a·b·R52^{-1} (mod n), with inputs < 2n and output < 2n. `acc` is

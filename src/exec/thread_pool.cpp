@@ -1,18 +1,21 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace pisa::exec {
 
+// A Job lives on the stack of its parallel_for caller, which returns as
+// soon as it sees remaining == 0. A task therefore finishes by decrementing
+// and notifying while it holds `m`: the caller can only observe the zero
+// after that lock is released, and the finishing task touches the Job no
+// more once it has released it.
 struct ThreadPool::Job {
   const std::function<void(std::size_t)>* body = nullptr;
-  std::atomic<std::size_t> remaining{0};  // tasks not yet finished
-  std::mutex err_m;
-  std::exception_ptr error;
-  std::mutex done_m;
+  std::mutex m;
   std::condition_variable done_cv;
+  std::size_t remaining = 0;  // tasks not yet finished; guarded by m
+  std::exception_ptr error;   // first failure; guarded by m
 };
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -62,16 +65,15 @@ bool ThreadPool::try_steal(std::size_t thief_lane, Task& out) {
 
 void ThreadPool::run_task(const Task& t) {
   Job& job = *t.job;
+  std::exception_ptr error;
   try {
     for (std::size_t i = t.lo; i < t.hi; ++i) (*job.body)(i);
   } catch (...) {
-    std::lock_guard lk{job.err_m};
-    if (!job.error) job.error = std::current_exception();
+    error = std::current_exception();
   }
-  if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard lk{job.done_m};
-    job.done_cv.notify_all();
-  }
+  std::lock_guard lk{job.m};
+  if (error && !job.error) job.error = std::move(error);
+  if (--job.remaining == 0) job.done_cv.notify_all();
 }
 
 void ThreadPool::worker_loop(std::size_t lane) {
@@ -108,7 +110,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
   Job job;
   job.body = &body;
-  job.remaining.store(num_tasks, std::memory_order_relaxed);
+  job.remaining = num_tasks;
 
   std::size_t lo = begin;
   for (std::size_t t = 0; t < num_tasks; ++t) {
@@ -137,14 +139,13 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       run_task(t);
       continue;
     }
-    std::unique_lock lk{job.done_m};
-    if (job.remaining.load(std::memory_order_acquire) == 0) break;
-    job.done_cv.wait(lk, [&job] {
-      return job.remaining.load(std::memory_order_acquire) == 0;
-    });
+    std::unique_lock lk{job.m};
+    job.done_cv.wait(lk, [&job] { return job.remaining == 0; });
     break;
   }
 
+  // Every task has finished and released job.m, so nothing else reads or
+  // writes the Job from here on.
   if (job.error) std::rethrow_exception(job.error);
 }
 

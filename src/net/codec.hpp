@@ -90,7 +90,8 @@ class Decoder {
 // the transport layer instead of reaching a Message handler (or worse, a
 // Paillier decryption) as well-formed-looking garbage.
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed 8 bytes
+/// per step by slicing-by-8; the values are those of the byte-wise loop.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// Append a little-endian CRC-32 trailer over the current contents.

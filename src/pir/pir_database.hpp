@@ -2,10 +2,9 @@
 //
 // One row per block; row b holds the C per-channel interference budgets
 // N(c, b) as little-endian int64, zero-padded to a 64-byte multiple so every
-// row starts a cache line and the scan kernel can run 64-byte-wide XOR
-// accumulation with no tail cases. The whole database is one contiguous
-// byte array — a full scan is a single forward sweep, so answering a query
-// costs memory bandwidth, not modexps.
+// row starts a cache line and the scan kernel works in whole 64-byte lines
+// with no tail cases. The whole database is one contiguous byte array, and
+// answering a query costs XORs over it, not modexps.
 //
 // Determinism contract: the stored bytes are a pure function of the cell
 // values (pad bytes are never written after construction), so two replicas
@@ -39,14 +38,15 @@ class PirDatabase {
   /// The raw row storage — the byte-identity oracle for recovery tests.
   const std::vector<std::uint8_t>& bytes() const { return data_; }
 
-  /// XOR-fold every row whose bit is set in `bits` (bit i of byte i>>3
-  /// selects row i; `bits` must cover rows()) into a row_bytes() output.
-  std::vector<std::uint8_t> scan(const std::vector<std::uint8_t>& bits) const;
-
-  /// Batched scan: one output row per share. Shares are independent (slot i
-  /// writes only output i), so they spread over `pool` under the exec
-  /// determinism contract; nullptr runs them sequentially. This is the
-  /// query hot path: the whole multi-row fetch of a request is one call.
+  /// Answer a query: output s is the XOR of every row whose bit is set in
+  /// shares[s] (bit i of byte i>>3 selects row i; every share must cover
+  /// rows(), else std::invalid_argument). All shares are served by one
+  /// cache-blocked GF(2) product, shares × database, by the method of Four
+  /// Russians: the database is read once per call, not once per share. The
+  /// product is split into independent 64-byte column slices (slice j writes
+  /// only bytes of slice j of every output), which spread over `pool` under
+  /// the exec determinism contract; nullptr runs them sequentially. The
+  /// output bytes do not depend on the pool or on the host CPU.
   std::vector<std::vector<std::uint8_t>> scan_many(
       const std::vector<std::vector<std::uint8_t>>& shares,
       exec::ThreadPool* pool) const;

@@ -35,10 +35,22 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc{};
 }
 
+// The workspace and IFMA limb buffers use the aligned forms.
+void* operator new(std::size_t size, std::align_val_t align) {
+  ++g_alloc_count;
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc{};
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace pisa::bn {
 namespace {
@@ -302,6 +314,25 @@ TEST(MontgomeryAllocation, RawKernelsAreAllocationFreeInSteadyState) {
     EXPECT_EQ(g_alloc_count.load(), before)
         << "raw kernels allocated on backend "
         << (mont.uses_ifma() ? "ifma" : "scalar");
+  }
+}
+
+TEST(MontgomeryAllocation, WorkspaceBuffersStartOnCacheLines) {
+  SplitMix64Random rng{157};
+  for (auto backend :
+       {Montgomery::Backend::kScalar, Montgomery::Backend::kAuto}) {
+    for (std::size_t bits : {520, 1024, 2048}) {
+      BigUint m = random_odd_modulus(rng, bits);
+      Montgomery mont{m, backend};
+      MontgomeryWorkspace ws;
+      BigUint a = random_below(rng, m);
+      (void)mont.pow(a, random_bits(rng, bits), ws);
+      (void)mont.mul(a, a, ws);
+      ASSERT_GT(ws.capacity_limbs(), 0u);
+      EXPECT_TRUE(ws.cache_line_aligned())
+          << bits << "-bit modulus on backend "
+          << (mont.uses_ifma() ? "ifma" : "scalar");
+    }
   }
 }
 

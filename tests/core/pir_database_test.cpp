@@ -17,6 +17,49 @@
 namespace pisa::pir {
 namespace {
 
+/// The reference oracle for the scan kernel: one full sweep per share,
+/// folding every selected row, the definition of a PIR answer.
+std::vector<std::vector<std::uint8_t>> reference_scan(
+    const PirDatabase& db,
+    const std::vector<std::vector<std::uint8_t>>& shares) {
+  const auto& data = db.bytes();
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& bits : shares) {
+    std::vector<std::uint8_t> acc(db.row_bytes(), 0);
+    for (std::size_t b = 0; b < db.rows(); ++b) {
+      if ((bits[b >> 3] & (1u << (b & 7))) == 0) continue;
+      for (std::size_t k = 0; k < db.row_bytes(); ++k)
+        acc[k] ^= data[b * db.row_bytes() + k];
+    }
+    out.push_back(std::move(acc));
+  }
+  return out;
+}
+
+PirDatabase random_database(std::size_t channels, std::size_t rows,
+                            bn::SplitMix64Random& r) {
+  PirDatabase db{channels, rows};
+  for (std::size_t b = 0; b < rows; ++b)
+    for (std::size_t c = 0; c < channels; ++c)
+      db.set_cell(c, b, static_cast<std::int64_t>(r.next_u64()));
+  return db;
+}
+
+/// Uniform shares with clean tail bits, as PirClient draws them.
+std::vector<std::vector<std::uint8_t>> random_shares(std::size_t count,
+                                                     std::size_t rows,
+                                                     bn::SplitMix64Random& r) {
+  std::vector<std::vector<std::uint8_t>> shares;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::uint8_t> s((rows + 7) / 8);
+    r.fill(s);
+    if (rows % 8 != 0)
+      s.back() &= static_cast<std::uint8_t>((1u << (rows % 8)) - 1);
+    shares.push_back(std::move(s));
+  }
+  return shares;
+}
+
 TEST(PirDatabase, RowLayoutIsCacheLinePadded) {
   PirDatabase db{3, 5};
   EXPECT_EQ(db.rows(), 5u);
@@ -54,7 +97,9 @@ TEST(PirDatabase, ScanXorFoldsExactlyTheSelectedRows) {
   std::vector<std::uint8_t> bits(2, 0);
   bits[0] = (1u << 1) | (1u << 4);
   bits[1] = (1u << 1);  // row 9
-  auto out = db.scan(bits);
+  auto answer = db.scan_many({bits}, nullptr);
+  ASSERT_EQ(answer.size(), 1u);
+  const auto& out = answer[0];
   ASSERT_EQ(out.size(), db.row_bytes());
   const auto& raw = db.bytes();
   for (std::size_t k = 0; k < out.size(); ++k) {
@@ -63,7 +108,13 @@ TEST(PirDatabase, ScanXorFoldsExactlyTheSelectedRows) {
                           raw[9 * db.row_bytes() + k];
     ASSERT_EQ(out[k], expect) << "byte " << k;
   }
-  EXPECT_THROW(db.scan(std::vector<std::uint8_t>(1, 0)), std::invalid_argument);
+  // One short share fails the whole call, wherever it sits.
+  EXPECT_THROW((void)db.scan_many({std::vector<std::uint8_t>(1, 0)}, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW((void)db.scan_many({bits, std::vector<std::uint8_t>(1, 0)},
+                                  nullptr),
+               std::invalid_argument);
+  EXPECT_TRUE(db.scan_many({}, nullptr).empty());
 }
 
 TEST(PirDatabase, ScanManyMatchesSequentialAtEveryThreadCount) {
@@ -83,8 +134,48 @@ TEST(PirDatabase, ScanManyMatchesSequentialAtEveryThreadCount) {
   exec::ThreadPool pool{4};
   auto par = db.scan_many(shares, &pool);
   EXPECT_EQ(seq, par);
-  for (std::size_t i = 0; i < shares.size(); ++i)
-    EXPECT_EQ(seq[i], db.scan(shares[i])) << "share " << i;
+  EXPECT_EQ(seq, reference_scan(db, shares));
+}
+
+TEST(PirDatabase, ScanManyMatchesReferenceSweepOverShapes) {
+  // Row counts cover full and partial last row groups, channel counts one-
+  // and multi-slice rows with odd slice counts, share counts one share up
+  // to more than a paper-scale request.
+  bn::SplitMix64Random r{29};
+  exec::ThreadPool pool{3};
+  for (std::size_t rows : {1, 5, 6, 7, 63, 64, 65, 600, 601}) {
+    for (std::size_t channels : {1, 4, 8, 100, 101}) {
+      auto db = random_database(channels, rows, r);
+      for (std::size_t count : {1, 2, 6, 162, 300}) {
+        auto shares = random_shares(count, rows, r);
+        auto expect = reference_scan(db, shares);
+        auto seq = db.scan_many(shares, nullptr);
+        ASSERT_EQ(seq, expect)
+            << "rows " << rows << " channels " << channels << " shares "
+            << count;
+        ASSERT_EQ(db.scan_many(shares, &pool), expect)
+            << "pooled: rows " << rows << " channels " << channels
+            << " shares " << count;
+      }
+    }
+  }
+}
+
+TEST(PirDatabase, ScanIgnoresShareBitsPastTheLastRow) {
+  // The codec rejects set tail bits, but the kernel must not read them
+  // either: a row-by-row sweep stops at rows(), and so must every group.
+  bn::SplitMix64Random r{31};
+  for (std::size_t rows : {5, 7, 61, 62}) {
+    auto db = random_database(9, rows, r);
+    auto shares = random_shares(4, rows, r);
+    auto dirty = shares;
+    for (auto& s : dirty) {
+      s.back() |= static_cast<std::uint8_t>(0xFF << (rows % 8));
+      s.push_back(0xFF);  // a longer share than needed is accepted
+    }
+    EXPECT_EQ(db.scan_many(dirty, nullptr), reference_scan(db, shares))
+        << "rows " << rows;
+  }
 }
 
 TEST(PirClient, SharesXorToUnitVectorsAndSurviveTheCodec) {

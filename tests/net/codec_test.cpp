@@ -2,10 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "bigint/random_source.hpp"
 
 namespace pisa::net {
 namespace {
+
+/// The byte-at-a-time CRC-32 loop, bit by bit: the definition the sliced
+/// implementation must reproduce.
+std::uint32_t bitwise_crc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
 
 TEST(Codec, ScalarRoundTrip) {
   Encoder e;
@@ -115,6 +130,46 @@ TEST(Codec, NegativeAndSpecialF64) {
   EXPECT_DOUBLE_EQ(d.get_f64(), -0.0);
   EXPECT_DOUBLE_EQ(d.get_f64(), 1e308);
   EXPECT_DOUBLE_EQ(d.get_f64(), -1e-308);
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                   check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseLoopAtEveryLengthAndOffset) {
+  // Every length 0..2048 at every start offset 0..7, so each alignment of
+  // the 8-byte steps and each tail length is covered.
+  bn::SplitMix64Random r{0xC5C};
+  std::vector<std::uint8_t> buf(2048 + 8);
+  r.fill(buf);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 2048; ++len)
+      ASSERT_EQ(crc32({buf.data() + off, len}),
+                bitwise_crc32(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+}
+
+TEST(Crc32, SealedFramesOpenAndDetectFlips) {
+  bn::SplitMix64Random r{0xF4A};
+  std::vector<std::uint8_t> frame(300);
+  r.fill(frame);
+  const std::uint32_t expect = bitwise_crc32(frame.data(), frame.size());
+  auto sealed = frame;
+  seal_frame(sealed);
+  ASSERT_EQ(sealed.size(), frame.size() + 4);
+  std::uint32_t trailer = 0;
+  for (int i = 0; i < 4; ++i)
+    trailer |= std::uint32_t{sealed[frame.size() + i]} << (8 * i);
+  EXPECT_EQ(trailer, expect);
+  auto flipped = sealed;
+  flipped[123] ^= 0x10;
+  EXPECT_FALSE(open_frame(flipped));
+  EXPECT_TRUE(open_frame(sealed));
+  EXPECT_EQ(sealed, frame);
 }
 
 }  // namespace
