@@ -96,7 +96,8 @@ BENCHMARK(BM_MontgomeryPow2)->Arg(1024)->Arg(2048)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ModInverse(benchmark::State& state) {
-  // Homomorphic subtraction's cost: one extended-Euclid inverse mod n².
+  // Binary extended-gcd inverse (mod n for a Paillier ⊖, which then
+  // Hensel-lifts it to n²).
   auto bits = static_cast<std::size_t>(state.range(0));
   BigUint m = value(bits);
   m.set_bit(0);
@@ -105,6 +106,17 @@ void BM_ModInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_ModInverse)->Arg(1024)->Arg(2048)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+void BM_Gcd(benchmark::State& state) {
+  // random_coprime's test: gcd of a draw below the modulus with the modulus
+  // (Paillier randomizers, 7 per decision).
+  auto bits = static_cast<std::size_t>(state.range(0));
+  BigUint m = value(bits);
+  m.set_bit(0);
+  BigUint a = random_below(rng(), m);
+  for (auto _ : state) benchmark::DoNotOptimize(gcd(a, m));
+}
+BENCHMARK(BM_Gcd)->Arg(1024);
 
 void BM_MillerRabinRound(benchmark::State& state) {
   auto bits = static_cast<std::size_t>(state.range(0));

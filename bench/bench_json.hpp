@@ -18,9 +18,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -96,6 +98,19 @@ class CollectingReporter : public benchmark::ConsoleReporter {
   std::vector<Row> rows;
 };
 
+/// Opens the snapshot object and writes the attribution header every
+/// BENCH_*.json carries: measurement mode, source revision ("-dirty" when
+/// measured on uncommitted changes), build type and flags, hardware threads.
+inline void write_header(std::FILE* f, bool quick) {
+  std::fprintf(f,
+               "{\n  \"quick\": %s,\n  \"git_rev\": \"%s\",\n"
+               "  \"build_type\": \"%s\",\n  \"build_flags\": \"%s\",\n"
+               "  \"hardware_threads\": %u,\n",
+               quick ? "true" : "false", PISA_GIT_REV, PISA_BENCH_BUILD_TYPE,
+               PISA_BENCH_FLAGS,
+               std::max(1u, std::thread::hardware_concurrency()));
+}
+
 inline void write_json(const char* path, bool quick,
                        const std::vector<Row>& rows) {
   std::FILE* f = std::fopen(path, "w");
@@ -103,7 +118,7 @@ inline void write_json(const char* path, bool quick,
     std::fprintf(stderr, "warning: cannot write %s\n", path);
     return;
   }
-  std::fprintf(f, "{\n  \"quick\": %s,\n", quick ? "true" : "false");
+  write_header(f, quick);
   std::vector<JsonFields> out;
   out.reserve(rows.size());
   for (const auto& r : rows) {

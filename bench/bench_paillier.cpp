@@ -98,6 +98,21 @@ void BM_HomomorphicSubtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_HomomorphicSubtraction)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
+void BM_NegateBatch(benchmark::State& state) {
+  // ⊖ over one request phase's ε-selected entries: one Hensel-lifted
+  // inverse plus 3·(count − 1) multiplications for the whole batch.
+  // Arg pair = (key bits, batch size).
+  const auto& kp = keys(static_cast<std::size_t>(state.range(0)));
+  std::vector<crypto::PaillierCiphertext> cs(
+      static_cast<std::size_t>(state.range(1)));
+  for (auto& c : cs) c = kp.pk.encrypt(bn::BigUint{42}, rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kp.pk.negate_many(cs));
+  }
+  state.counters["entries"] = static_cast<double>(cs.size());
+}
+BENCHMARK(BM_NegateBatch)->Args({1024, 6})->Unit(benchmark::kMillisecond);
+
 void BM_ScalarMul100Bit(benchmark::State& state) {
   const auto& kp = keys(static_cast<std::size_t>(state.range(0)));
   auto ct = kp.pk.encrypt(bn::BigUint{7}, rng());

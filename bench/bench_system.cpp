@@ -1589,12 +1589,7 @@ void write_json(const char* path, bool quick, const std::vector<Row>& scaling,
   std::vector<benchjson::JsonFields> pir;
   pir.reserve(pir_sweep.size());
   for (const auto& r : pir_sweep) pir.push_back(pir_json(r));
-  std::fprintf(f,
-               "{\n  \"quick\": %s,\n  \"git_rev\": \"%s\",\n"
-               "  \"build_type\": \"%s\",\n  \"build_flags\": \"%s\",\n"
-               "  \"hardware_threads\": %zu,\n",
-               quick ? "true" : "false", PISA_GIT_REV, PISA_BENCH_BUILD_TYPE,
-               PISA_BENCH_FLAGS, exec::ThreadPool::hardware_threads());
+  benchjson::write_header(f, quick);
   benchjson::write_row_array(f, "scaling", rows_of(scaling), false);
   benchjson::write_row_array(f, "thread_sweep", rows_of(sweep), false);
   benchjson::write_row_array(f, "pack_sweep", rows_of(pack_sweep), false);

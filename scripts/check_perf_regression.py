@@ -9,8 +9,13 @@ quick benches in build/):
 
 Guarded metrics (the protocol's hot paths):
 
-  BENCH_paillier.json   BM_Encryption/* and BM_ScalarMul* ns_per_iter —
-                        the kernels every pipeline stage is made of.
+  BENCH_paillier.json   BM_Encryption/*, BM_ScalarMul* and
+                        BM_NegateBatch* ns_per_iter — the kernels every
+                        pipeline stage is made of, and the one batched
+                        inverse per SDC request phase.
+  BENCH_bigint.json     BM_MontgomeryPow*, BM_ModInverse* and BM_Gcd*
+                        ns_per_iter — the modexp kernel under all of the
+                        above, and the binary gcd/inverse core.
   BENCH_system.json     su_request_total_ms and stp_convert_ms_per_entry
                         per scaling / pack_sweep row (matched on
                         paillier_bits, channels, blocks, num_threads,
@@ -81,7 +86,8 @@ import fnmatch
 import json
 import sys
 
-PAILLIER_PATTERNS = ("BM_Encryption/*", "BM_ScalarMul*")
+PAILLIER_PATTERNS = ("BM_Encryption/*", "BM_ScalarMul*", "BM_NegateBatch*")
+BIGINT_PATTERNS = ("BM_MontgomeryPow*", "BM_ModInverse*", "BM_Gcd*")
 SYSTEM_SECTIONS = ("scaling", "pack_sweep")
 SYSTEM_KEY = ("paillier_bits", "channels", "blocks", "num_threads", "pack_slots")
 # Lower-is-better per-row metrics; rows from older snapshots may lack the
@@ -108,14 +114,14 @@ def load(path):
 # Each check is (label, baseline, current, higher_is_better).
 
 
-def paillier_checks(baseline, current):
+def microbench_checks(label, patterns, baseline, current):
     base = {r["name"]: r["ns_per_iter"] for r in baseline.get("results", [])}
     cur = {r["name"]: r["ns_per_iter"] for r in current.get("results", [])}
     for name in sorted(base):
-        if not any(fnmatch.fnmatch(name, p) for p in PAILLIER_PATTERNS):
+        if not any(fnmatch.fnmatch(name, p) for p in patterns):
             continue
         if name in cur:
-            yield f"paillier {name}", base[name], cur[name], False
+            yield f"{label} {name}", base[name], cur[name], False
 
 
 def system_checks(baseline, current):
@@ -369,9 +375,12 @@ def main():
     # Each check is (label, baseline, current, higher_is_better, threshold);
     # the WAL-overhead pairs carry their own tighter threshold.
     checks = []
-    checks.extend((*c, args.threshold) for c in paillier_checks(
-        load(f"{args.baseline_dir}/BENCH_paillier.json"),
-        load(f"{args.current_dir}/BENCH_paillier.json")))
+    for label, patterns in (("paillier", PAILLIER_PATTERNS),
+                            ("bigint", BIGINT_PATTERNS)):
+        checks.extend((*c, args.threshold) for c in microbench_checks(
+            label, patterns,
+            load(f"{args.baseline_dir}/BENCH_{label}.json"),
+            load(f"{args.current_dir}/BENCH_{label}.json")))
     system_baseline = load(f"{args.baseline_dir}/BENCH_system.json")
     system_current = load(f"{args.current_dir}/BENCH_system.json")
     checks.extend((*c, args.threshold)

@@ -10,7 +10,7 @@
 
 namespace pisa::bn {
 
-/// Greatest common divisor (Euclid).
+/// Greatest common divisor (binary, on fixed-width limb arrays).
 BigUint gcd(BigUint a, BigUint b);
 
 /// Least common multiple; lcm(0, x) = 0.

@@ -229,12 +229,12 @@ struct ScalarDomain {
 
 struct IfmaDomain {
   const ifma::Ctx* C;
-  u64* scratch;  // k52 + 8 accumulator limbs
+  u64* scratch;  // k52 limbs for the canonicalizing store
   std::size_t k64;
 
   std::size_t width() const { return C->k52; }
   void mul(const u64* a, const u64* b, u64* out) const {
-    ifma::amm(*C, a, b, out, scratch);
+    ifma::amm(*C, a, b, out);
   }
   void sqr(const u64* a, u64* out) const { mul(a, a, out); }
   const u64* one_m() const { return C->one52.data(); }
@@ -375,18 +375,22 @@ Montgomery::Montgomery(BigUint modulus, Backend backend)
   if (backend == Backend::kIfma && !ifma::available())
     throw std::invalid_argument("Montgomery: AVX-512 IFMA not available");
   // Below ~512-bit moduli the radix-52 repack/vector overhead beats the
-  // win; the scalar kernels stay in charge there.
+  // win; the scalar kernels stay in charge there. Above the widest
+  // register-resident kernel (ifma::kMaxVectors) they take over too.
   constexpr std::size_t kIfmaMinLimbs = 8;
   const bool want_ifma =
       backend == Backend::kIfma ||
       (backend == Backend::kAuto && k_ >= kIfmaMinLimbs && ifma::available());
-  if (!want_ifma) return;
-
-  auto ctx = std::make_unique<ifma::Ctx>();
   // R52 = 2^(52·k52) >= 4n keeps almost-Montgomery values closed under 2n;
   // the vector kernels want a lane multiple of 8.
   const std::size_t min52 = (n_.bit_length() + 2 + 51) / 52;
-  ctx->k52 = ((min52 + 7) / 8) * 8;
+  const std::size_t k52 = ((min52 + 7) / 8) * 8;
+  const ifma::AmmKernel kernel = ifma::kernel_for(k52);
+  if (!want_ifma || kernel == nullptr) return;
+
+  auto ctx = std::make_unique<ifma::Ctx>();
+  ctx->k52 = k52;
+  ctx->kernel = kernel;
   ctx->n0inv52 = n0inv_ & kMask52;
   ctx->n52.resize(ctx->k52);
   pack52(n_.limbs(), ctx->n52.data(), ctx->k52);
@@ -439,7 +443,7 @@ void Montgomery::mul_raw(const u64* a, const u64* b, u64* out,
                          MontgomeryWorkspace& ws) const {
   if (ifma_) {
     const std::size_t W = ifma_->k52;
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     u64* regs = ws.slot(MontgomeryWorkspace::kRegs, 4 * W + k_);
     IfmaDomain d{ifma_.get(), scratch, k_};
     u64* a52 = regs;
@@ -460,7 +464,7 @@ void Montgomery::mul_raw(const u64* a, const u64* b, u64* out,
 void Montgomery::sqr_raw(const u64* a, u64* out, MontgomeryWorkspace& ws) const {
   if (ifma_) {
     const std::size_t W = ifma_->k52;
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     u64* regs = ws.slot(MontgomeryWorkspace::kRegs, 4 * W + k_);
     IfmaDomain d{ifma_.get(), scratch, k_};
     u64* a52 = regs;
@@ -486,7 +490,7 @@ void Montgomery::pow_raw(const u64* base, std::span<const u64> exp, u64* out,
   }
   if (ifma_) {
     const std::size_t W = ifma_->k52;
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     u64* table = ws.slot(MontgomeryWorkspace::kTable, 16 * W);
     u64* regs = ws.slot(MontgomeryWorkspace::kRegs, 4 * W + k_);
     IfmaDomain d{ifma_.get(), scratch, k_};
@@ -584,7 +588,7 @@ BigUint Montgomery::pow_mul(const BigUint& base, const BigUint& exp,
   std::copy(base.limbs().begin(), base.limbs().end(), br);
   if (ifma_) {
     const std::size_t W = ifma_->k52;
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     u64* table = ws.slot(MontgomeryWorkspace::kTable, 16 * W);
     u64* regs = ws.slot(MontgomeryWorkspace::kRegs, 4 * W + k_);
     IfmaDomain d{ifma_.get(), scratch, k_};
@@ -661,7 +665,7 @@ BigUint Montgomery::pow2_impl(const BigUint& a, const BigUint& x,
       have_mult ? mult->limbs() : std::span<const u64>{};
   if (ifma_) {
     const std::size_t W = ifma_->k52;
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     u64* table = ws.slot(MontgomeryWorkspace::kTable, 16 * W);
     u64* regs = ws.slot(MontgomeryWorkspace::kRegs, 4 * W + k_);
     IfmaDomain d{ifma_.get(), scratch, k_};
@@ -732,7 +736,7 @@ BigUint Montgomery::product(std::span<const BigUint> values,
   };
   if (ifma_) {
     const std::size_t W = ifma_->k52;
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     u64* regs = ws.slot(MontgomeryWorkspace::kRegs, 4 * W + k_);
     IfmaDomain d{ifma_.get(), scratch, k_};
     fold(d, regs);
@@ -785,7 +789,7 @@ FixedBaseTable::FixedBaseTable(const Montgomery& mont, const BigUint& base,
     }
   };
   if (mont.uses_ifma()) {
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     IfmaDomain d{mont.ifma_.get(), scratch, mont.k_};
     build(d);
   } else {
@@ -832,7 +836,7 @@ BigUint FixedBaseTable::pow(const BigUint& exp, MontgomeryWorkspace& ws) const {
     exit_store(d, acc, false, {}, op, out);
   };
   if (m.uses_ifma()) {
-    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W + 8);
+    u64* scratch = ws.slot(MontgomeryWorkspace::kScratch, W);
     IfmaDomain d{m.ifma_.get(), scratch, m.k_};
     eval(d);
   } else {

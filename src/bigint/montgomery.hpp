@@ -67,7 +67,7 @@ class MontgomeryWorkspace {
 
   // Named slots so nested kernels (pow calls mul calls...) never alias.
   enum Slot : std::size_t {
-    kScratch = 0,   // CIOS/sqr t-buffer or IFMA accumulator
+    kScratch = 0,   // CIOS/sqr t-buffer or IFMA canonicalizing store
     kTable,         // window table rows
     kRegs,          // ladder registers (acc, base, base^2, operands)
     kTable2,        // pow2 second table half / product fold
@@ -97,7 +97,8 @@ class Montgomery {
   /// Kernel backend selection. kAuto probes the CPU at construction and
   /// picks the IFMA engine when available and the modulus is wide enough
   /// to win; kScalar forces the portable path (tests use this to check
-  /// cross-backend bit-identity).
+  /// cross-backend bit-identity). Moduli wider than the widest IFMA kernel
+  /// (6654 bits) run the scalar path under every backend.
   enum class Backend { kAuto, kScalar, kIfma };
 
   /// Throws std::invalid_argument if `modulus` is even or < 3, or if

@@ -340,6 +340,11 @@ ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
     throw std::invalid_argument("SdcServer: F matrix size mismatch");
   if (pending_.contains(request.request_id))
     throw std::invalid_argument("SdcServer: duplicate request id");
+  // A hostile or corrupt F̃ (zero, ≥ n², sharing a factor with n) fails the
+  // request here, before any randomness is drawn or state is touched —
+  // whichever sign ε it would have drawn.
+  if (!group_pk_.all_units(request.f))
+    throw std::invalid_argument("SdcServer: F entry is not a unit mod n^2");
 
   const bn::BigUint x_scalar{
       static_cast<std::uint64_t>(cfg_.watch.protection_scalar())};
@@ -389,22 +394,33 @@ ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
     alphas[i] = std::move(alpha);
     pend.epsilon[i] = (stream_.next_u64() & 1) != 0 ? -1 : 1;
   }
+  // finish_request draws from its own sub-stream, seeded here in arrival
+  // order: how the phases of different requests interleave (which, on
+  // sockets, follows packet timing) then moves no draw.
+  pend.finish_seed = stream_.next_u64();
+
+  // Each entry's one inverse — of F̃ for ε ≥ 0, of Ñ for ε < 0 — comes out
+  // of a single batch inversion ahead of the parallel section.
+  auto budget_of = [&](std::size_t idx) -> const crypto::PaillierCiphertext& {
+    return budget_at(static_cast<std::uint32_t>(idx / range),
+                     request.block_lo + static_cast<std::uint32_t>(idx % range));
+  };
+  std::vector<crypto::PaillierCiphertext> to_invert(count);
+  for (std::size_t idx = 0; idx < count; ++idx)
+    to_invert[idx] = pend.epsilon[idx] < 0 ? budget_of(idx) : request.f[idx];
+  const auto inverses = group_pk_.negate_many(to_invert);
 
   // Heavy modexp section: every packed entry is independent, writes only
   // its own slot of conv.v / conv.partials.
   exec::parallel_for(exec_.get(), 0, count, [&](std::size_t idx) {
-    std::uint32_t g = static_cast<std::uint32_t>(idx / range);
-    std::uint32_t b =
-        request.block_lo + static_cast<std::uint32_t>(idx % range);
-
     // Eqs. (11)+(12)+(14) fused: Ṽ = ε ⊗ [(α ⊗ (Ñ ⊖ F̃ ⊗ X)) ⊖ β̃] as one
     // double exponentiation Ñ^±α · F̃^∓αx · E_det(β)^∓1 (see blind_entry) —
     // same canonical ciphertext, one inverse instead of three. The packed
     // operands make this fold k channels per ladder: Ñ and F̃ carry k slots
     // and β̃ is the packed per-slot vector.
-    conv.v[idx] = group_pk_.blind_entry(budget_at(g, b), request.f[idx],
+    conv.v[idx] = group_pk_.blind_entry(budget_of(idx), request.f[idx],
                                         x_scalar, alphas[idx], betas[idx],
-                                        pend.epsilon[idx]);
+                                        pend.epsilon[idx], &inverses[idx]);
     if (threshold_share_) {
       conv.partials[idx] = {crypto::threshold_partial_decrypt(
           group_pk_, *threshold_share_, conv.v[idx])};
@@ -448,21 +464,26 @@ SuResponseMsg SdcServer::finish_request(const ConvertResponseMsg& response) {
   // (deny) and the ⊕-fold accumulates per slot without cross-slot borrows
   // (|Σ q| ≤ 2·⌈C/k⌉·range ≪ B/2). The total Σ_slots Σ_packs Q is zero iff
   // every slot passed — exactly the unpacked grant condition.
+  // The ε < 0 entries' ⊖ comes out of one batch inversion.
+  std::vector<crypto::PaillierCiphertext> flipped;
+  for (std::size_t i = 0; i < response.x.size(); ++i)
+    if (pend.epsilon[i] < 0) flipped.push_back(response.x[i]);
+  flipped = pk_j.negate_many(flipped);
   std::vector<crypto::PaillierCiphertext> qs(response.x.size());
-  exec::parallel_for(exec_.get(), 0, response.x.size(), [&](std::size_t i) {
-    qs[i] = pk_j.sub_deterministic(pend.epsilon[i] < 0
-                                       ? pk_j.negate(response.x[i])
-                                       : response.x[i],
-                                   codec_.ones());
+  for (std::size_t i = 0, f = 0; i < response.x.size(); ++i)
+    qs[i] = pend.epsilon[i] < 0 ? std::move(flipped[f++]) : response.x[i];
+  exec::parallel_for(exec_.get(), 0, qs.size(), [&](std::size_t i) {
+    qs[i] = pk_j.sub_deterministic(qs[i], codec_.ones());
   });
   auto acc = pk_j.add_many(qs);
 
   // Eq. (17): G̃ = S̃G ⊕ (η ⊗ ΣQ̃), fresh η >= 1 — η ⊗ · ⊕ · fused into one
   // ladder with the S̃G factor riding the Montgomery exit.
-  bn::BigUint eta = bn::random_bits(stream_, cfg_.blind_bits);
+  crypto::ChaChaRng finish_rng{pend.finish_seed};
+  bn::BigUint eta = bn::random_bits(finish_rng, cfg_.blind_bits);
   eta.set_bit(cfg_.blind_bits - 1);
   auto g = crypto::PaillierCiphertext{pk_j.mont_n2().pow_mul(
-      acc.value, eta, pk_j.encrypt(pend.signature, stream_).value)};
+      acc.value, eta, pk_j.encrypt(pend.signature, finish_rng).value)};
 
   SuResponseMsg resp;
   resp.request_id = response.request_id;

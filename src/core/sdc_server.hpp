@@ -174,6 +174,7 @@ class SdcServer {
     std::vector<std::int8_t> epsilon;  // ±1 per packed ciphertext
     LicenseBody license;
     bn::BigUint signature;  // SG, plaintext — never leaves the SDC unblinded
+    std::uint64_t finish_seed = 0;  // seeds finish_request's η and nonce
     std::string reply_to;   // network sender, empty for direct calls
   };
 
@@ -271,7 +272,11 @@ class SdcServer {
   /// randomness off the shared simulation rng makes every output byte a
   /// function of this entity's own draw order alone — so batching, batch
   /// composition and message interleaving cannot change results
-  /// (DESIGN.md §3.5). Declared last: its seed draw follows the RSA keygen.
+  /// (DESIGN.md §3.5). Only begin_request and the probes read it; a
+  /// request's finish-phase draws (η, signature nonce) come from a
+  /// sub-stream whose seed begin_request takes from here, so the order in
+  /// which conversions return cannot shift any request's randomness.
+  /// Declared last: its seed draw follows the RSA keygen.
   crypto::ChaChaRng stream_;
 };
 

@@ -50,16 +50,18 @@ PaillierCiphertext PaillierPublicKey::add_many(
 
 PaillierCiphertext PaillierPublicKey::blind_entry(
     const PaillierCiphertext& budget, const PaillierCiphertext& f,
-    const BigUint& x, const BigUint& alpha, const BigUint& beta,
-    int epsilon) const {
+    const BigUint& x, const BigUint& alpha, const BigUint& beta, int epsilon,
+    const PaillierCiphertext* inverse) const {
   const BigUint ax = alpha * x;
   if (epsilon < 0) {
     // negate() of the blinded entry distributes across the product:
     // budget^{-α} · f^{α·x} · E_det(β).
-    return {mont_n2_->pow2_mul(negate(budget).value, alpha, f.value, ax,
+    const BigUint& budget_inv = inverse ? inverse->value : negate(budget).value;
+    return {mont_n2_->pow2_mul(budget_inv, alpha, f.value, ax,
                                encrypt_deterministic(beta).value)};
   }
-  return {mont_n2_->pow2_mul(budget.value, alpha, negate(f).value, ax,
+  const BigUint& f_inv = inverse ? inverse->value : negate(f).value;
+  return {mont_n2_->pow2_mul(budget.value, alpha, f_inv, ax,
                              encrypt_deterministic_inverse(beta).value)};
 }
 
@@ -85,10 +87,52 @@ PaillierCiphertext PaillierPublicKey::add(const PaillierCiphertext& a,
   return {mont_n2_->mul(a.value, b.value)};
 }
 
+BigUint PaillierPublicKey::inverse_mod_n2(const BigUint& c) const {
+  // c·y ≡ 1 (mod n) means c·y = 1 + e with n | e; then
+  // c·y·(2 − c·y) = (1 + e)(1 − e) = 1 − e² ≡ 1 (mod n²).
+  auto y = bn::mod_inverse(c % n_, n_);
+  if (!y) throw std::invalid_argument("Paillier negate: ciphertext not a unit");
+  const BigUint cy = mont_n2_->mul(c, *y);
+  if (cy == BigUint{1}) return std::move(*y);
+  return mont_n2_->mul(*y, n_squared() + BigUint{2} - cy);
+}
+
 PaillierCiphertext PaillierPublicKey::negate(const PaillierCiphertext& c) const {
-  auto inv = bn::mod_inverse(c.value, n_squared());
-  if (!inv) throw std::invalid_argument("Paillier negate: ciphertext not a unit");
-  return {std::move(*inv)};
+  if (c.value < n_squared()) return {inverse_mod_n2(c.value)};
+  return {inverse_mod_n2(c.value % n_squared())};
+}
+
+std::vector<PaillierCiphertext> PaillierPublicKey::negate_many(
+    std::span<const PaillierCiphertext> cs) const {
+  std::vector<PaillierCiphertext> out(cs.size());
+  if (cs.empty()) return out;
+  std::vector<BigUint> vals(cs.size());
+  for (std::size_t i = 0; i < cs.size(); ++i)
+    vals[i] = cs[i].value < n_squared() ? cs[i].value
+                                        : cs[i].value % n_squared();
+  // out[i] holds the prefix product c_0···c_i until back-substitution
+  // overwrites it with c_i⁻¹. A non-unit anywhere makes the total a
+  // non-unit, so the one inverse below fails for the whole batch.
+  out[0].value = vals[0];
+  for (std::size_t i = 1; i < vals.size(); ++i)
+    out[i].value = mont_n2_->mul(out[i - 1].value, vals[i]);
+  BigUint inv = inverse_mod_n2(out.back().value);  // (c_0···c_last)⁻¹
+  for (std::size_t i = vals.size(); i-- > 1;) {
+    out[i].value = mont_n2_->mul(inv, out[i - 1].value);
+    inv = mont_n2_->mul(inv, vals[i]);
+  }
+  out[0].value = std::move(inv);
+  return out;
+}
+
+bool PaillierPublicKey::all_units(std::span<const PaillierCiphertext> cs) const {
+  std::vector<BigUint> vals;
+  vals.reserve(cs.size());
+  for (const auto& c : cs) {
+    if (c.value.is_zero() || c.value >= n_squared()) return false;
+    vals.push_back(c.value);
+  }
+  return bn::gcd(mont_n2_->product(vals) % n_, n_) == BigUint{1};
 }
 
 PaillierCiphertext PaillierPublicKey::sub(const PaillierCiphertext& a,

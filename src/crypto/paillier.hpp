@@ -75,8 +75,23 @@ class PaillierPublicKey {
   /// Signed scalar: negative k maps to exponent k mod n.
   PaillierCiphertext scalar_mul_signed(const bn::BigInt& k, const PaillierCiphertext& c) const;
 
-  /// Homomorphic negation: ⊖E(m) = c⁻¹ mod n² (scalar_mul by −1 done cheaply).
+  /// Homomorphic negation: ⊖E(m) = c⁻¹ mod n² (scalar_mul by −1 done
+  /// cheaply). The inverse is taken mod n — half the width of n² — and
+  /// Hensel-lifted with two Montgomery multiplications. c ≥ n² is reduced
+  /// first; throws std::invalid_argument if c is not a unit.
   PaillierCiphertext negate(const PaillierCiphertext& c) const;
+
+  /// negate() of every entry for the price of one lifted inverse plus
+  /// 3·(size − 1) multiplications (Montgomery's batch-inversion trick:
+  /// prefix products, invert the total, back-substitute). Same values as
+  /// the per-entry loop. Throws std::invalid_argument if any entry is not a
+  /// unit — the whole batch fails, nothing is returned.
+  std::vector<PaillierCiphertext> negate_many(
+      std::span<const PaillierCiphertext> cs) const;
+
+  /// True when every entry is a canonical unit of Z*_{n²}: nonzero, < n²
+  /// and coprime to n. One Montgomery product and one gcd for the span.
+  bool all_units(std::span<const PaillierCiphertext> cs) const;
 
   /// Fresh randomness on an existing ciphertext: c · r^n mod n². Same
   /// plaintext, unlinkable ciphertext. Costs one modexp (for r^n) plus one
@@ -120,11 +135,17 @@ class PaillierPublicKey {
   /// max(|α|, |α·x|) bits, multiplication by the closed-form E_det factor
   /// fused into the Montgomery-domain exit) plus ONE modular inverse — of f
   /// for ε ≥ 0, of budget for ε < 0 — instead of two full modexps and
-  /// two-to-three extended-gcd inverses.
+  /// two-to-three extended-gcd inverses. A caller that blinds many entries
+  /// passes that inverse in `inverse` (batch-computed with negate_many), so
+  /// the entry itself costs only the double exponentiation — as
+  /// SdcServer::begin_request always does. The nullptr form, which inverts
+  /// per entry with negate(), is kept only for tests (paillier_fused_test
+  /// pins it against the unfused chain).
   PaillierCiphertext blind_entry(const PaillierCiphertext& budget,
                                  const PaillierCiphertext& f,
                                  const bn::BigUint& x, const bn::BigUint& alpha,
-                                 const bn::BigUint& beta, int epsilon) const;
+                                 const bn::BigUint& beta, int epsilon,
+                                 const PaillierCiphertext* inverse = nullptr) const;
 
   // --- Batch pipeline -------------------------------------------------
   // Span-style APIs dispatched over an exec::ThreadPool (nullptr or a
@@ -164,6 +185,9 @@ class PaillierPublicKey {
   bool operator==(const PaillierPublicKey& o) const { return n_ == o.n_; }
 
  private:
+  /// c⁻¹ mod n² for canonical c: y = c⁻¹ mod n, lifted by y·(2 − c·y).
+  bn::BigUint inverse_mod_n2(const bn::BigUint& c) const;
+
   bn::BigUint n_;
   bn::BigUint half_n_;  // floor(n/2), centered-lift threshold
   std::shared_ptr<const bn::Montgomery> mont_n2_;

@@ -1,5 +1,6 @@
 #include "net/reliable_channel.hpp"
 
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -9,15 +10,88 @@
 
 namespace pisa::net {
 
-bool DedupWindow::first_time(const std::string& sender, std::uint64_t seq) {
-  if (seq == 0) return true;  // raw delivery, no transport framing
-  auto [it, inserted] = seen_.emplace(sender, seq);
-  if (!inserted) return false;
-  order_.push_back(*it);
-  while (order_.size() > cap_) {
-    seen_.erase(order_.front());
-    order_.pop_front();
+DedupWindow::DedupWindow(std::size_t capacity) : cap_(capacity) {
+  if (cap_ == 0) return;
+  ring_.reserve(cap_);
+  // Load factor <= 1/2 keeps the linear probes short.
+  index_.assign(std::bit_ceil(2 * cap_), 0);
+  mask_ = index_.size() - 1;
+}
+
+std::size_t DedupWindow::home(std::uint32_t sender, std::uint64_t seq) const {
+  std::uint64_t h = seq * 0x9E3779B97F4A7C15ull ^
+                    (std::uint64_t{sender} + 1) * 0xC2B2AE3D27D4EB4Full;
+  h ^= h >> 29;
+  return static_cast<std::size_t>(h) & mask_;
+}
+
+std::size_t DedupWindow::find(std::uint32_t sender, std::uint64_t seq) const {
+  std::size_t pos = home(sender, seq);
+  while (index_[pos] != 0) {
+    const Entry& e = ring_[index_[pos] - 1];
+    if (e.seq == seq && e.sender == sender) break;
+    pos = (pos + 1) & mask_;
   }
+  return pos;
+}
+
+void DedupWindow::erase_at(std::size_t pos) {
+  // Backward-shift deletion: pull each later member of the probe run into
+  // the hole unless that would move it in front of its home position.
+  std::size_t hole = pos;
+  for (std::size_t j = (hole + 1) & mask_; index_[j] != 0; j = (j + 1) & mask_) {
+    const Entry& e = ring_[index_[j] - 1];
+    const std::size_t h = home(e.sender, e.seq);
+    if (((j - h) & mask_) >= ((j - hole) & mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = 0;
+}
+
+void DedupWindow::forget_oldest() {
+  const Entry e = ring_[oldest_];
+  erase_at(find(e.sender, e.seq));
+  if (--frames_[e.sender] == 0) {
+    ids_.erase(names_[e.sender]);
+    free_ids_.push_back(e.sender);
+  }
+}
+
+std::uint32_t DedupWindow::intern(const std::string& sender) {
+  if (auto it = ids_.find(sender); it != ids_.end()) return it->second;
+  std::uint32_t id;
+  if (free_ids_.empty()) {
+    id = static_cast<std::uint32_t>(names_.size());
+    names_.push_back(sender);
+    frames_.push_back(0);
+  } else {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+    names_[id] = sender;
+  }
+  ids_.emplace(sender, id);
+  return id;
+}
+
+bool DedupWindow::first_time(const std::string& sender, std::uint64_t seq) {
+  if (seq == 0 || cap_ == 0) return true;  // raw delivery / no memory
+  if (auto it = ids_.find(sender);
+      it != ids_.end() && index_[find(it->second, seq)] != 0)
+    return false;
+  std::size_t slot = ring_.size();
+  if (slot == cap_) {
+    forget_oldest();  // may release the sender's own id: intern afterwards
+    slot = oldest_;
+    oldest_ = (oldest_ + 1) % cap_;
+  } else {
+    ring_.push_back({});
+  }
+  const std::uint32_t id = intern(sender);
+  ring_[slot] = {seq, id};
+  ++frames_[id];
+  index_[find(id, seq)] = static_cast<std::uint32_t>(slot + 1);
   return true;
 }
 

@@ -28,6 +28,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/bus.hpp"
@@ -47,17 +48,43 @@ struct ReliablePolicy {
 /// Bounded (sender, seq) memory for application-level idempotency — the
 /// second line of defence behind the transport dedup window. seq 0 marks a
 /// raw (unframed) delivery and is never treated as a replay.
+///
+/// Remembers the last `capacity` distinct frames across all senders and
+/// forgets the oldest first. Storage is fixed at construction: a ring of
+/// (sender id, seq) entries in arrival order and an open-addressed index
+/// over it (linear probing, backward-shift deletion). Sender names are
+/// interned while they have a frame in the window, so a frame from a known
+/// sender costs no allocation.
 class DedupWindow {
  public:
-  explicit DedupWindow(std::size_t capacity = 4096) : cap_(capacity) {}
+  explicit DedupWindow(std::size_t capacity = 4096);
 
   /// True the first time (sender, seq) is seen; false for replays.
   bool first_time(const std::string& sender, std::uint64_t seq);
 
  private:
+  struct Entry {
+    std::uint64_t seq;
+    std::uint32_t sender;
+  };
+
+  std::size_t home(std::uint32_t sender, std::uint64_t seq) const;
+  /// Index position holding (sender, seq), or the empty position that ends
+  /// its probe sequence.
+  std::size_t find(std::uint32_t sender, std::uint64_t seq) const;
+  void erase_at(std::size_t pos);
+  void forget_oldest();
+  std::uint32_t intern(const std::string& sender);
+
   std::size_t cap_;
-  std::set<std::pair<std::string, std::uint64_t>> seen_;
-  std::deque<std::pair<std::string, std::uint64_t>> order_;
+  std::vector<Entry> ring_;            // arrival order, cap_ reserved
+  std::size_t oldest_ = 0;             // ring slot to overwrite once full
+  std::vector<std::uint32_t> index_;   // ring slot + 1; 0 = empty
+  std::size_t mask_ = 0;               // index_.size() - 1 (a power of two)
+  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::vector<std::string> names_;     // by sender id
+  std::vector<std::uint32_t> frames_;  // ring entries per sender id
+  std::vector<std::uint32_t> free_ids_;
 };
 
 class ReliableTransport final : public Transport {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bigint/montgomery.hpp"
 #include "bigint/prime.hpp"
 #include "bigint/random_source.hpp"
@@ -19,6 +21,97 @@ BigUint ref_mod_pow(const BigUint& base, const BigUint& exp, const BigUint& m) {
     if (exp.bit(i)) result = result * b % m;
   }
   return result;
+}
+
+// Reference oracles: the BigUint-temporary implementations that the
+// fixed-width limb cores replaced. gcd and inverses are unique, so the new
+// cores must agree with them bit for bit.
+BigUint ref_gcd_euclid(BigUint a, BigUint b) {
+  while (!b.is_zero()) {
+    BigUint r = a % b;
+    a = std::move(b);
+    b = std::move(r);
+  }
+  return a;
+}
+
+std::optional<BigUint> ref_inverse_binary_odd(const BigUint& a, const BigUint& m) {
+  BigUint u = a % m;
+  if (u.is_zero()) return std::nullopt;
+  BigUint v = m;
+  BigUint x1{1}, x2{0};
+  auto half_mod = [&m](BigUint& x) {
+    if (x.is_odd()) x += m;
+    x >>= 1;
+  };
+  auto sub_mod = [&m](BigUint& x, const BigUint& y) {
+    if (x >= y) {
+      x -= y;
+    } else {
+      x += m;
+      x -= y;
+    }
+  };
+  while (!u.is_zero()) {
+    while (u.is_even()) {
+      u >>= 1;
+      half_mod(x1);
+    }
+    if (u < v) {
+      std::swap(u, v);
+      std::swap(x1, x2);
+    }
+    u -= v;
+    sub_mod(x1, x2);
+  }
+  if (v != BigUint{1}) return std::nullopt;
+  return x2;
+}
+
+TEST(Gcd, MatchesEuclidReferenceFrom64To4096Bits) {
+  SplitMix64Random rng{17};
+  for (std::size_t bits : {64u, 65u, 127u, 512u, 1024u, 2048u, 4096u}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const BigUint a = random_bits(rng, bits);
+      const BigUint b = random_bits(rng, bits - bits / 3);
+      // A planted common factor with trailing zeros, so the gcd is
+      // neither 1 nor a power of two.
+      const BigUint f = random_bits(rng, bits / 4 + 1) << (trial * 7);
+      EXPECT_EQ(gcd(a, b), ref_gcd_euclid(a, b)) << bits;
+      EXPECT_EQ(gcd(b, a), ref_gcd_euclid(a, b)) << bits;
+      EXPECT_EQ(gcd(a * f, b * f), ref_gcd_euclid(a * f, b * f)) << bits;
+    }
+    const BigUint a = random_bits(rng, bits) + BigUint{1};
+    EXPECT_EQ(gcd(a, a), a);
+    EXPECT_EQ(gcd(a, a * BigUint{6}), a);
+    EXPECT_EQ(gcd(BigUint{1} << bits, BigUint{3} << (bits / 2)),
+              BigUint{1} << (bits / 2));
+    EXPECT_EQ(gcd(a, BigUint{1}).to_u64(), 1u);
+  }
+}
+
+TEST(ModInverse, MatchesBinaryReferenceFrom64To4096Bits) {
+  SplitMix64Random rng{19};
+  for (std::size_t bits : {64u, 65u, 127u, 512u, 1024u, 2048u, 4096u}) {
+    BigUint m = random_bits(rng, bits);
+    m.set_bit(bits - 1);
+    m.set_bit(0);
+    for (int trial = 0; trial < 8; ++trial) {
+      // Random operands, every third one wider than the modulus.
+      BigUint a = random_bits(rng, bits + (trial % 3 == 0 ? 40 : 0));
+      EXPECT_EQ(mod_inverse(a, m), ref_inverse_binary_odd(a, m)) << bits;
+    }
+    for (const BigUint& a : {BigUint{1}, BigUint{2}, m - BigUint{1}, m,
+                             m + BigUint{1}, m << 1}) {
+      EXPECT_EQ(mod_inverse(a, m), ref_inverse_binary_odd(a, m)) << bits;
+    }
+    const BigUint m3 = m * BigUint{3};
+    const BigUint a3 = random_bits(rng, bits) * BigUint{3};
+    EXPECT_FALSE(mod_inverse(a3, m3).has_value()) << bits;
+    EXPECT_EQ(mod_inverse(a3 + BigUint{1}, m3),
+              ref_inverse_binary_odd(a3 + BigUint{1}, m3))
+        << bits;
+  }
 }
 
 TEST(Gcd, KnownValues) {

@@ -184,6 +184,40 @@ TEST_F(SdcStpFixture, SdcRejectsMalformedInput) {
   EXPECT_THROW(sdc.handle_pu_update(far_block), std::out_of_range);
 }
 
+TEST_F(SdcStpFixture, HostileFEntryFailsTypedWithoutTouchingState) {
+  // Two SDCs from identical seeds: one sees the hostile requests first. If
+  // a rejected request drew randomness, left a pending entry or moved a
+  // counter, the twins' answers to the same honest request would differ.
+  const auto e = watch::make_e_matrix(cfg.watch);
+  crypto::ChaChaRng seed_a{std::uint64_t{99}}, seed_b{std::uint64_t{99}};
+  SdcServer target{cfg, stp.group_key(), e, seed_a};
+  SdcServer twin{cfg, stp.group_key(), e, seed_b};
+  target.register_su_key(1, su.public_key());
+  twin.register_su_key(1, su.public_key());
+
+  watch::QMatrix f{cfg.watch.channels, 4, 0};
+  const auto req = su.prepare_request(f, 7);
+  const auto& pk = stp.group_key();
+  const bn::BigUint hostile[] = {bn::BigUint{0}, pk.n_squared(),
+                                 pk.n_squared() + bn::BigUint{5}, pk.n(),
+                                 pk.n() * bn::BigUint{3}};
+  for (std::size_t pos : {std::size_t{0}, req.f.size() - 1}) {
+    for (const auto& h : hostile) {
+      auto bad = req;
+      bad.f[pos].value = h;
+      EXPECT_THROW((void)target.begin_request(bad), std::invalid_argument)
+          << "position " << pos;
+    }
+  }
+  EXPECT_EQ(target.stats().requests_started, 0u);
+
+  const auto conv = target.begin_request(req);  // same id: nothing pending
+  const auto expect = twin.begin_request(req);
+  EXPECT_EQ(conv.v, expect.v);
+  const auto resp = target.finish_request(stp.convert(conv));
+  EXPECT_TRUE(su.process_response(resp, target.license_key()).granted);
+}
+
 TEST_F(SdcStpFixture, ConversionSizeMismatchRejected) {
   watch::QMatrix f{cfg.watch.channels, 4, 0};
   auto req = su.prepare_request(f, 5);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/modular.hpp"
 #include "bigint/prime.hpp"
 #include "crypto/chacha_rng.hpp"
 
@@ -159,6 +160,64 @@ TEST_F(PaillierFixture, DecryptRejectsNonUnitCiphertexts) {
   EXPECT_THROW(kp.sk.decrypt({kp.sk.p()}), std::invalid_argument);
   EXPECT_THROW(kp.sk.decrypt({kp.sk.q() * kp.sk.q()}), std::invalid_argument);
   EXPECT_THROW(kp.sk.decrypt_no_crt({kp.pk.n()}), std::invalid_argument);
+}
+
+TEST_F(PaillierFixture, NegateIsTheCanonicalInverseModNSquared) {
+  const BigUint& n2 = kp.pk.n_squared();
+  std::vector<BigUint> cs = {BigUint{1}, BigUint{2}, n2 - BigUint{1}};
+  for (std::uint64_t i = 0; i < 6; ++i)
+    cs.push_back(kp.pk.encrypt(BigUint{i}, rng).value);
+  for (const auto& c : cs) {
+    EXPECT_EQ(kp.pk.negate({c}).value, *bn::mod_inverse(c, n2));
+    // A non-canonical representative negates to the same inverse.
+    EXPECT_EQ(kp.pk.negate({c + n2}).value, *bn::mod_inverse(c, n2));
+  }
+  EXPECT_THROW(kp.pk.negate({BigUint{0}}), std::invalid_argument);
+  EXPECT_THROW(kp.pk.negate({kp.sk.p() * BigUint{5}}), std::invalid_argument);
+}
+
+TEST_F(PaillierFixture, NegateManyMatchesPerEntryInverse) {
+  const BigUint& n2 = kp.pk.n_squared();
+  for (std::size_t size : {0u, 1u, 2u, 6u, 64u}) {
+    std::vector<PaillierCiphertext> cs(size);
+    for (std::size_t i = 0; i < size; ++i)
+      cs[i] = kp.pk.encrypt(BigUint{i}, rng);
+    if (size > 1) cs[1].value = BigUint{1};  // a fixed point among them
+    auto inv = kp.pk.negate_many(cs);
+    ASSERT_EQ(inv.size(), size);
+    for (std::size_t i = 0; i < size; ++i)
+      EXPECT_EQ(inv[i].value, *bn::mod_inverse(cs[i].value, n2))
+          << "size " << size << " entry " << i;
+  }
+}
+
+TEST_F(PaillierFixture, NegateManyFailsWholeBatchOnAnyNonUnit) {
+  std::vector<PaillierCiphertext> cs(6);
+  for (auto& c : cs) c = kp.pk.encrypt(BigUint{7}, rng);
+  const BigUint hostile[] = {BigUint{0}, kp.sk.p() * BigUint{3},
+                             kp.sk.q() * kp.sk.q(), kp.pk.n_squared()};
+  for (std::size_t pos = 0; pos < cs.size(); ++pos) {
+    for (const auto& h : hostile) {
+      auto bad = cs;
+      bad[pos].value = h;
+      EXPECT_THROW((void)kp.pk.negate_many(bad), std::invalid_argument)
+          << "position " << pos;
+    }
+  }
+}
+
+TEST_F(PaillierFixture, AllUnitsRejectsZeroWideAndSharedFactors) {
+  std::vector<PaillierCiphertext> cs(4);
+  for (auto& c : cs) c = kp.pk.encrypt(BigUint{3}, rng);
+  EXPECT_TRUE(kp.pk.all_units(cs));
+  EXPECT_TRUE(kp.pk.all_units({}));
+  for (const BigUint& h :
+       {BigUint{0}, kp.pk.n_squared(), kp.pk.n_squared() + BigUint{1},
+        kp.sk.p() * BigUint{11}, kp.pk.n()}) {
+    auto bad = cs;
+    bad[2].value = h;
+    EXPECT_FALSE(kp.pk.all_units(bad));
+  }
 }
 
 TEST_F(PaillierFixture, EncryptSignedRejectsTooWide) {

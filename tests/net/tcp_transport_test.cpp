@@ -320,6 +320,64 @@ TEST_P(TcpVsSimulated, ConcurrentSessionsAreByteIdenticalToOracle) {
   EXPECT_EQ(server.sdc().stats().requests_finished, reqs.size());
 }
 
+// The burst above lets the socket decide how the SDC's phases of different
+// requests interleave. Here the schedule is forced to the other extreme:
+// each request is submitted only after the previous one's response came
+// back, so the SDC runs begin/finish/begin/finish… while the oracle ran
+// every begin before any finish. Outcomes must still be byte-identical.
+TEST_P(TcpVsSimulated, OneAtATimeSessionsAreByteIdenticalToBurstOracle) {
+  const std::size_t k = GetParam();
+  core::PisaConfig cfg = packed_config(k);
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+
+  crypto::ChaChaRng sim_rng{std::uint64_t{0x7C9}};
+  core::PisaSystem sim{cfg, test_sites(), model, sim_rng};
+  crypto::ChaChaRng tcp_rng{std::uint64_t{0x7C9}};
+  rpc::RpcServer server{cfg, tcp_rng};
+  rpc::RpcClient client{cfg, server.group_key(), "127.0.0.1", server.port(),
+                        tcp_rng};
+  for (const auto& site : test_sites()) client.add_pu(site);
+  sim.add_su(1);
+  sim.add_su(2);
+  client.add_su(1);
+  client.add_su(2);
+  watch::PuTuning t0{ChannelId{0}, 1e-6};
+  watch::PuTuning t1{ChannelId{2}, 2e-6};
+  sim.pu_update(0, t0);
+  sim.pu_update(1, t1);
+  client.pu_update(0, t0);
+  client.pu_update(1, t1);
+
+  std::vector<watch::SuRequest> reqs{
+      {1, BlockId{1}, std::vector<double>(cfg.watch.channels, 100.0)},
+      {2, BlockId{4}, std::vector<double>(cfg.watch.channels, 1e-4)},
+      {1, BlockId{4}, std::vector<double>(cfg.watch.channels, 1e-4)},
+  };
+  auto sim_outs = sim.su_request_many(reqs);
+  ASSERT_EQ(sim_outs.size(), reqs.size());
+
+  std::vector<rpc::RpcClient::PreparedRequest> prepared;
+  for (const auto& r : reqs)
+    prepared.push_back(client.prepare_request(r.su_id, sim.build_f(r)));
+  int grants = 0, denies = 0;
+  for (std::size_t i = 0; i < prepared.size(); ++i) {
+    client.submit(prepared[i]);
+    core::SuResponseMsg resp;
+    ASSERT_TRUE(client.wait_response(prepared[i].request_id, &resp, 60000))
+        << "k=" << k << " request " << i;
+    auto outcome =
+        client.su(prepared[i].su_id).process_response(resp, server.license_key());
+    ASSERT_TRUE(sim_outs[i].completed()) << "k=" << k << " request " << i;
+    EXPECT_EQ(outcome.granted, sim_outs[i].granted) << "k=" << k << " req " << i;
+    EXPECT_EQ(outcome.license, sim_outs[i].license) << "k=" << k << " req " << i;
+    EXPECT_EQ(outcome.signature, sim_outs[i].signature)
+        << "k=" << k << " req " << i << ": phase order must not move a draw";
+    (outcome.granted ? grants : denies)++;
+  }
+  EXPECT_GT(grants, 0);
+  EXPECT_GT(denies, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(PackSlots, TcpVsSimulated,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
 
