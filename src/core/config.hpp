@@ -25,7 +25,6 @@ struct ReliabilityConfig {
   std::size_t max_retries = 6;      ///< retransmissions before a typed failure
   double timeout_us = 4'000.0;      ///< initial retransmission timeout
   double backoff = 2.0;             ///< exponential backoff multiplier
-  std::size_t dedup_window = 4096;  ///< (sender, seq) replay memory per peer
 };
 
 /// Write-ahead durability for the SDC state engine (DESIGN.md §3.6).
@@ -60,15 +59,6 @@ struct DurabilityConfig {
 /// to the filter-off pipeline (no false denials, ever).
 struct DenialFilterConfig {
   bool enabled = false;
-
-  /// Target false-positive probability of the keyed cuckoo layer. Only a
-  /// sizing hint (the exact set makes FPs harmless); smaller = fewer wasted
-  /// exact-set probes, larger fingerprints.
-  double fpp = 1.0 / 1024.0;
-
-  /// Per-shard filter capacity in (channel-group, block) cells. 0 = size
-  /// for the shard's whole group-range × blocks grid (always sufficient).
-  std::size_t capacity = 0;
 };
 
 /// How an SU learns whether its transmission is licensed (DESIGN.md §3.10).
@@ -156,12 +146,6 @@ struct PisaConfig {
   /// coalesces requests delivered at the same virtual instant.
   double convert_batch_linger_us = 0.0;
 
-  /// Virtual-time watchdog per in-flight batch: if the STP's reply never
-  /// arrives (transport gave up), the batcher unblocks and flushes the next
-  /// staged batch instead of wedging. 0 = derive from the reliability retry
-  /// budget (or a 1 s default on the perfect bus).
-  double convert_batch_watchdog_us = 0.0;
-
   /// Always-warm STP randomizer pools: keep this many precomputed r^n
   /// factors per registered SU, refilled in the background (per-SU ChaCha
   /// sub-stream + the shared thread pool) so the conversion hot path pays
@@ -226,25 +210,16 @@ struct PisaConfig {
     if (convert_batch_linger_us < 0)
       throw std::invalid_argument(
           "PisaConfig: convert_batch_linger_us must be >= 0");
-    if (convert_batch_watchdog_us < 0)
-      throw std::invalid_argument(
-          "PisaConfig: convert_batch_watchdog_us must be >= 0");
     if (query_mode == QueryMode::kPir &&
         (pir.replicas < 2 || pir.replicas > 16))
       throw std::invalid_argument(
           "PisaConfig: pir.replicas must be in [2, 16] (one server sees the "
           "query in the clear; more than 16 buys nothing but wire bytes)");
-    if (denial_filter.enabled &&
-        !(denial_filter.fpp > 0.0 && denial_filter.fpp < 1.0))
-      throw std::invalid_argument(
-          "PisaConfig: denial_filter.fpp must be in (0,1)");
     if (reliability.enabled) {
       if (reliability.timeout_us <= 0)
         throw std::invalid_argument("PisaConfig: reliability.timeout_us must be > 0");
       if (reliability.backoff < 1.0)
         throw std::invalid_argument("PisaConfig: reliability.backoff must be >= 1");
-      if (reliability.dedup_window == 0)
-        throw std::invalid_argument("PisaConfig: reliability.dedup_window must be >= 1");
     }
   }
 };

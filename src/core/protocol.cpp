@@ -17,42 +17,38 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The reliable layer over `net`, or null on the perfect-delivery bus.
+/// Validates `cfg` first, so a bad knob is reported by PisaConfig.
+std::unique_ptr<net::ReliableTransport> reliable_layer(
+    const PisaConfig& cfg, net::SimulatedNetwork& net) {
+  cfg.validate();
+  if (!cfg.reliability.enabled) return nullptr;
+  net::ReliablePolicy policy;
+  policy.max_retries = cfg.reliability.max_retries;
+  policy.timeout_us = cfg.reliability.timeout_us;
+  policy.backoff = cfg.reliability.backoff;
+  return std::make_unique<net::ReliableTransport>(net, policy);
+}
+
 }  // namespace
 
 PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
                        const radio::PathLossModel& model, bn::RandomSource& rng)
-    : cfg_(cfg), sites_(std::move(sites)), model_(model), rng_(rng),
-      d_c_m_(watch::exclusion_radius_m(cfg.watch, model)) {
-  cfg_.validate();
-  if (cfg_.reliability.enabled) {
-    net::ReliablePolicy policy;
-    policy.max_retries = cfg_.reliability.max_retries;
-    policy.timeout_us = cfg_.reliability.timeout_us;
-    policy.backoff = cfg_.reliability.backoff;
-    policy.dedup_window = cfg_.reliability.dedup_window;
-    reliable_ = std::make_unique<net::ReliableTransport>(net_, policy);
-  }
-  if (cfg_.num_threads > 1)
-    exec_ = std::make_shared<exec::ThreadPool>(cfg_.num_threads);
-  stp_ = std::make_unique<StpServer>(cfg_, rng_);
-  sdc_ = std::make_unique<SdcServer>(cfg_, stp_->group_key(),
-                                     watch::make_e_matrix(cfg_.watch), rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  stp_->set_thread_pool(exec_);
-  sdc_->set_thread_pool(exec_);
-  stp_->attach(transport(), "stp");
-  sdc_->attach(transport(), "sdc", "stp");
-
+    : sites_(std::move(sites)), model_(model), rng_(rng),
+      d_c_m_(watch::exclusion_radius_m(cfg.watch, model)),
+      reliable_(reliable_layer(cfg, net_)),
+      infra_(cfg, transport(), rng),
+      inbox_(cfg.pir.replicas) {
   // Each PU takes the full public E matrix: a mobile receiver must be able
   // to recompute w = T − E at whatever block it drives into.
-  auto e = watch::make_e_matrix(cfg_.watch);
+  auto e = watch::make_e_matrix(cfg.watch);
   for (const auto& site : sites_) {
     auto [it, inserted] = pus_.emplace(
         site.pu_id,
-        std::make_unique<PuClient>(site, cfg_, stp_->group_key(), e, rng_));
+        std::make_unique<PuClient>(site, cfg, stp().group_key(), e, rng_));
     if (!inserted)
       throw std::invalid_argument("PisaSystem: duplicate PU id");
-    it->second->set_thread_pool(exec_);
+    it->second->set_thread_pool(thread_pool());
     // PU endpoints receive nothing at the application layer, but the
     // reliable transport needs them registered so ACKs for their updates
     // come home.
@@ -61,18 +57,6 @@ PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
           throw std::runtime_error("PU endpoint: unexpected message " + msg.type);
         });
   }
-
-  // §3.10 PIR mode: replica 0 is already attached inside the SDC; bring up
-  // the standalone replicas 1..ℓ−1 on the same transport.
-  if (cfg_.query_mode == QueryMode::kPir) {
-    for (std::size_t i = 1; i < cfg_.pir.replicas; ++i) {
-      auto srv =
-          std::make_unique<pir::PirServer>(e, cfg_.pack_slots, pir::PirDurability{});
-      srv->set_thread_pool(exec_);
-      srv->attach(transport(), pir::replica_name(i));
-      pir_extras_.push_back(std::move(srv));
-    }
-  }
 }
 
 net::Transport& PisaSystem::transport() {
@@ -80,72 +64,32 @@ net::Transport& PisaSystem::transport() {
   return net_;
 }
 
-void PisaSystem::crash_sdc() {
-  if (!sdc_) return;
-  // Endpoint first, then the object: in-flight messages to "sdc" must fail
-  // delivery, and destroying the server drops all of its in-memory state.
-  transport().remove_endpoint("sdc");
-  // The co-located PIR replica 0 dies with the process.
-  if (cfg_.query_mode == QueryMode::kPir)
-    transport().remove_endpoint(pir::replica_name(0));
-  sdc_.reset();
+std::size_t PisaSystem::failure_count() const {
+  return reliable_ ? reliable_->failures().size() : 0;
 }
 
-void PisaSystem::crash_pir_replica(std::size_t index) {
-  if (index == 0 || index >= cfg_.pir.replicas)
-    throw std::out_of_range(
-        "PisaSystem: crash_pir_replica needs a standalone replica index "
-        "(crash replica 0 via crash_sdc)");
-  auto& slot = pir_extras_.at(index - 1);
-  if (!slot) return;
-  transport().remove_endpoint(pir::replica_name(index));
-  slot.reset();
-}
-
-pir::PirServer* PisaSystem::pir_replica(std::size_t index) {
-  if (cfg_.query_mode != QueryMode::kPir || index >= cfg_.pir.replicas)
-    return nullptr;
-  if (index == 0) return sdc_ ? sdc_->pir_server() : nullptr;
-  return pir_extras_.at(index - 1).get();
-}
-
-SdcServer& PisaSystem::restart_sdc() {
-  if (sdc_) return *sdc_;
-  sdc_ = std::make_unique<SdcServer>(cfg_, stp_->group_key(),
-                                     watch::make_e_matrix(cfg_.watch), rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  sdc_->set_thread_pool(exec_);
-  sdc_->attach(transport(), "sdc", "stp");
-  return *sdc_;
+std::string PisaSystem::gave_up_since(std::size_t since) const {
+  std::string out;
+  for (std::size_t i = since; i < failure_count(); ++i) {
+    const auto& f = reliable_->failures()[i];
+    out += "; gave up on " + f.type + " " + f.from + "->" + f.to + " seq " +
+           std::to_string(f.seq) + " after " + std::to_string(f.attempts) +
+           " attempts";
+  }
+  return out;
 }
 
 SuClient& PisaSystem::add_su(std::uint32_t su_id, std::size_t precompute) {
   if (sus_.contains(su_id))
     throw std::invalid_argument("PisaSystem: duplicate SU id");
-  auto client = std::make_unique<SuClient>(su_id, cfg_, stp_->group_key(), rng_);
-  client->set_thread_pool(exec_);
+  auto client =
+      std::make_unique<SuClient>(su_id, config(), stp().group_key(), rng_);
+  client->set_thread_pool(thread_pool());
   // The endpoint must exist before the key upload: under the reliable
-  // transport the STP's ACK comes back to it.
+  // transport the STP's ACK comes back to it. The last frame's arrival is
+  // the request's completion time.
   transport().register_endpoint(su_name(su_id), [this](const net::Message& msg) {
-    if (msg.type == pir::kMsgPirReply) {
-      auto reply = pir::PirReplyMsg::decode(msg.payload);
-      // Last reply's arrival is the request's completion time.
-      response_arrival_us_.insert_or_assign(reply.request_id, net_.now_us());
-      pir_replies_[reply.request_id].push_back(std::move(reply));
-      return;
-    }
-    if (msg.type == kMsgFastDeny) {
-      // §3.8 one-round denial; decode() validates the fixed-size zero pad.
-      auto deny = FastDenyMsg::decode(msg.payload);
-      response_arrival_us_.insert_or_assign(deny.request_id, net_.now_us());
-      fast_denied_.insert(deny.request_id);
-      return;
-    }
-    if (msg.type != kMsgSuResponse)
-      throw std::runtime_error("SU endpoint: unexpected message " + msg.type);
-    auto resp = SuResponseMsg::decode(msg.payload);
-    response_arrival_us_.insert_or_assign(resp.request_id, net_.now_us());
-    responses_.insert_or_assign(resp.request_id, std::move(resp));
+    arrival_us_.insert_or_assign(inbox_.deliver(msg), net_.now_us());
   });
   // Paper §III-C: the SU uploads pk_j to the STP; the SDC retrieves it from
   // the STP's directory on demand (asynchronously, during the first request).
@@ -153,11 +97,11 @@ SuClient& PisaSystem::add_su(std::uint32_t su_id, std::size_t precompute) {
   transport().send({su_name(su_id), "stp", kMsgKeyRegister, reg.encode()});
   net_.run();
   if (precompute > 0) client->precompute_randomizers(precompute);
-  if (cfg_.query_mode == QueryMode::kPir)
+  if (config().query_mode == QueryMode::kPir)
     pir_clients_.emplace(
         su_id, std::make_unique<pir::PirClient>(
-                   su_id, cfg_.pir.replicas,
-                   cfg_.watch.make_area().num_blocks(), rng_));
+                   su_id, config().pir.replicas,
+                   config().watch.make_area().num_blocks(), rng_));
   auto& ref = *client;
   sus_.emplace(su_id, std::move(client));
   return ref;
@@ -181,14 +125,14 @@ void PisaSystem::pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning) {
   // footprint (it is const and consumes no randomness either way), and ship
   // it to every replica alongside the encrypted column.
   std::optional<pir::PirUpdateMsg> pir_msg;
-  if (cfg_.query_mode == QueryMode::kPir)
+  if (config().query_mode == QueryMode::kPir)
     pir_msg = client.make_pir_update(tuning);
   auto update = client.make_update(tuning);
   transport().send({"pu_" + std::to_string(pu_id), "sdc", kMsgPuUpdate,
-                    update.encode(stp_->group_key().ciphertext_bytes())});
+                    update.encode(stp().group_key().ciphertext_bytes())});
   if (pir_msg) {
     auto bytes = pir_msg->encode();
-    for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
+    for (std::size_t i = 0; i < config().pir.replicas; ++i)
       transport().send({"pu_" + std::to_string(pu_id), pir::replica_name(i),
                         pir::kMsgPirUpdate, bytes});
   }
@@ -198,17 +142,17 @@ void PisaSystem::pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning) {
 bool PisaSystem::pu_delta(std::uint32_t pu_id, const watch::PuTuning& tuning) {
   auto& client = pu(pu_id);
   std::optional<pir::PirUpdateMsg> pir_msg;
-  if (cfg_.query_mode == QueryMode::kPir)
+  if (config().query_mode == QueryMode::kPir)
     pir_msg = client.make_pir_update(tuning);
   auto delta = client.make_delta(tuning);
   if (!delta) return false;
   transport().send({"pu_" + std::to_string(pu_id), "sdc", kMsgPuDelta,
-                    delta->encode(stp_->group_key().ciphertext_bytes())});
+                    delta->encode(stp().group_key().ciphertext_bytes())});
   // Replicas always take the full current column — they diff against their
   // stored copy, so a delta-sized event still refreshes only touched rows.
   if (pir_msg) {
     auto bytes = pir_msg->encode();
-    for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
+    for (std::size_t i = 0; i < config().pir.replicas; ++i)
       transport().send({"pu_" + std::to_string(pu_id), pir::replica_name(i),
                         pir::kMsgPirUpdate, bytes});
   }
@@ -221,192 +165,143 @@ void PisaSystem::pu_move(std::uint32_t pu_id, std::uint32_t block) {
 }
 
 watch::QMatrix PisaSystem::build_f(const watch::SuRequest& request) const {
-  return watch::build_su_f_matrix(cfg_.watch, sites_, request.block,
+  return watch::build_su_f_matrix(config().watch, sites_, request.block,
                                   request.eirp_mw_per_channel, model_, d_c_m_);
+}
+
+std::optional<double> PisaSystem::collect(std::uint64_t rid,
+                                          std::uint32_t su_id, double t_send,
+                                          std::size_t failures_before,
+                                          RequestOutcome& out) {
+  auto answer = inbox_.take(rid);
+  if (!answer.fast_denied && !answer.response) {
+    // Graceful degradation: retries are bounded, so a quiescent network
+    // with no response means some hop exhausted its budget (or an endpoint
+    // vanished). Report a typed failure instead of hanging or throwing.
+    out.status = RequestOutcome::Status::kTransportFailed;
+    out.failure = "no response delivered" + gave_up_since(failures_before);
+    return std::nullopt;
+  }
+  auto& client = su(su_id);
+  if (answer.fast_denied) {
+    // §3.8 prefilter denial: no SuResponseMsg exists for this rid.
+    out.fast_denied = true;
+    out.granted = client.process_fast_deny(FastDenyMsg{rid}).granted;
+  } else {
+    auto outcome = client.process_response(*answer.response, sdc().license_key());
+    out.granted = outcome.granted;
+    out.license = outcome.license;
+    out.signature = outcome.signature;
+  }
+  // Measure to the answer's arrival, not to quiescence: trailing
+  // retransmission timers would otherwise inflate the latency.
+  auto arrived = arrival_us_.extract(rid);
+  if (arrived.empty()) return std::nullopt;
+  out.latency_us = arrived.mapped() - t_send;
+  return arrived.mapped();
 }
 
 PisaSystem::RequestOutcome PisaSystem::su_request(
     const watch::SuRequest& request,
     std::optional<std::pair<std::uint32_t, std::uint32_t>> range, PrepMode mode) {
   std::uint64_t rid = next_request_id_++;
-  if (cfg_.query_mode == QueryMode::kPir) {
-    std::uint32_t lo = range ? range->first : 0;
-    std::uint32_t hi = range ? range->second
-                             : static_cast<std::uint32_t>(
-                                   cfg_.watch.make_area().num_blocks());
-    return su_request_pir(request, rid, lo, hi);
-  }
-  auto& client = su(request.su_id);
   auto f = build_f(request);
-
   std::uint32_t lo = range ? range->first : 0;
   std::uint32_t hi = range ? range->second : static_cast<std::uint32_t>(f.blocks());
-  auto msg = client.prepare_request(f, rid, lo, hi, mode);
+  if (config().query_mode == QueryMode::kPir)
+    return su_request_pir(request.su_id, f, rid, lo, hi);
+  auto msg = su(request.su_id).prepare_request(f, rid, lo, hi, mode);
+  const auto name = su_name(request.su_id);
 
-  auto before = net_.total_stats();
-  auto su_sdc_before = net_.stats(su_name(request.su_id), "sdc").bytes;
+  auto su_sdc_before = net_.stats(name, "sdc").bytes;
   auto sdc_stp_before = net_.stats("sdc", "stp").bytes;
   auto stp_sdc_before = net_.stats("stp", "sdc").bytes;
-  auto sdc_su_before = net_.stats("sdc", su_name(request.su_id)).bytes;
-  (void)before;
+  auto sdc_su_before = net_.stats("sdc", name).bytes;
 
-  std::size_t failures_before = reliable_ ? reliable_->failures().size() : 0;
+  std::size_t failures_before = failure_count();
   double t_send = net_.now_us();
-  transport().send({su_name(request.su_id), "sdc", kMsgSuRequest,
-                    msg.encode(stp_->group_key().ciphertext_bytes())});
+  transport().send({name, "sdc", kMsgSuRequest,
+                    msg.encode(stp().group_key().ciphertext_bytes())});
   net_.run();
   double t_done = net_.now_us();
   // Off-path pool maintenance: top the STP's always-warm pools back up
   // between requests so the next conversion hits precomputed factors.
-  stp_->maintain_pools();
+  infra_.maintain_pools();
 
   RequestOutcome out;
-  out.request_bytes = net_.stats(su_name(request.su_id), "sdc").bytes - su_sdc_before;
+  out.request_bytes = net_.stats(name, "sdc").bytes - su_sdc_before;
   out.convert_bytes = net_.stats("sdc", "stp").bytes - sdc_stp_before;
   out.convert_reply_bytes = net_.stats("stp", "sdc").bytes - stp_sdc_before;
-  out.response_bytes = net_.stats("sdc", su_name(request.su_id)).bytes - sdc_su_before;
+  out.response_bytes = net_.stats("sdc", name).bytes - sdc_su_before;
   out.latency_us = t_done - t_send;
-
-  if (fast_denied_.erase(rid) != 0) {
-    // §3.8 prefilter denial: no SuResponseMsg exists for this rid.
-    auto outcome = client.process_fast_deny(FastDenyMsg{rid});
-    out.fast_denied = true;
-    out.granted = outcome.granted;
-    auto arrived = response_arrival_us_.find(rid);
-    if (arrived != response_arrival_us_.end()) {
-      out.latency_us = arrived->second - t_send;
-      response_arrival_us_.erase(arrived);
-    }
-    return out;
-  }
-
-  auto it = responses_.find(rid);
-  if (it == responses_.end()) {
-    // Graceful degradation: retries are bounded, so a quiescent network
-    // with no response means some hop exhausted its budget (or an endpoint
-    // vanished). Report a typed failure instead of hanging or throwing.
-    out.status = RequestOutcome::Status::kTransportFailed;
-    out.failure = "no response delivered";
-    if (reliable_) {
-      const auto& fails = reliable_->failures();
-      for (std::size_t i = failures_before; i < fails.size(); ++i) {
-        const auto& f = fails[i];
-        out.failure += "; gave up on " + f.type + " " + f.from + "->" + f.to +
-                       " seq " + std::to_string(f.seq) + " after " +
-                       std::to_string(f.attempts) + " attempts";
-      }
-    }
-    return out;
-  }
-  auto outcome = client.process_response(it->second, sdc_->license_key());
-  responses_.erase(it);
-  auto arrived = response_arrival_us_.find(rid);
-  if (arrived != response_arrival_us_.end()) {
-    // Measure to response arrival, not to quiescence: trailing
-    // retransmission timers would otherwise inflate the latency.
-    out.latency_us = arrived->second - t_send;
-    response_arrival_us_.erase(arrived);
-  }
-
-  out.granted = outcome.granted;
-  out.license = outcome.license;
-  out.signature = outcome.signature;
+  collect(rid, request.su_id, t_send, failures_before, out);
   return out;
 }
 
-PisaSystem::RequestOutcome PisaSystem::su_request_pir(
-    const watch::SuRequest& request, std::uint64_t rid, std::uint32_t lo,
-    std::uint32_t hi) {
-  auto it = pir_clients_.find(request.su_id);
+PisaSystem::RequestOutcome PisaSystem::su_request_pir(std::uint32_t su_id,
+                                                      const watch::QMatrix& f,
+                                                      std::uint64_t rid,
+                                                      std::uint32_t lo,
+                                                      std::uint32_t hi) {
+  auto it = pir_clients_.find(su_id);
   if (it == pir_clients_.end())
     throw std::out_of_range("PisaSystem: unknown SU");
   auto& client = *it->second;
-  auto f = build_f(request);
-
   auto queries = client.make_queries(rid, lo, hi);
 
-  std::vector<std::size_t> up_before(cfg_.pir.replicas),
-      down_before(cfg_.pir.replicas);
-  for (std::size_t i = 0; i < cfg_.pir.replicas; ++i) {
-    up_before[i] =
-        net_.stats(su_name(request.su_id), pir::replica_name(i)).bytes;
-    down_before[i] =
-        net_.stats(pir::replica_name(i), su_name(request.su_id)).bytes;
+  const auto name = su_name(su_id);
+  const std::size_t replicas = config().pir.replicas;
+  std::vector<std::size_t> up_before(replicas), down_before(replicas);
+  for (std::size_t i = 0; i < replicas; ++i) {
+    up_before[i] = net_.stats(name, pir::replica_name(i)).bytes;
+    down_before[i] = net_.stats(pir::replica_name(i), name).bytes;
   }
-  std::size_t failures_before = reliable_ ? reliable_->failures().size() : 0;
+  std::size_t failures_before = failure_count();
 
   double t_send = net_.now_us();
-  for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
-    transport().send({su_name(request.su_id), pir::replica_name(i),
-                      pir::kMsgPirQuery, queries[i].encode()});
+  for (std::size_t i = 0; i < replicas; ++i)
+    transport().send({name, pir::replica_name(i), pir::kMsgPirQuery,
+                      queries[i].encode()});
   net_.run();
-  double t_done = net_.now_us();
 
   RequestOutcome out;
-  for (std::size_t i = 0; i < cfg_.pir.replicas; ++i) {
-    out.request_bytes +=
-        net_.stats(su_name(request.su_id), pir::replica_name(i)).bytes -
-        up_before[i];
+  for (std::size_t i = 0; i < replicas; ++i) {
+    out.request_bytes += net_.stats(name, pir::replica_name(i)).bytes - up_before[i];
     out.response_bytes +=
-        net_.stats(pir::replica_name(i), su_name(request.su_id)).bytes -
-        down_before[i];
+        net_.stats(pir::replica_name(i), name).bytes - down_before[i];
   }
-  out.latency_us = t_done - t_send;
+  out.latency_us = net_.now_us() - t_send;
+  auto got = inbox_.take(rid).pir_replies;
+  if (auto arrived = arrival_us_.extract(rid); !arrived.empty())
+    out.latency_us = arrived.mapped() - t_send;
 
-  auto replies = pir_replies_.find(rid);
-  std::vector<pir::PirReplyMsg> got;
-  if (replies != pir_replies_.end()) {
-    got = std::move(replies->second);
-    pir_replies_.erase(replies);
-  }
-  auto arrived = response_arrival_us_.find(rid);
-  if (arrived != response_arrival_us_.end()) {
-    out.latency_us = arrived->second - t_send;
-    response_arrival_us_.erase(arrived);
-  }
-
-  if (got.size() != cfg_.pir.replicas) {
+  if (got.size() != replicas) {
     // A replica vanished (crash) or exhausted its retry budget: XOR
     // reconstruction from ℓ−1 shares is garbage, so this is a typed
     // delivery failure — never a wrong answer, never a hang.
     out.status = RequestOutcome::Status::kTransportFailed;
     out.failure = "got " + std::to_string(got.size()) + "/" +
-                  std::to_string(cfg_.pir.replicas) + " PIR replies";
-    if (reliable_) {
-      const auto& fails = reliable_->failures();
-      for (std::size_t i = failures_before; i < fails.size(); ++i) {
-        const auto& fl = fails[i];
-        out.failure += "; gave up on " + fl.type + " " + fl.from + "->" +
-                       fl.to + " seq " + std::to_string(fl.seq) + " after " +
-                       std::to_string(fl.attempts) + " attempts";
-      }
-    }
+                  std::to_string(replicas) + " PIR replies" +
+                  gave_up_since(failures_before);
     return out;
   }
-
-  std::vector<std::vector<std::int64_t>> rows;
   try {
-    auto raw = client.reconstruct(got);
-    rows.reserve(raw.size());
-    for (const auto& r : raw)
-      rows.push_back(pir::decode_budget_row(r, cfg_.watch.channels));
+    out.granted = client.decide(got, config().watch, f, lo).granted;
+  } catch (const std::overflow_error&) {
+    throw;  // F·X headroom: fails loud, exactly like the plaintext oracle
   } catch (const std::runtime_error& e) {
     // Version/shape divergence across replicas: refuse the reconstruction
     // and surface it as a delivery failure the caller can retry.
     out.status = RequestOutcome::Status::kTransportFailed;
     out.failure = e.what();
-    return out;
   }
-
-  auto decision = pir::evaluate_rows(cfg_.watch, f, lo, rows);
-  out.granted = decision.granted;
   return out;
 }
 
 std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     const std::vector<watch::SuRequest>& requests, PrepMode mode,
     MultiRequestStats* stats) {
-  if (cfg_.query_mode == QueryMode::kPir) {
+  if (config().query_mode == QueryMode::kPir) {
     // No conversion round to coalesce and no modexp-heavy preparation: the
     // burst degenerates to sequential full-range queries.
     auto t0 = std::chrono::steady_clock::now();
@@ -444,7 +339,7 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     p.su_id = r.su_id;
     auto msg = client.prepare_request(
         f, p.rid, 0, static_cast<std::uint32_t>(f.blocks()), mode);
-    p.bytes = msg.encode(stp_->group_key().ciphertext_bytes());
+    p.bytes = msg.encode(stp().group_key().ciphertext_bytes());
     prepared.push_back(std::move(p));
   }
   double prep_ms = wall_ms_since(t_prep);
@@ -458,7 +353,7 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     req_bytes_before += net_.stats(su_name(p.su_id), "sdc").bytes;
     resp_bytes_before += net_.stats("sdc", su_name(p.su_id)).bytes;
   }
-  std::size_t failures_before = reliable_ ? reliable_->failures().size() : 0;
+  std::size_t failures_before = failure_count();
 
   double t_send = net_.now_us();
   for (auto& p : prepared)
@@ -467,54 +362,14 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
   auto t_serve = std::chrono::steady_clock::now();
   net_.run();
   double serve_ms = wall_ms_since(t_serve);
-  stp_->maintain_pools();
+  infra_.maintain_pools();
 
-  std::vector<RequestOutcome> outs;
-  outs.reserve(prepared.size());
+  std::vector<RequestOutcome> outs(prepared.size());
   double last_arrival = t_send;
-  for (const auto& p : prepared) {
-    RequestOutcome out;
-    if (fast_denied_.erase(p.rid) != 0) {
-      auto outcome = su(p.su_id).process_fast_deny(FastDenyMsg{p.rid});
-      out.fast_denied = true;
-      out.granted = outcome.granted;
-      auto arrived = response_arrival_us_.find(p.rid);
-      if (arrived != response_arrival_us_.end()) {
-        out.latency_us = arrived->second - t_send;
-        last_arrival = std::max(last_arrival, arrived->second);
-        response_arrival_us_.erase(arrived);
-      }
-      outs.push_back(std::move(out));
-      continue;
-    }
-    auto it = responses_.find(p.rid);
-    if (it == responses_.end()) {
-      out.status = RequestOutcome::Status::kTransportFailed;
-      out.failure = "no response delivered";
-      if (reliable_) {
-        const auto& fails = reliable_->failures();
-        for (std::size_t i = failures_before; i < fails.size(); ++i) {
-          const auto& f = fails[i];
-          out.failure += "; gave up on " + f.type + " " + f.from + "->" +
-                         f.to + " seq " + std::to_string(f.seq) + " after " +
-                         std::to_string(f.attempts) + " attempts";
-        }
-      }
-      outs.push_back(std::move(out));
-      continue;
-    }
-    auto outcome = su(p.su_id).process_response(it->second, sdc_->license_key());
-    responses_.erase(it);
-    auto arrived = response_arrival_us_.find(p.rid);
-    if (arrived != response_arrival_us_.end()) {
-      out.latency_us = arrived->second - t_send;
-      last_arrival = std::max(last_arrival, arrived->second);
-      response_arrival_us_.erase(arrived);
-    }
-    out.granted = outcome.granted;
-    out.license = outcome.license;
-    out.signature = outcome.signature;
-    outs.push_back(std::move(out));
+  for (std::size_t i = 0; i < prepared.size(); ++i) {
+    if (auto arrived = collect(prepared[i].rid, prepared[i].su_id, t_send,
+                               failures_before, outs[i]))
+      last_arrival = std::max(last_arrival, *arrived);
   }
 
   if (stats != nullptr) {

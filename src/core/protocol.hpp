@@ -1,7 +1,8 @@
 // End-to-end PISA deployment over the simulated network.
 //
-// PisaSystem owns one STP, one SDC, one PuClient per registered TV-receiver
-// site and any number of SuClients, and drives the full message flows of
+// PisaSystem holds the shared core::Infrastructure (STP, SDC, PIR replicas)
+// on a simulated network, one PuClient per registered TV-receiver site and
+// any number of SuClients, and drives the full message flows of
 // Figures 4 and 5: PU tuning updates, and the two-phase SU request with the
 // STP key-conversion round. It reuses the exact plaintext matrix builders
 // of the watch layer, so a PlainWatch instance fed the same inputs is a
@@ -12,20 +13,18 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
+#include "core/deployment.hpp"
 #include "core/pu_client.hpp"
-#include "core/sdc_server.hpp"
-#include "core/stp_server.hpp"
 #include "core/su_client.hpp"
 #include "net/bus.hpp"
 #include "net/reliable_channel.hpp"
 #include "pir/pir_client.hpp"
-#include "pir/pir_replica.hpp"
 #include "radio/pathloss.hpp"
 #include "watch/plain_watch.hpp"
 
@@ -33,8 +32,9 @@ namespace pisa::core {
 
 class PisaSystem {
  public:
-  /// Sets up STP (generating pk_G), SDC (with the public E matrix) and one
-  /// PuClient per site, all attached to an internal simulated network.
+  /// Sets up the Infrastructure (STP generating pk_G, SDC with the public E
+  /// matrix) and one PuClient per site, all attached to an internal
+  /// simulated network.
   /// `model` and `rng` must outlive the system.
   PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
              const radio::PathLossModel& model, bn::RandomSource& rng);
@@ -120,7 +120,7 @@ class PisaSystem {
   /// The F matrix the request encrypts — shared with PlainWatch's pipeline.
   watch::QMatrix build_f(const watch::SuRequest& request) const;
 
-  const PisaConfig& config() const { return cfg_; }
+  const PisaConfig& config() const { return infra_.config(); }
   double exclusion_radius() const { return d_c_m_; }
   const std::vector<watch::PuSite>& sites() const { return sites_; }
 
@@ -129,44 +129,25 @@ class PisaSystem {
   /// cfg.reliability.enabled is false (raw perfect-delivery bus).
   net::ReliableTransport* reliable_transport() { return reliable_.get(); }
 
-  // --- crash/restart chaos harness (DESIGN.md §3.6) -------------------------
-  /// Kill the SDC process: the entity object is destroyed — every byte of
-  /// in-memory state (Ñ, stored W̃ columns, pending requests, the
-  /// conversion batcher) is gone — and its endpoint leaves the network, so
-  /// messages already in flight to it are recorded as delivery failures
-  /// rather than delivered. What survives is exactly what durability wrote
-  /// to cfg.durability.dir. Idempotent; no-op when already crashed.
-  void crash_sdc();
+  // --- crash/restart chaos harness (DESIGN.md §3.6; see Infrastructure) -----
+  void crash_sdc() { infra_.crash_sdc(); }
+  SdcServer& restart_sdc() { return infra_.restart_sdc(); }
+  bool sdc_running() const { return infra_.sdc_running(); }
+  void crash_pir_replica(std::size_t index) { infra_.crash_pir_replica(index); }
+  pir::PirServer* pir_replica(std::size_t index) {
+    return infra_.pir_replica(index);
+  }
 
-  /// Boot a fresh SDC process: a new SdcServer is constructed (with
-  /// durability on it recovers Ñ/W̃/serial state from cfg.durability.dir
-  /// and reloads its persisted RSA identity), gets its threshold share and
-  /// thread pool back, and re-attaches to the network under the same name.
-  /// SU keys are NOT restored — the SDC re-fetches them from the STP
-  /// directory on demand, the normal asynchronous key-lookup path. Requests
-  /// that were in flight at crash time stay lost (their SUs see a typed
-  /// transport failure); new requests proceed normally.
-  SdcServer& restart_sdc();
-
-  bool sdc_running() const { return sdc_ != nullptr; }
-
-  /// Kill a standalone PIR replica (index ≥ 1; replica 0 rides crash_sdc):
-  /// endpoint removed, object destroyed. Queries in flight to it fail
-  /// delivery and the issuing SU sees a typed kTransportFailed — never a
-  /// hang, never a reconstruction from a partial reply set. Idempotent.
-  void crash_pir_replica(std::size_t index);
-
-  /// Replica `index` (0 = the SDC-hosted one), or nullptr when that replica
-  /// is crashed / the system is not in PIR mode.
-  pir::PirServer* pir_replica(std::size_t index);
-
-  SdcServer& sdc() { return *sdc_; }
-  StpServer& stp() { return *stp_; }
+  Infrastructure& infrastructure() { return infra_; }
+  SdcServer& sdc() { return infra_.sdc(); }
+  StpServer& stp() { return infra_.stp(); }
   SuClient& su(std::uint32_t su_id);
   PuClient& pu(std::uint32_t pu_id);
 
   /// Shared execution pool (null when cfg.num_threads == 1).
-  const std::shared_ptr<exec::ThreadPool>& thread_pool() const { return exec_; }
+  const std::shared_ptr<exec::ThreadPool>& thread_pool() const {
+    return infra_.thread_pool();
+  }
 
  private:
   static std::string su_name(std::uint32_t id) { return "su_" + std::to_string(id); }
@@ -175,15 +156,27 @@ class PisaSystem {
   /// transport when cfg.reliability.enabled, the raw bus otherwise.
   net::Transport& transport();
 
+  /// Transport give-ups recorded so far, and the "; gave up on …" diagnosis
+  /// of those recorded after mark `since` (empty on the perfect bus).
+  std::size_t failure_count() const;
+  std::string gave_up_since(std::size_t since) const;
+
+  /// The outcome collector both request paths share: fill `out`'s decision
+  /// for `rid` from the inbox — or a typed kTransportFailed when no answer
+  /// arrived — and measure latency_us to the answer's arrival. Returns that
+  /// arrival time (virtual µs), if one was recorded.
+  std::optional<double> collect(std::uint64_t rid, std::uint32_t su_id,
+                                double t_send, std::size_t failures_before,
+                                RequestOutcome& out);
+
   /// §3.10 query path: split the fetch of [lo, hi) into XOR shares, one
   /// query per replica, reconstruct and decide locally. Fills the same
   /// RequestOutcome su_request does (license fields stay empty — a PIR
   /// grant is a local decision, not a signed license).
-  RequestOutcome su_request_pir(const watch::SuRequest& request,
+  RequestOutcome su_request_pir(std::uint32_t su_id, const watch::QMatrix& f,
                                 std::uint64_t rid, std::uint32_t lo,
                                 std::uint32_t hi);
 
-  PisaConfig cfg_;
   std::vector<watch::PuSite> sites_;
   const radio::PathLossModel& model_;
   bn::RandomSource& rng_;
@@ -191,20 +184,12 @@ class PisaSystem {
 
   net::SimulatedNetwork net_;
   std::unique_ptr<net::ReliableTransport> reliable_;
-  std::shared_ptr<exec::ThreadPool> exec_;
-  std::unique_ptr<StpServer> stp_;
-  std::unique_ptr<SdcServer> sdc_;
+  Infrastructure infra_;
+  SuInbox inbox_;
   std::map<std::uint32_t, std::unique_ptr<PuClient>> pus_;
   std::map<std::uint32_t, std::unique_ptr<SuClient>> sus_;
-  /// §3.10 standalone replicas 1..ℓ−1 (replica 0 lives inside the SDC);
-  /// a crashed replica's slot holds null.
-  std::vector<std::unique_ptr<pir::PirServer>> pir_extras_;
   std::map<std::uint32_t, std::unique_ptr<pir::PirClient>> pir_clients_;
-  /// PIR replies collected at the SU endpoints, keyed by request id.
-  std::map<std::uint64_t, std::vector<pir::PirReplyMsg>> pir_replies_;
-  std::map<std::uint64_t, SuResponseMsg> responses_;  // by request id
-  std::set<std::uint64_t> fast_denied_;  // request ids answered by FastDenyMsg
-  std::map<std::uint64_t, double> response_arrival_us_;  // by request id
+  std::map<std::uint64_t, double> arrival_us_;  // last SU-bound frame, by rid
   std::uint64_t next_request_id_ = 1;
 };
 

@@ -61,18 +61,20 @@ ScenarioDriver::RequestResult SimScenarioDriver::su_request(
   return res;
 }
 
-void SimScenarioDriver::crash_sdc() { sys_.crash_sdc(); }
-void SimScenarioDriver::restart_sdc() { sys_.restart_sdc(); }
-bool SimScenarioDriver::sdc_running() { return sys_.sdc_running(); }
+// ---------------------------------------------------------------------------
+// ScenarioDriver
 
-std::vector<std::uint8_t> SimScenarioDriver::exhausted_state_bytes() {
-  return sys_.sdc().state().exhausted_state_bytes();
+std::vector<std::uint8_t> ScenarioDriver::exhausted_state_bytes() {
+  sync();
+  return infra_.sdc().state().exhausted_state_bytes();
 }
-std::uint64_t SimScenarioDriver::wal_bytes() {
-  return sys_.sdc().state().wal_bytes();
+std::uint64_t ScenarioDriver::wal_bytes() {
+  sync();
+  return infra_.sdc().state().wal_bytes();
 }
-std::uint64_t SimScenarioDriver::delta_cells_folded() {
-  return sys_.sdc().state().delta_cells_folded();
+std::uint64_t ScenarioDriver::delta_cells_folded() {
+  sync();
+  return infra_.sdc().state().delta_cells_folded();
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/deployment.hpp"
 #include "core/protocol.hpp"
 #include "crypto/chacha_rng.hpp"
 #include "radio/mobility.hpp"
@@ -105,9 +106,11 @@ struct ScenarioResult {
 };
 
 /// Transport-agnostic face of a deployment: the engine scripts *what*
-/// happens, a driver says *how* it reaches the entities. Implementations:
-/// SimScenarioDriver (below, over PisaSystem) and rpc::TcpScenarioDriver
-/// (net/rpc_scenario.hpp, over a real socket pair).
+/// happens, a driver says *how* it reaches the entities. SDC lifecycle and
+/// state reads go straight to the shared Infrastructure; a driver supplies
+/// only what differs by transport — PU and SU traffic and a barrier.
+/// Implementations: SimScenarioDriver (below, over PisaSystem) and
+/// rpc::TcpScenarioDriver (net/rpc_scenario.hpp, over a real socket pair).
 class ScenarioDriver {
  public:
   struct RequestResult {
@@ -117,12 +120,14 @@ class ScenarioDriver {
     std::uint64_t serial = 0;  ///< license serial when granted
   };
 
+  explicit ScenarioDriver(Infrastructure& infra) : infra_(infra) {}
   virtual ~ScenarioDriver() = default;
 
   /// Relocate a PU (mobility). Takes effect on its next send.
   virtual void pu_move(std::uint32_t pu_id, std::uint32_t block) = 0;
-  /// Deliver a PU's tuning: full column, or (use_delta) the footprint diff.
-  /// Returns false when nothing needed to be sent.
+  /// Deliver a PU's tuning: full column, or (use_delta) the footprint diff,
+  /// and return once the SDC has folded it. Returns false when nothing
+  /// needed to be sent.
   virtual bool pu_send(std::uint32_t pu_id, const watch::PuTuning& tuning,
                        bool use_delta) = 0;
   /// One full SU request round. The driver discloses the tightest block
@@ -131,14 +136,27 @@ class ScenarioDriver {
   virtual RequestResult su_request(const watch::SuRequest& request,
                                    std::uint32_t range_pad) = 0;
 
-  virtual void crash_sdc() = 0;
-  virtual void restart_sdc() = 0;
-  virtual bool sdc_running() = 0;
+  /// The SDC dies on a settled deployment, as on the sim's drained network.
+  void crash_sdc() {
+    sync();
+    infra_.crash_sdc();
+  }
+  void restart_sdc() { infra_.restart_sdc(); }
+  bool sdc_running() const { return infra_.sdc_running(); }
 
-  // Callable only while sdc_running():
-  virtual std::vector<std::uint8_t> exhausted_state_bytes() = 0;
-  virtual std::uint64_t wal_bytes() = 0;
-  virtual std::uint64_t delta_cells_folded() = 0;
+  // Callable only while sdc_running(); each settles the deployment first
+  // (post-grant budget folds re-probe after the response).
+  std::vector<std::uint8_t> exhausted_state_bytes();
+  std::uint64_t wal_bytes();
+  std::uint64_t delta_cells_folded();
+
+ protected:
+  /// Barrier: return once every causal chain rooted in a frame already
+  /// delivered to the infrastructure has run. The sim's network is drained
+  /// by every call, so its barrier is empty.
+  virtual void sync() {}
+
+  Infrastructure& infra_;
 };
 
 /// The tightest disclosed block range [lo, hi) covering every non-zero
@@ -152,19 +170,14 @@ std::pair<std::uint32_t, std::uint32_t> disclosed_range(
 /// Driver over the in-process simulated-network deployment.
 class SimScenarioDriver final : public ScenarioDriver {
  public:
-  explicit SimScenarioDriver(PisaSystem& sys) : sys_(sys) {}
+  explicit SimScenarioDriver(PisaSystem& sys)
+      : ScenarioDriver(sys.infrastructure()), sys_(sys) {}
 
   void pu_move(std::uint32_t pu_id, std::uint32_t block) override;
   bool pu_send(std::uint32_t pu_id, const watch::PuTuning& tuning,
                bool use_delta) override;
   RequestResult su_request(const watch::SuRequest& request,
                            std::uint32_t range_pad) override;
-  void crash_sdc() override;
-  void restart_sdc() override;
-  bool sdc_running() override;
-  std::vector<std::uint8_t> exhausted_state_bytes() override;
-  std::uint64_t wal_bytes() override;
-  std::uint64_t delta_cells_folded() override;
 
  private:
   PisaSystem& sys_;

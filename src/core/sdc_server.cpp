@@ -89,7 +89,6 @@ SdcServer::SdcServer(const PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
       // initializes Ñ from E (tail slots seeded with 1 — see sdc_state.hpp)
       // and, with durability on, recovers the previous run's state here.
       state_(cfg_, group_pk_, e_matrix_, filter_key_),
-      seen_frames_(cfg.reliability.dedup_window),
       stream_(rng.next_u64()) {
   if (cfg_.query_mode == QueryMode::kPir) {
     // Replica 0 lives in this process and shares the SDC's store directory
@@ -165,6 +164,7 @@ void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
     if (net_ != nullptr) send_budget_probe(cells);
   }
   ++stats_.pu_updates;
+  ++updates_folded_;
   stats_.update.add(ms_since(t0));
 }
 
@@ -196,6 +196,7 @@ void SdcServer::handle_pu_delta(const PuDeltaMsg& delta) {
     if (net_ != nullptr) send_budget_probe(cells);
   }
   ++stats_.pu_deltas;
+  ++updates_folded_;
   stats_.delta_cells += delta.cells.size();
   stats_.delta.add(ms_since(t0));
 }
@@ -551,7 +552,6 @@ void SdcServer::flush_batch() {
 }
 
 double SdcServer::watchdog_delay_us() const {
-  if (cfg_.convert_batch_watchdog_us > 0) return cfg_.convert_batch_watchdog_us;
   if (cfg_.reliability.enabled) {
     // Outlive the transport's whole retry schedule (Σ timeout·backoff^k over
     // every transmission) with 50% headroom, plus our own linger.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -168,6 +169,11 @@ class SdcServer {
   };
   const Stats& stats() const { return stats_; }
 
+  /// stats().pu_updates + pu_deltas, safe to read from any thread: the
+  /// arrival signal a caller off the handler thread polls for the updates
+  /// it sent. Bumped after each fold has enqueued its re-probe round.
+  std::uint64_t updates_folded() const { return updates_folded_.load(); }
+
  private:
   struct PendingRequest {
     SuRequestMsg request;
@@ -239,6 +245,7 @@ class SdcServer {
   // slip past ReliableTransport's dedup window must not re-run handlers.
   net::DedupWindow seen_frames_;
   Stats stats_;
+  std::atomic<std::uint64_t> updates_folded_{0};
 
   // §3.8/§3.9 probe bookkeeping. A cell's epoch advances on every
   // invalidation (full folds bump every cell of the touched blocks, delta

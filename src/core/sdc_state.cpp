@@ -46,13 +46,13 @@ SdcStateEngine::SdcStateEngine(const PisaConfig& cfg,
     // Per-shard filters so recovery replays each shard's own kRecExhaust
     // stream against its own table — a global filter would interleave
     // shard mutations and lose byte-identical replay.
+    // Sized for the shard's whole group-range × blocks grid (always
+    // sufficient); a 1/1024 false-positive target only trims wasted
+    // exact-set probes — the exact set makes false positives harmless.
     crypto::CuckooParams params;
-    params.fingerprint_bits = crypto::cuckoo_fingerprint_bits(
-        cfg_.denial_filter.fpp);
+    params.fingerprint_bits = crypto::cuckoo_fingerprint_bits(1.0 / 1024.0);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      params.capacity = cfg_.denial_filter.capacity != 0
-                            ? cfg_.denial_filter.capacity
-                            : map_.size(s) * blocks;
+      params.capacity = map_.size(s) * blocks;
       shards_[s].filter =
           std::make_unique<crypto::CuckooFilter>(filter_key_, params);
     }
@@ -346,8 +346,8 @@ void SdcStateEngine::apply_exhaust(std::size_t s, std::uint32_t block,
   for (std::uint32_t g : next) {
     if (!cur.contains(g) && !sh.filter->insert(filter_item(g, block)))
       throw std::runtime_error(
-          "SdcStateEngine: cuckoo filter saturated (denial_filter.capacity "
-          "too small for the grid)");
+          "SdcStateEngine: cuckoo filter saturated (more exhausted cells "
+          "than the shard's grid it was sized for)");
   }
   if (next.empty())
     sh.exhausted.erase(block);

@@ -12,7 +12,7 @@ namespace pisa::core {
 StpServer::StpServer(const PisaConfig& cfg, bn::RandomSource& rng)
     : cfg_(cfg), rng_(rng),
       group_(crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds)),
-      seen_frames_(cfg.reliability.dedup_window), stream_(rng.next_u64()) {
+      stream_(rng.next_u64()) {
   cfg_.validate();
   if (cfg_.threshold_stp) deal_ = crypto::threshold_split(group_.sk, rng_);
 }

@@ -3,15 +3,14 @@
 // Adapts an RpcServer + RpcClient pair to core::ScenarioDriver, so the same
 // seeded tick schedule that drives the simulated-network PisaSystem drives a
 // real socket deployment. Determinism note: client→server frames are
-// asynchronous — pu_send returns once the frame is queued, while the
+// asynchronous — a send returns once the frame is queued, while the
 // server's dispatch thread folds it (and runs the §3.8 re-probe round the
 // fold enqueues on the same serial lane) at its own pace. To match the
-// sim's drained-network semantics the driver counts every update it puts on
-// the wire, and before any state read or request it (a) polls the SDC's
-// fold counters until that many arrived, then (b) quiesces the server's
-// dispatch lane so the probe rounds rooted in those folds have finished.
-// With that barrier, decisions and filter state are as deterministic here
-// as under the sim's network drain.
+// sim's drained-network semantics, pu_send (a) polls the SDC's fold counter
+// until its update arrived, then (b) quiesces the server's dispatch lane so
+// the probe round rooted in that fold has finished; every state read and
+// crash runs (b) first. With that barrier, decisions and filter state are
+// as deterministic here as under the sim's network drain.
 #pragma once
 
 #include <cstdint>
@@ -42,28 +41,18 @@ class TcpScenarioDriver final : public core::ScenarioDriver {
                bool use_delta) override;
   RequestResult su_request(const watch::SuRequest& request,
                            std::uint32_t range_pad) override;
-  void crash_sdc() override;
-  void restart_sdc() override;
-  bool sdc_running() override;
-  std::vector<std::uint8_t> exhausted_state_bytes() override;
-  std::uint64_t wal_bytes() override;
-  std::uint64_t delta_cells_folded() override;
+
+ protected:
+  /// Quiesce the server's dispatch lane (bounded by the driver timeout).
+  void sync() override;
 
  private:
-  /// The determinism barrier: wait until the SDC has folded every update
-  /// this driver sent since the last (re)boot, then quiesce the server's
-  /// dispatch lane so the re-probe rounds those folds enqueued are done.
-  /// Throws on timeout. No-op while the SDC is down.
-  void sync_server();
-
   RpcServer& server_;
   RpcClient& client_;
-  core::PisaConfig cfg_;
   std::vector<watch::PuSite> sites_;
   const radio::PathLossModel& model_;
   double d_c_m_;
   double timeout_ms_;
-  std::uint64_t expected_updates_ = 0;  // sent since the current SDC boot
 };
 
 }  // namespace pisa::rpc

@@ -1,80 +1,16 @@
 #include "net/rpc_server.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "core/messages.hpp"
 #include "crypto/key_codec.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace pisa::rpc {
 
 RpcServer::RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts, std::uint16_t port)
-    : cfg_(cfg), rng_(rng), tcp_(opts) {
-  cfg_.validate();
-  // Same draw order as PisaSystem: STP keygen, then SDC keygen — an oracle
-  // world seeded identically produces the same keys and entity streams.
-  if (cfg_.num_threads > 1)
-    exec_ = std::make_shared<exec::ThreadPool>(cfg_.num_threads);
-  stp_ = std::make_unique<core::StpServer>(cfg_, rng_);
-  sdc_ = std::make_unique<core::SdcServer>(cfg_, stp_->group_key(),
-                                           watch::make_e_matrix(cfg_.watch),
-                                           rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  stp_->set_thread_pool(exec_);
-  sdc_->set_thread_pool(exec_);
-  stp_->attach(tcp_, "stp");
-  sdc_->attach(tcp_, "sdc", "stp");
-  // §3.10: the SDC attach above registered replica 0; the standalone
-  // replicas live behind the same listener as their own endpoints.
-  if (cfg_.query_mode == core::QueryMode::kPir) {
-    auto e = watch::make_e_matrix(cfg_.watch);
-    for (std::size_t i = 1; i < cfg_.pir.replicas; ++i) {
-      auto srv = std::make_unique<pir::PirServer>(e, cfg_.pack_slots,
-                                                  pir::PirDurability{});
-      srv->set_thread_pool(exec_);
-      srv->attach(tcp_, pir::replica_name(i));
-      pir_extras_.push_back(std::move(srv));
-    }
-  }
+    : tcp_(opts), infra_(cfg, tcp_, rng) {
   tcp_.listen(port);
-}
-
-pir::PirServer* RpcServer::pir_replica(std::size_t index) {
-  if (cfg_.query_mode != core::QueryMode::kPir || index >= cfg_.pir.replicas)
-    return nullptr;
-  if (index == 0) return sdc_ ? sdc_->pir_server() : nullptr;
-  return pir_extras_.at(index - 1).get();
-}
-
-void RpcServer::crash_pir_replica(std::size_t index) {
-  if (index == 0 || index >= cfg_.pir.replicas)
-    throw std::out_of_range(
-        "RpcServer: crash_pir_replica needs a standalone replica index");
-  auto& slot = pir_extras_.at(index - 1);
-  if (!slot) return;
-  tcp_.remove_endpoint(pir::replica_name(index));
-  slot.reset();
-}
-
-void RpcServer::crash_sdc() {
-  if (!sdc_) return;
-  tcp_.remove_endpoint("sdc");
-  if (cfg_.query_mode == core::QueryMode::kPir)
-    tcp_.remove_endpoint(pir::replica_name(0));
-  sdc_.reset();
-}
-
-core::SdcServer& RpcServer::restart_sdc() {
-  if (sdc_) return *sdc_;
-  sdc_ = std::make_unique<core::SdcServer>(cfg_, stp_->group_key(),
-                                           watch::make_e_matrix(cfg_.watch),
-                                           rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  sdc_->set_thread_pool(exec_);
-  sdc_->attach(tcp_, "sdc", "stp");
-  return *sdc_;
 }
 
 RpcClient::RpcClient(const core::PisaConfig& cfg,
@@ -83,7 +19,7 @@ RpcClient::RpcClient(const core::PisaConfig& cfg,
                      net::TcpOptions opts)
     : cfg_(cfg), group_pk_(std::move(group_pk)), host_(std::move(host)),
       port_(port), rng_(rng), tcp_(opts),
-      e_matrix_(watch::make_e_matrix(cfg.watch)) {
+      e_matrix_(watch::make_e_matrix(cfg.watch)), inbox_(cfg.pir.replicas) {
   conn_id_ = tcp_.connect(host_, port_, route_names());
 }
 
@@ -101,44 +37,7 @@ core::SuClient& RpcClient::add_su(std::uint32_t su_id, std::size_t precompute) {
   auto client =
       std::make_unique<core::SuClient>(su_id, cfg_, group_pk_, rng_);
   tcp_.register_endpoint(su_name(su_id), [this](const net::Message& msg) {
-    if (msg.type == pir::kMsgPirReply) {
-      auto reply = pir::PirReplyMsg::decode(msg.payload);
-      auto request_id = reply.request_id;
-      bool complete;
-      {
-        std::lock_guard<std::mutex> lk(rmu_);
-        auto& slot = pir_replies_[request_id];
-        slot.push_back(std::move(reply));
-        complete = slot.size() >= cfg_.pir.replicas;
-      }
-      if (complete && on_response_) on_response_(request_id);
-      rcv_.notify_all();
-      return;
-    }
-    if (msg.type == core::kMsgFastDeny) {
-      // §3.8 one-round denial: record the rid and wake waiters; decode()
-      // validates the fixed 32-byte shape (leakage discipline).
-      auto deny = core::FastDenyMsg::decode(msg.payload);
-      {
-        std::lock_guard<std::mutex> lk(rmu_);
-        fast_denied_.insert(deny.request_id);
-      }
-      if (on_response_) on_response_(deny.request_id);
-      rcv_.notify_all();
-      return;
-    }
-    if (msg.type != core::kMsgSuResponse)
-      throw std::runtime_error("SU endpoint: unexpected message " + msg.type);
-    auto resp = core::SuResponseMsg::decode(msg.payload);
-    auto request_id = resp.request_id;
-    {
-      std::lock_guard<std::mutex> lk(rmu_);
-      responses_.insert_or_assign(request_id, std::move(resp));
-    }
-    // Probe before notify: a waiter that wakes for this id observes the
-    // load generator's completion timestamp already recorded.
-    if (on_response_) on_response_(request_id);
-    rcv_.notify_all();
+    inbox_.deliver(msg);
   });
   core::KeyRegisterMsg reg{su_id, crypto::serialize(client->public_key())};
   tcp_.send({su_name(su_id), "stp", core::kMsgKeyRegister, reg.encode()});
@@ -260,28 +159,12 @@ void RpcClient::submit(const PreparedRequest& req) {
 bool RpcClient::wait_response(std::uint64_t request_id,
                               core::SuResponseMsg* out, double timeout_ms,
                               bool* fast_denied) {
-  if (fast_denied != nullptr) *fast_denied = false;
-  std::unique_lock<std::mutex> lk(rmu_);
-  bool ok = rcv_.wait_for(
-      lk, std::chrono::microseconds(static_cast<std::int64_t>(timeout_ms * 1e3)),
-      [&] {
-        return responses_.contains(request_id) ||
-               fast_denied_.contains(request_id);
-      });
-  if (!ok) return false;
-  if (fast_denied_.erase(request_id) != 0) {
-    if (fast_denied != nullptr) *fast_denied = true;
-    return true;
-  }
-  auto it = responses_.find(request_id);
-  if (out != nullptr) *out = std::move(it->second);
-  responses_.erase(it);
+  auto answer = inbox_.take(request_id, timeout_ms);
+  if (fast_denied != nullptr) *fast_denied = answer.fast_denied;
+  if (answer.fast_denied) return true;
+  if (!answer.response) return false;
+  if (out != nullptr) *out = std::move(*answer.response);
   return true;
-}
-
-std::size_t RpcClient::responses_pending() const {
-  std::lock_guard<std::mutex> lk(rmu_);
-  return responses_.size();
 }
 
 RpcClient::PirOutcome RpcClient::pir_request(std::uint32_t su_id,
@@ -305,39 +188,16 @@ RpcClient::PirOutcome RpcClient::pir_request(std::uint32_t su_id,
                std::move(bytes)});
   }
 
-  std::vector<pir::PirReplyMsg> got;
-  {
-    std::unique_lock<std::mutex> lk(rmu_);
-    bool ok = rcv_.wait_for(
-        lk,
-        std::chrono::microseconds(static_cast<std::int64_t>(timeout_ms * 1e3)),
-        [&] {
-          auto slot = pir_replies_.find(rid);
-          return slot != pir_replies_.end() &&
-                 slot->second.size() >= cfg_.pir.replicas;
-        });
-    auto slot = pir_replies_.find(rid);
-    if (slot != pir_replies_.end()) {
-      got = std::move(slot->second);
-      pir_replies_.erase(slot);
-    }
-    if (!ok) {
-      out.failure = "timed out with " + std::to_string(got.size()) + "/" +
-                    std::to_string(cfg_.pir.replicas) + " PIR replies";
-      return out;
-    }
+  auto got = inbox_.take(rid, timeout_ms).pir_replies;
+  if (got.size() < cfg_.pir.replicas) {
+    out.failure = "timed out with " + std::to_string(got.size()) + "/" +
+                  std::to_string(cfg_.pir.replicas) + " PIR replies";
+    return out;
   }
   for (const auto& r : got) out.reply_bytes += r.encode().size();
-
   try {
-    auto raw = client.reconstruct(got);
-    std::vector<std::vector<std::int64_t>> rows;
-    rows.reserve(raw.size());
-    for (const auto& r : raw)
-      rows.push_back(pir::decode_budget_row(r, cfg_.watch.channels));
-    auto decision = pir::evaluate_rows(cfg_.watch, f, block_lo, rows);
+    out.granted = client.decide(got, cfg_.watch, f, block_lo).granted;
     out.completed = true;
-    out.granted = decision.granted;
   } catch (const std::runtime_error& e) {
     out.failure = e.what();
   }

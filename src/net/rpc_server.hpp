@@ -1,46 +1,42 @@
 // Async RPC serving front-end over the TCP transport (DESIGN.md §3.7).
 //
-// RpcServer hosts the two infrastructure entities — StpServer and
-// SdcServer — behind one TcpTransport listener. Frames arriving from any
-// connection are dispatched serially into the entities' existing attach()
-// handlers (the same ones the simulated network drives), so the whole
-// Figure 4/5 protocol logic is reused verbatim; the entities fan work out
-// on the shared exec::ThreadPool internally, which is what makes the
+// RpcServer hosts the shared core::Infrastructure — StpServer, SdcServer
+// and any PIR replicas — behind one TcpTransport listener. Frames arriving
+// from any connection are dispatched serially into the entities' existing
+// attach() handlers (the same ones the simulated network drives), so the
+// whole Figure 4/5 protocol logic is reused verbatim; the entities fan work
+// out on the shared exec::ThreadPool internally, which is what makes the
 // front-end async: the I/O thread keeps accepting and reading while a
 // request is deep in a Paillier pipeline. SDC↔STP conversion traffic stays
 // in-process (both endpoints are local to the transport, so it rides the
 // dispatch lane without touching a socket), exactly like the co-located
-// deployment the paper's Figure 6 accounting assumes.
-//
-// Construction order mirrors PisaSystem byte for byte — STP keygen, SDC
-// keygen, threshold share, thread pools, attach — so a PisaSystem built
-// from an identically-seeded rng is a bit-exact oracle for this server:
-// same group key, same RSA license key, same per-entity ChaCha streams.
+// deployment the paper's Figure 6 accounting assumes. Because PisaSystem
+// builds the same Infrastructure, one built from an identically-seeded rng
+// is a bit-exact oracle for this server.
 //
 // RpcClient is the matching client bundle: it owns the SU/PU client
 // objects, one client TcpTransport multiplexing every logical session over
-// a single connection, a response registry keyed by request id, and the
+// a single connection, the core::SuInbox every SU endpoint feeds, and the
 // re-send bookkeeping (pinned net_seq, PR 2 discipline) that turns TCP's
 // at-most-once-across-resets into application-level exactly-once.
+//
+// Both stop their transport first on destruction: its threads call into
+// the entities / the inbox, so those must outlive every handler.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
+#include "core/deployment.hpp"
 #include "core/pu_client.hpp"
-#include "core/sdc_server.hpp"
-#include "core/stp_server.hpp"
 #include "core/su_client.hpp"
 #include "net/tcp_transport.hpp"
 #include "pir/pir_client.hpp"
@@ -52,56 +48,35 @@ namespace pisa::rpc {
 
 class RpcServer {
  public:
-  /// Build STP + SDC from `rng` (PisaSystem construction order), attach
-  /// them to a fresh TcpTransport and start listening on 127.0.0.1:`port`
-  /// (0 = ephemeral; read the bound port back with port()).
+  /// Build the Infrastructure from `rng` on a fresh TcpTransport and start
+  /// listening on 127.0.0.1:`port` (0 = ephemeral; read the bound port back
+  /// with port()).
   explicit RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts = {}, std::uint16_t port = 0);
+  ~RpcServer() { tcp_.stop(); }
 
   std::uint16_t port() const { return tcp_.port(); }
 
   const crypto::PaillierPublicKey& group_key() const {
-    return stp_->group_key();
+    return infra_.stp().group_key();
   }
   const crypto::RsaPublicKey& license_key() const {
-    return sdc_->license_key();
+    return infra_.sdc().license_key();
   }
 
-  core::SdcServer& sdc() { return *sdc_; }
-  core::StpServer& stp() { return *stp_; }
-  bool sdc_running() const { return sdc_ != nullptr; }
-
-  /// PR 6 restart semantics on the socket path: the endpoint leaves the
-  /// transport first (in-flight frames to "sdc" become delivery failures,
-  /// never late deliveries), then the entity and all its in-memory state
-  /// are destroyed. restart_sdc() rebuilds it exactly like PisaSystem does.
-  void crash_sdc();
-  core::SdcServer& restart_sdc();
-
-  /// §3.10: replica `index` (0 = SDC-hosted), or nullptr when crashed /
-  /// not in PIR mode.
-  pir::PirServer* pir_replica(std::size_t index);
-
-  /// Kill a standalone replica (index ≥ 1): endpoint off the transport,
-  /// object destroyed. A query in flight to it times out at the client —
-  /// typed, never a partial reconstruction. Idempotent.
-  void crash_pir_replica(std::size_t index);
-
-  /// Off-path STP pool maintenance (always-warm mode); benches call this
-  /// between waves, mirroring PisaSystem's post-drain call.
-  void maintain_pools() { stp_->maintain_pools(); }
+  core::Infrastructure& infrastructure() { return infra_; }
+  core::SdcServer& sdc() { return infra_.sdc(); }
+  core::StpServer& stp() { return infra_.stp(); }
+  pir::PirServer* pir_replica(std::size_t index) {
+    return infra_.pir_replica(index);
+  }
+  void crash_pir_replica(std::size_t index) { infra_.crash_pir_replica(index); }
 
   net::TcpTransport& transport() { return tcp_; }
 
  private:
-  core::PisaConfig cfg_;
-  bn::RandomSource& rng_;
   net::TcpTransport tcp_;
-  std::shared_ptr<exec::ThreadPool> exec_;
-  std::unique_ptr<core::StpServer> stp_;
-  std::unique_ptr<core::SdcServer> sdc_;
-  /// §3.10 standalone replicas 1..ℓ−1 (null slot = crashed).
-  std::vector<std::unique_ptr<pir::PirServer>> pir_extras_;
+  core::Infrastructure infra_;
 };
 
 class RpcClient {
@@ -114,9 +89,10 @@ class RpcClient {
   RpcClient(const core::PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
             std::string host, std::uint16_t port, bn::RandomSource& rng,
             net::TcpOptions opts = {});
+  ~RpcClient() { tcp_.stop(); }
 
   /// Create an SU client, register "su_<id>" as a local endpoint feeding
-  /// the response registry, and upload pk_j to the STP (paper §III-C). The
+  /// the inbox, and upload pk_j to the STP (paper §III-C). The
   /// registration frame precedes any request on the same connection, so
   /// FIFO ordering makes the directory entry visible before first use.
   core::SuClient& add_su(std::uint32_t su_id, std::size_t precompute = 0);
@@ -167,7 +143,7 @@ class RpcClient {
   void submit(const PreparedRequest& req);
 
   /// Block until the response for `request_id` arrives (dispatch thread
-  /// fills the registry) or `timeout_ms` passes. Returns false on timeout.
+  /// fills the inbox) or `timeout_ms` passes. Returns false on timeout.
   /// A §3.8 prefilter denial also completes the wait: `*fast_denied` is set
   /// true (when the pointer is given) and `*out` is left untouched — there
   /// is no SuResponseMsg for a fast-denied request, just the 32-byte
@@ -175,17 +151,14 @@ class RpcClient {
   bool wait_response(std::uint64_t request_id, core::SuResponseMsg* out,
                      double timeout_ms, bool* fast_denied = nullptr);
 
-  /// Responses received so far (registry size; drained by wait_response).
-  std::size_t responses_pending() const;
-
   /// Per-response completion probe for load generators: called on the
-  /// dispatch thread the moment each SU response lands in the registry —
+  /// dispatch thread the moment each SU answer completes in the inbox —
   /// before any wait_response waiter wakes — so per-request completion
   /// timestamps are exact even when the bench drains waiters lazily. Set
   /// it before traffic starts; installation is not synchronized against
   /// in-flight deliveries.
   void set_response_hook(std::function<void(std::uint64_t)> hook) {
-    on_response_ = std::move(hook);
+    inbox_.set_hook(std::move(hook));
   }
 
   /// §3.10 PIR round trip over the socket: split [block_lo, block_hi) into
@@ -241,14 +214,7 @@ class RpcClient {
 
   std::uint64_t next_request_id_ = 1;
   std::uint64_t next_pin_seq_ = 1;  // pinned seqs for re-sendable frames
-
-  mutable std::mutex rmu_;
-  std::condition_variable rcv_;
-  std::map<std::uint64_t, core::SuResponseMsg> responses_;
-  std::set<std::uint64_t> fast_denied_;  // rids answered by FastDenyMsg
-  /// PIR replies by request id (complete at cfg.pir.replicas entries).
-  std::map<std::uint64_t, std::vector<pir::PirReplyMsg>> pir_replies_;
-  std::function<void(std::uint64_t)> on_response_;
+  core::SuInbox inbox_;
 };
 
 }  // namespace pisa::rpc

@@ -120,16 +120,19 @@ std::uint16_t TcpTransport::listen(std::uint16_t port) {
     throw_errno("getsockname");
   }
   set_nonblocking(fd);
+  // Publish the fd before arming it: the I/O thread reads listen_fd_ in
+  // handle_accept() as soon as epoll reports the first connection.
+  listen_fd_ = fd;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenTag;
   if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
     int e = errno;
     ::close(fd);
+    listen_fd_ = -1;
     errno = e;
     throw_errno("epoll_ctl(listen)");
   }
-  listen_fd_ = fd;
   port_ = ntohs(addr.sin_port);
   return port_;
 }

@@ -4,6 +4,8 @@
 #include <span>
 #include <stdexcept>
 
+#include "pir/pir_database.hpp"
+
 namespace pisa::pir {
 
 PirClient::PirClient(std::uint32_t su_id, std::size_t replicas,
@@ -78,6 +80,17 @@ std::vector<std::vector<std::uint8_t>> PirClient::reconstruct(
     }
   }
   return rows;
+}
+
+watch::Decision PirClient::decide(const std::vector<PirReplyMsg>& replies,
+                                  const watch::WatchConfig& cfg,
+                                  const watch::QMatrix& f,
+                                  std::uint32_t block_lo) const {
+  const auto raw = reconstruct(replies);
+  std::vector<std::vector<std::int64_t>> rows;
+  rows.reserve(raw.size());
+  for (const auto& r : raw) rows.push_back(decode_budget_row(r, cfg.channels));
+  return evaluate_rows(cfg, f, block_lo, rows);
 }
 
 watch::Decision evaluate_rows(

@@ -52,6 +52,13 @@ class PirClient {
   std::vector<std::vector<std::uint8_t>> reconstruct(
       const std::vector<PirReplyMsg>& replies) const;
 
+  /// The SU's whole local decision for one reply set: reconstruct the rows
+  /// [block_lo, …), decode their budgets and evaluate_rows() them against
+  /// `f`. Throws like reconstruct() and evaluate_rows().
+  watch::Decision decide(const std::vector<PirReplyMsg>& replies,
+                         const watch::WatchConfig& cfg,
+                         const watch::QMatrix& f, std::uint32_t block_lo) const;
+
  private:
   std::uint32_t su_id_;
   std::size_t replicas_;

@@ -3,12 +3,15 @@
 // composition, real-time timers, slow-reader backpressure bounding server
 // memory, admission control, and the headline acceptance criterion —
 // concurrent multiplexed SU sessions over 127.0.0.1 byte-identical to the
-// SimulatedNetwork oracle at pack_slots ∈ {1, 4}.
+// SimulatedNetwork oracle at pack_slots ∈ {1, 4} and with a threshold STP on
+// a two-lane server — plus teardown with work still in flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "net/tcp_transport.hpp"
 #include "radio/pathloss.hpp"
 #include "socket_test_util.hpp"
+#include "watch/matrices.hpp"
 
 namespace pisa::net {
 namespace {
@@ -57,12 +61,12 @@ struct Collected {
 };
 
 TEST(TcpTransport, EchoRoundTripOverLoopback) {
+  Collected got;  // outlives the transports whose threads push into it
   TcpTransport server, client;
   ScopedListener listener(server);
   server.register_endpoint("srv", [&server](const Message& m) {
     server.send({"srv", m.from, "echo", m.payload, 0});
   });
-  Collected got;
   client.register_endpoint("cli", [&got](const Message& m) { got.push(m); });
   client.connect("127.0.0.1", listener.port(), {"srv"});
 
@@ -86,12 +90,12 @@ TEST(TcpTransport, EchoRoundTripOverLoopback) {
 }
 
 TEST(TcpTransport, ManyLogicalSessionsMultiplexOneConnection) {
+  Collected got;
   TcpTransport server, client;
   ScopedListener listener(server);
   server.register_endpoint("srv", [&server](const Message& m) {
     server.send({"srv", m.from, "echo", m.payload, 0});
   });
-  Collected got;
   constexpr int kSessions = 50;
   for (int i = 0; i < kSessions; ++i)
     client.register_endpoint("c_" + std::to_string(i),
@@ -113,9 +117,9 @@ TEST(TcpTransport, RemovedEndpointFailsDeliveryUntilReRegistered) {
   // PR 6 restart composition: frames for a name that left the transport
   // become recorded delivery failures — never late deliveries — and a
   // re-registered endpoint (the restarted entity) serves again.
+  Collected got;
   TcpTransport server, client;
   ScopedListener listener(server);
-  Collected got;
   server.register_endpoint("svc", [&got](const Message& m) { got.push(m); });
   client.connect("127.0.0.1", listener.port(), {"svc"});
 
@@ -139,7 +143,6 @@ TEST(TcpTransport, RemovedEndpointFailsDeliveryUntilReRegistered) {
 }
 
 TEST(TcpTransport, TimersFireInOrderOnTheDispatchThread) {
-  TcpTransport t;
   std::mutex mu;
   std::condition_variable cv;
   std::vector<int> order;
@@ -150,6 +153,7 @@ TEST(TcpTransport, TimersFireInOrderOnTheDispatchThread) {
     }
     cv.notify_all();
   };
+  TcpTransport t;  // after everything its timer callbacks touch
   t.schedule_after(60'000.0, [&] { push(2); });
   t.schedule_after(5'000.0, [&] { push(1); });
   std::unique_lock<std::mutex> lk(mu);
@@ -209,9 +213,9 @@ TEST(TcpTransport, AdmissionControlShedsConnectionsOverTheCap) {
 }
 
 TEST(TcpTransport, CorruptStreamDropsOnlyThatConnection) {
+  Collected got;
   TcpTransport server, client;
   ScopedListener listener(server);
-  Collected got;
   server.register_endpoint("srv", [&got](const Message& m) { got.push(m); });
 
   // A hostile raw peer sends garbage: its connection dies poisoned...
@@ -234,7 +238,23 @@ TEST(TcpTransport, CorruptStreamDropsOnlyThatConnection) {
 
 // --- the headline acceptance criterion ---------------------------------------
 
-core::PisaConfig packed_config(std::size_t pack_slots) {
+/// One server-side deployment shape: the knobs the shared Infrastructure
+/// wires up differently (slot layout, threshold share, exec pool).
+struct Deployment {
+  std::size_t pack_slots = 1;
+  bool threshold_stp = false;
+  std::size_t num_threads = 1;
+};
+
+// gtest prints the parameter into the test name; the plain paper layout
+// prints as its slot count alone.
+void PrintTo(const Deployment& d, std::ostream* os) {
+  *os << d.pack_slots;
+  if (d.threshold_stp) *os << "_threshold";
+  if (d.num_threads > 1) *os << "_threads" << d.num_threads;
+}
+
+core::PisaConfig deployment_config(const Deployment& d) {
   core::PisaConfig cfg;
   cfg.watch.grid_rows = 2;
   cfg.watch.grid_cols = 3;
@@ -244,7 +264,9 @@ core::PisaConfig packed_config(std::size_t pack_slots) {
   cfg.rsa_bits = 384;
   cfg.blind_bits = 48;
   cfg.mr_rounds = 8;
-  cfg.pack_slots = pack_slots;
+  cfg.pack_slots = d.pack_slots;
+  cfg.threshold_stp = d.threshold_stp;
+  cfg.num_threads = d.num_threads;
   return cfg;
 }
 
@@ -252,11 +274,11 @@ std::vector<watch::PuSite> test_sites() {
   return {{0, BlockId{0}}, {1, BlockId{5}}};
 }
 
-class TcpVsSimulated : public ::testing::TestWithParam<std::size_t> {};
+class TcpVsSimulated : public ::testing::TestWithParam<Deployment> {};
 
 TEST_P(TcpVsSimulated, ConcurrentSessionsAreByteIdenticalToOracle) {
-  const std::size_t k = GetParam();
-  core::PisaConfig cfg = packed_config(k);
+  const std::size_t k = GetParam().pack_slots;
+  core::PisaConfig cfg = deployment_config(GetParam());
   radio::ExtendedHataModel model{600.0, 30.0, 10.0};
 
   // Identically-seeded master rngs + the identical entity construction and
@@ -326,8 +348,8 @@ TEST_P(TcpVsSimulated, ConcurrentSessionsAreByteIdenticalToOracle) {
 // back, so the SDC runs begin/finish/begin/finish… while the oracle ran
 // every begin before any finish. Outcomes must still be byte-identical.
 TEST_P(TcpVsSimulated, OneAtATimeSessionsAreByteIdenticalToBurstOracle) {
-  const std::size_t k = GetParam();
-  core::PisaConfig cfg = packed_config(k);
+  const std::size_t k = GetParam().pack_slots;
+  core::PisaConfig cfg = deployment_config(GetParam());
   radio::ExtendedHataModel model{600.0, 30.0, 10.0};
 
   crypto::ChaChaRng sim_rng{std::uint64_t{0x7C9}};
@@ -378,8 +400,50 @@ TEST_P(TcpVsSimulated, OneAtATimeSessionsAreByteIdenticalToBurstOracle) {
   EXPECT_GT(denies, 0);
 }
 
+// Teardown with work in flight: both ends stop their transport before they
+// destroy what its threads call into (the SDC/STP entities, the SU inbox
+// and its completion hook). Runs in both destruction orders; it must stay
+// clean under ThreadSanitizer.
+TEST(RpcTeardown, DestroysClientAndServerWithResponsesAndFoldsInFlight) {
+  for (bool server_first : {false, true}) {
+    SCOPED_TRACE(server_first ? "server first" : "client first");
+    core::PisaConfig cfg = deployment_config({});
+    radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+    const auto sites = test_sites();
+    std::atomic<int> completed{0};
+    crypto::ChaChaRng rng{std::uint64_t{0x7EA}};
+    auto server = std::make_unique<rpc::RpcServer>(cfg, rng);
+    auto client = std::make_unique<rpc::RpcClient>(
+        cfg, server->group_key(), "127.0.0.1", server->port(), rng);
+    client->set_response_hook([&completed](std::uint64_t) { ++completed; });
+    for (const auto& site : sites) client->add_pu(site);
+    client->add_su(1);
+    const auto f = watch::build_su_f_matrix(
+        cfg.watch, sites, BlockId{1},
+        std::vector<double>(cfg.watch.channels, 100.0), model,
+        watch::exclusion_radius_m(cfg.watch, model));
+
+    // One settled round trip proves the path works...
+    auto first = client->prepare_request(1, f);
+    client->submit(first);
+    ASSERT_TRUE(client->wait_response(first.request_id, nullptr, 60000));
+    ASSERT_EQ(completed.load(), 1);
+    // ...then PU folds and a request burst are left in flight.
+    for (std::uint32_t i = 0; i < 4; ++i)
+      client->pu_update(i % 2, {ChannelId{i % 2}, 1e-6 * (i + 1)});
+    for (int i = 0; i < 4; ++i) client->submit(client->prepare_request(1, f));
+
+    if (server_first) server.reset();
+    client.reset();
+    server.reset();
+    EXPECT_LE(completed.load(), 5);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(PackSlots, TcpVsSimulated,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+                         ::testing::Values(Deployment{1, false, 1},
+                                           Deployment{4, false, 1},
+                                           Deployment{1, true, 2}));
 
 }  // namespace
 }  // namespace pisa::net
