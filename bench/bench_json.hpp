@@ -8,7 +8,7 @@
 //     rows from these instead of hand-rolling fprintf format strings.
 //   * run_benchmarks_to_json — drop-in BENCHMARK_MAIN() replacement for the
 //     google-benchmark binaries (bench_bigint, bench_paillier,
-//     bench_comparison_baseline, bench_damgard_jurik):
+//     bench_comparison_baseline):
 //       int main(int argc, char** argv) {
 //         return pisa::benchjson::run_benchmarks_to_json(argc, argv, "BENCH_x.json");
 //       }

@@ -55,9 +55,10 @@
 // run the PU offline phase first (precomputed r^n pools, §VI-A's
 // pooled-preparation argument applied to the PU side); the full-column
 // rows stay un-pooled — they are the pre-§3.9 baseline. Per-send update
-// cost, ticks/sec, sustained req/s, delta cells/tick and WAL bytes/tick
-// land in scenario_sweep[]; the full/delta pair feeds the ≥3x incremental
-// speedup floor.
+// cost, ticks/sec, sustained req/s, delta cells/tick, WAL bytes/tick and
+// the engine's count of decisions that differ from the plaintext WATCH
+// oracle land in scenario_sweep[]; the full/delta pair feeds the ≥3x
+// incremental speedup floor, and every row must report 0 mismatches.
 //
 // The PIR sweep (DESIGN.md §3.10) pits the XOR multi-server PIR query
 // path against the blinded-conversion pipeline on the same seeded world at
@@ -1004,8 +1005,9 @@ std::vector<DenialRow> run_denial_sweep(bool quick, bool tcp_only) {
 // prove the two runs decide identically tick for tick, so the only thing
 // that differs here is cost: update_ms_per_send (client encrypt + SDC fold
 // + re-probe round, the incremental path's headline) must show the delta
-// rows ≥3x cheaper — scripts/check_perf_regression.py enforces that floor
-// and an absolute ticks/sec guard on the committed snapshot.
+// rows ≥3x cheaper — scripts/check_perf_regression.py enforces that floor,
+// an absolute ticks/sec guard on the committed snapshot, and
+// oracle_mismatches = 0 on every row.
 
 struct ScenarioRow {
   bool use_delta = false;
@@ -1017,6 +1019,7 @@ struct ScenarioRow {
   std::size_t grants = 0;
   std::size_t denials = 0;
   std::size_t fast_denials = 0;
+  std::size_t oracle_mismatches = 0;
   double delta_cells_per_tick = 0;
   double wal_bytes_per_tick = 0;
   double update_wall_ms = 0;
@@ -1075,7 +1078,7 @@ ScenarioRow measure_scenario(bool use_delta, std::size_t num_sus,
   sc.use_delta = use_delta;
 
   core::SimScenarioDriver driver{system};
-  core::ScenarioEngine engine{cfg, sites, sc, driver};
+  core::ScenarioEngine engine{cfg, sites, model, sc, driver};
   auto res = engine.run();
 
   ScenarioRow row;
@@ -1088,6 +1091,7 @@ ScenarioRow measure_scenario(bool use_delta, std::size_t num_sus,
   row.grants = res.grants;
   row.denials = res.denials;
   row.fast_denials = res.fast_denials;
+  row.oracle_mismatches = res.oracle_mismatches;
   row.delta_cells_per_tick =
       static_cast<double>(res.delta_cells) / static_cast<double>(row.ticks);
   row.wal_bytes_per_tick =
@@ -1110,11 +1114,12 @@ void print_scenario_row(const ScenarioRow& r) {
   std::printf(
       "  %-5s sus=%zu ticks=%-3zu | %6.2f ticks/s %5.2f req/s sustained | "
       "update %6.2f ms/send (%zu sends) | %5.1f delta cells/tick | wal "
-      "%7.1f B/tick | grant %zu deny %zu (fast %zu)\n",
+      "%7.1f B/tick | grant %zu deny %zu (fast %zu) | oracle mismatches "
+      "%zu\n",
       r.use_delta ? "delta" : "full", r.num_sus, r.ticks, r.ticks_per_sec,
       r.requests_per_sec, r.update_ms_per_send, r.updates_sent,
       r.delta_cells_per_tick, r.wal_bytes_per_tick, r.grants, r.denials,
-      r.fast_denials);
+      r.fast_denials, r.oracle_mismatches);
 }
 
 std::vector<ScenarioRow> run_scenario_sweep(bool quick) {
@@ -1546,6 +1551,7 @@ benchjson::JsonFields scenario_json(const ScenarioRow& r) {
   j.add("grants", r.grants);
   j.add("denials", r.denials);
   j.add("fast_denials", r.fast_denials);
+  j.add("oracle_mismatches", r.oracle_mismatches);
   j.add("delta_cells_per_tick", r.delta_cells_per_tick);
   j.add("wal_bytes_per_tick", r.wal_bytes_per_tick);
   j.add("update_wall_ms", r.update_wall_ms);

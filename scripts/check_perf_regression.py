@@ -47,16 +47,19 @@ denial_sweep row must report decisions_match = 1: the prefilter may only
 accelerate denials, never flip a verdict. Host speed cancels out of all
 three pairings, so they are safe to gate on wall clock.
 
-The scenario_sweep rows (DESIGN.md §3.9) add two more. ticks_per_sec per
+The scenario_sweep rows (DESIGN.md §3.9) add three more. ticks_per_sec per
 (use_delta, num_sus, ticks) row is guarded against the committed snapshot
-like the tcp rows — wall clock, so behind --tcp-threshold. And within the
+like the tcp rows — wall clock, so behind --tcp-threshold. Within the
 current run, each fleet size's full/delta pair must show the incremental
 update path at least `--delta-speedup-factor`x (default 3.0) cheaper per
 update sent (update_ms_per_send: client encrypt + SDC fold + re-probe) —
 the whole point of shipping footprint diffs instead of C-row columns is
 that cost no longer scales with the grid, and losing the win (deltas
 silently degrading to full columns, dirty tracking gone, re-probes going
-grid-wide) is a protocol bug, not noise.
+grid-wide) is a protocol bug, not noise. And every scenario_sweep row must
+report oracle_mismatches = 0: the engine checks each decision against the
+plaintext WATCH oracle it runs in lock-step, and one disagreement is a
+wrong grant or a wrong denial.
 
 The pir_sweep rows (DESIGN.md §3.10) guard the XOR multi-server PIR query
 path three ways. Against the committed snapshot, per (transport, channels,
@@ -326,6 +329,21 @@ def pir_decision_checks(current):
         yield label, 1.0, float(r["decisions_match"]), True
 
 
+def scenario_oracle_checks(current):
+    """Every scenario_sweep row must report oracle_mismatches == 0.
+
+    The engine checks each decision against the plaintext WATCH oracle it
+    runs in lock-step; one disagreement is a wrong grant or a wrong denial
+    — always a bug, never noise. Encoded like decisions_match: 1 when the
+    row agrees, 0 otherwise (a row without the field counts as 0), so a
+    disagreement yields ratio inf -> REGRESSION.
+    """
+    for r in current.get("scenario_sweep", []):
+        label = "oracle_mismatches == 0 scenario {} sus={} ticks={}".format(
+            "delta" if r["use_delta"] else "full", r["num_sus"], r["ticks"])
+        yield label, 1.0, float(r.get("oracle_mismatches", 1) == 0), True
+
+
 def decision_checks(current):
     """Every denial_sweep row must report decisions_match == 1.
 
@@ -397,6 +415,7 @@ def main():
     checks.extend((*c, 1.0)
                   for c in delta_speedup_checks(system_current,
                                                 args.delta_speedup_factor))
+    checks.extend((*c, 1.0) for c in scenario_oracle_checks(system_current))
     checks.extend((*c, 1.0) for c in decision_checks(system_current))
     checks.extend(pir_snapshot_checks(system_baseline, system_current,
                                       args.threshold, args.tcp_threshold))

@@ -32,9 +32,10 @@ std::unique_ptr<net::ReliableTransport> reliable_layer(
 
 }  // namespace
 
-PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
+PisaSystem::PisaSystem(const PisaConfig& cfg,
+                       const std::vector<watch::PuSite>& sites,
                        const radio::PathLossModel& model, bn::RandomSource& rng)
-    : sites_(std::move(sites)), model_(model), rng_(rng),
+    : model_(model), rng_(rng),
       d_c_m_(watch::exclusion_radius_m(cfg.watch, model)),
       reliable_(reliable_layer(cfg, net_)),
       infra_(cfg, transport(), rng),
@@ -42,7 +43,7 @@ PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
   // Each PU takes the full public E matrix: a mobile receiver must be able
   // to recompute w = T − E at whatever block it drives into.
   auto e = watch::make_e_matrix(cfg.watch);
-  for (const auto& site : sites_) {
+  for (const auto& site : sites) {
     auto [it, inserted] = pus_.emplace(
         site.pu_id,
         std::make_unique<PuClient>(site, cfg, stp().group_key(), e, rng_));
@@ -165,7 +166,10 @@ void PisaSystem::pu_move(std::uint32_t pu_id, std::uint32_t block) {
 }
 
 watch::QMatrix PisaSystem::build_f(const watch::SuRequest& request) const {
-  return watch::build_su_f_matrix(config().watch, sites_, request.block,
+  std::vector<watch::PuSite> sites;
+  sites.reserve(pus_.size());
+  for (const auto& [id, client] : pus_) sites.push_back(client->site());
+  return watch::build_su_f_matrix(config().watch, sites, request.block,
                                   request.eirp_mw_per_channel, model_, d_c_m_);
 }
 

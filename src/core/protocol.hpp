@@ -36,7 +36,7 @@ class PisaSystem {
   /// matrix) and one PuClient per site, all attached to an internal
   /// simulated network.
   /// `model` and `rng` must outlive the system.
-  PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
+  PisaSystem(const PisaConfig& cfg, const std::vector<watch::PuSite>& sites,
              const radio::PathLossModel& model, bn::RandomSource& rng);
 
   /// Create an SU client, register its public key with STP and SDC, and
@@ -118,11 +118,12 @@ class PisaSystem {
       PrepMode mode = PrepMode::kFresh, MultiRequestStats* stats = nullptr);
 
   /// The F matrix the request encrypts — shared with PlainWatch's pipeline.
+  /// It models every receiver where its PuClient is now, so a pu_move
+  /// relocates the receiver's protection along with its W column.
   watch::QMatrix build_f(const watch::SuRequest& request) const;
 
   const PisaConfig& config() const { return infra_.config(); }
   double exclusion_radius() const { return d_c_m_; }
-  const std::vector<watch::PuSite>& sites() const { return sites_; }
 
   net::SimulatedNetwork& network() { return net_; }
   /// The reliable transport layer, or nullptr when
@@ -177,7 +178,6 @@ class PisaSystem {
                                 std::uint64_t rid, std::uint32_t lo,
                                 std::uint32_t hi);
 
-  std::vector<watch::PuSite> sites_;
   const radio::PathLossModel& model_;
   bn::RandomSource& rng_;
   double d_c_m_;

@@ -12,7 +12,7 @@ namespace pisa::core {
 PuClient::PuClient(watch::PuSite site, const PisaConfig& cfg,
                    crypto::PaillierPublicKey group_pk, watch::QMatrix e_matrix,
                    bn::RandomSource& rng)
-    : site_(site), cfg_(cfg), group_pk_(std::move(group_pk)),
+    : pu_id_(site.pu_id), cfg_(cfg), group_pk_(std::move(group_pk)),
       e_matrix_(std::move(e_matrix)), block_(site.block.index),
       stream_(rng.next_u64()) {
   if (e_matrix_.channels() != cfg_.watch.channels ||
@@ -73,7 +73,7 @@ PuUpdateMsg PuClient::make_update(const watch::PuTuning& tuning) {
   auto next = desired_footprint(tuning);  // validates tuning
 
   PuUpdateMsg msg;
-  msg.pu_id = site_.pu_id;
+  msg.pu_id = pu_id_;
   msg.block = block_;
 
   std::uint32_t tuned = tuning.channel ? tuning.channel->index : UINT32_MAX;
@@ -105,7 +105,7 @@ PuUpdateMsg PuClient::make_update(const watch::PuTuning& tuning) {
 pir::PirUpdateMsg PuClient::make_pir_update(
     const watch::PuTuning& tuning) const {
   pir::PirUpdateMsg msg;
-  msg.pu_id = site_.pu_id;
+  msg.pu_id = pu_id_;
   msg.block = block_;
   msg.w_column.assign(cfg_.watch.channels, 0);
   if (tuning.channel) {
@@ -157,7 +157,7 @@ std::optional<PuDeltaMsg> PuClient::make_delta(const watch::PuTuning& tuning) {
   });
 
   PuDeltaMsg msg;
-  msg.pu_id = site_.pu_id;
+  msg.pu_id = pu_id_;
   msg.delta_seq = ++delta_seq_;
   msg.cells.reserve(diff.size());
   for (auto& [key, d] : diff) {

@@ -51,11 +51,11 @@ class PuClient {
            crypto::PaillierPublicKey group_pk, watch::QMatrix e_matrix,
            bn::RandomSource& rng);
 
-  const watch::PuSite& site() const { return site_; }
-
-  /// The block this PU currently occupies (starts at site().block; mobility
-  /// moves it). Public, registered data — it travels in clear.
-  std::uint32_t current_block() const { return block_; }
+  /// The receiver's current registration: its id and the block it
+  /// occupies now (the construction site until move_to). Public, registered
+  /// data — it travels in clear, and it is where an SU's F models this
+  /// receiver.
+  watch::PuSite site() const { return {pu_id_, radio::BlockId{block_}}; }
 
   /// Vehicular mobility: re-register at `block`. The next make_update /
   /// make_delta emits the contribution from the new location (make_delta
@@ -126,7 +126,7 @@ class PuClient {
   /// so a small cache captures them; past the bound it resets wholesale.
   static constexpr std::size_t kDetCacheMax = 1024;
 
-  watch::PuSite site_;
+  std::uint32_t pu_id_;
   PisaConfig cfg_;
   crypto::PaillierPublicKey group_pk_;
   watch::QMatrix e_matrix_;

@@ -82,15 +82,16 @@ std::uint64_t ScenarioDriver::delta_cells_folded() {
 
 ScenarioEngine::ScenarioEngine(const PisaConfig& cfg,
                                std::vector<watch::PuSite> sites,
+                               const radio::PathLossModel& model,
                                const ScenarioConfig& scenario,
                                ScenarioDriver& driver)
     : cfg_(cfg),
-      sites_(std::move(sites)),
+      oracle_(cfg.watch, std::move(sites), model),
       sc_(scenario),
       driver_(driver),
       area_(cfg.watch.make_area()),
       stream_(sc_.seed) {
-  if (sites_.empty())
+  if (oracle_.sites().empty())
     throw std::invalid_argument("ScenarioEngine: needs at least one PU site");
   if (sc_.ticks == 0)
     throw std::invalid_argument("ScenarioEngine: needs at least one tick");
@@ -100,9 +101,7 @@ ScenarioEngine::ScenarioEngine(const PisaConfig& cfg,
       *sc_.restart_at_tick <= *sc_.crash_at_tick)
     throw std::invalid_argument("ScenarioEngine: restart must follow crash");
 
-  pus_.resize(sites_.size());
-  for (std::size_t i = 0; i < sites_.size(); ++i)
-    pus_[i].block = sites_[i].block.index;
+  pus_.resize(oracle_.sites().size());
 
   // Seed the SU fleet: uniform position, uniform heading, fixed speed. All
   // draws happen here, in index order, before any protocol traffic.
@@ -134,9 +133,14 @@ watch::PuTuning ScenarioEngine::tuning_of(const PuState& pu) const {
 }
 
 void ScenarioEngine::send_pu(std::size_t i, ScenarioResult& result) {
+  // The oracle tracks the world, not the SDC: a tuning made while the SDC
+  // is down reaches the deployment with the post-restart resync.
+  const auto pu_id = oracle_.sites()[i].pu_id;
+  const auto tuning = tuning_of(pus_[i]);
+  oracle_.pu_update(pu_id, tuning);
   if (!driver_.sdc_running()) return;
   const auto start = Clock::now();
-  if (driver_.pu_send(sites_[i].pu_id, tuning_of(pus_[i]), sc_.use_delta))
+  if (driver_.pu_send(pu_id, tuning, sc_.use_delta))
     ++result.updates_sent;
   result.update_wall_ms += ms_since(start);
 }
@@ -168,6 +172,8 @@ void ScenarioEngine::run_requests(std::uint32_t tick, ScenarioResult& result,
       ++result.transport_failures;
       continue;
     }
+    if (res.granted != oracle_.process_request(req).granted)
+      ++result.oracle_mismatches;
     if (res.granted) {
       ++result.grants;
       su.license_expires = tick + sc_.license_ttl_ticks;
@@ -230,12 +236,12 @@ ScenarioResult ScenarioEngine::run() {
       if (frac() < sc_.p_pu_move) {
         const std::uint32_t i = pick(static_cast<std::uint32_t>(pus_.size()));
         const auto b = pick(static_cast<std::uint32_t>(area_.num_blocks()));
-        auto& pu = pus_[i];
-        if (b != pu.block) {
-          pu.block = b;
+        const auto site = oracle_.sites()[i];
+        if (b != site.block.index) {
           ++result.pu_events;
-          driver_.pu_move(sites_[i].pu_id, b);
-          if (pu.channel) send_pu(i, result);
+          oracle_.pu_move(site.pu_id, radio::BlockId{b});
+          driver_.pu_move(site.pu_id, b);
+          if (pus_[i].channel) send_pu(i, result);
         }
       }
       if (frac() < sc_.p_toggle) {

@@ -15,7 +15,10 @@
 // runs that differ only in `use_delta` (full-column updates vs §3.9
 // incremental deltas) must produce byte-identical TickOutcomes. That
 // equivalence, across pack_slots, transports and a mid-schedule SDC
-// kill/restart, is the §3.9 acceptance oracle.
+// kill/restart, is the §3.9 acceptance oracle. Alongside it, a plaintext
+// WATCH (watch::PlainWatch) replays every PU tuning and move in lock-step,
+// and every completed request's grant/deny is checked against it: a run
+// reports how many decisions the encrypted deployment got wrong.
 #pragma once
 
 #include <array>
@@ -29,7 +32,9 @@
 #include "core/protocol.hpp"
 #include "crypto/chacha_rng.hpp"
 #include "radio/mobility.hpp"
+#include "radio/pathloss.hpp"
 #include "watch/config.hpp"
+#include "watch/plain_watch.hpp"
 
 namespace pisa::core {
 
@@ -93,6 +98,9 @@ struct ScenarioResult {
   std::uint64_t denials = 0;
   std::uint64_t fast_denials = 0;
   std::uint64_t transport_failures = 0;
+  /// Completed requests whose grant/deny differs from the plaintext WATCH
+  /// oracle. Must stay 0; anything else is a correctness bug.
+  std::uint64_t oracle_mismatches = 0;
   std::uint64_t delta_cells = 0;  ///< engine cells folded via the delta path
   std::uint64_t wal_bytes = 0;    ///< WAL growth accumulated over the run
 
@@ -185,10 +193,13 @@ class SimScenarioDriver final : public ScenarioDriver {
 
 class ScenarioEngine {
  public:
-  /// `sites` are the registered PU receivers the deployment was built with;
-  /// the engine owns all world state (tunings, vehicles, licenses) and
-  /// pushes it through `driver`.
+  /// `sites` are the registered PU receivers the deployment was built with
+  /// and `model` its secondary-signal path loss h(·) (must outlive the
+  /// engine); together they build the plaintext oracle. The engine owns all
+  /// world state (tunings, vehicles, licenses) and pushes it through
+  /// `driver`.
   ScenarioEngine(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
+                 const radio::PathLossModel& model,
                  const ScenarioConfig& scenario, ScenarioDriver& driver);
 
   /// Execute the schedule: tick 0 initializes every PU (deterministic
@@ -201,7 +212,6 @@ class ScenarioEngine {
   struct PuState {
     std::optional<std::uint32_t> channel;  // nullopt = receiver off
     double signal_mw = 0;
-    std::uint32_t block = 0;
   };
   struct SuState {
     radio::Vehicle vehicle;
@@ -217,7 +227,9 @@ class ScenarioEngine {
                     TickOutcome& outcome);
 
   PisaConfig cfg_;
-  std::vector<watch::PuSite> sites_;
+  /// Lock-step ground truth, and the registry of PU sites: its sites() are
+  /// the receivers' current blocks (pu_move keeps them current).
+  watch::PlainWatch oracle_;
   ScenarioConfig sc_;
   ScenarioDriver& driver_;
   radio::ServiceArea area_;

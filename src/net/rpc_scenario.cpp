@@ -3,22 +3,22 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 
 namespace pisa::rpc {
 
 TcpScenarioDriver::TcpScenarioDriver(RpcServer& server, RpcClient& client,
                                      const core::PisaConfig& cfg,
-                                     std::vector<watch::PuSite> sites,
+                                     const std::vector<watch::PuSite>& sites,
                                      const radio::PathLossModel& model,
                                      double timeout_ms)
     : ScenarioDriver(server.infrastructure()),
       server_(server),
       client_(client),
-      sites_(std::move(sites)),
       model_(model),
       d_c_m_(watch::exclusion_radius_m(cfg.watch, model)),
-      timeout_ms_(timeout_ms) {}
+      timeout_ms_(timeout_ms) {
+  for (const auto& site : sites) pu_ids_.push_back(site.pu_id);
+}
 
 void TcpScenarioDriver::pu_move(std::uint32_t pu_id, std::uint32_t block) {
   client_.pu(pu_id).move_to(block);
@@ -58,7 +58,10 @@ bool TcpScenarioDriver::pu_send(std::uint32_t pu_id,
 
 core::ScenarioDriver::RequestResult TcpScenarioDriver::su_request(
     const watch::SuRequest& request, std::uint32_t range_pad) {
-  const auto f = watch::build_su_f_matrix(infra_.config().watch, sites_,
+  std::vector<watch::PuSite> sites;
+  sites.reserve(pu_ids_.size());
+  for (const auto id : pu_ids_) sites.push_back(client_.pu(id).site());
+  const auto f = watch::build_su_f_matrix(infra_.config().watch, sites,
                                           request.block,
                                           request.eirp_mw_per_channel, model_,
                                           d_c_m_);

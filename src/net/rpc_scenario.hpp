@@ -25,14 +25,14 @@ namespace pisa::rpc {
 
 class TcpScenarioDriver final : public core::ScenarioDriver {
  public:
-  /// `sites` must be the receiver registrations the deployment was built
-  /// with (the F matrix models interference at the *registered* receiver
-  /// locations, exactly like PisaSystem::build_f). `model` must outlive the
-  /// driver. Every SU/PU the engine touches must already be added to
-  /// `client`.
+  /// `sites` names the receivers an SU's F models; each is read from its
+  /// PuClient at request time, so F sees a receiver where it is now, not
+  /// where it registered (exactly like PisaSystem::build_f). `model` must
+  /// outlive the driver. Every SU/PU the engine touches must already be
+  /// added to `client`.
   TcpScenarioDriver(RpcServer& server, RpcClient& client,
                     const core::PisaConfig& cfg,
-                    std::vector<watch::PuSite> sites,
+                    const std::vector<watch::PuSite>& sites,
                     const radio::PathLossModel& model,
                     double timeout_ms = 60'000.0);
 
@@ -49,7 +49,7 @@ class TcpScenarioDriver final : public core::ScenarioDriver {
  private:
   RpcServer& server_;
   RpcClient& client_;
-  std::vector<watch::PuSite> sites_;
+  std::vector<std::uint32_t> pu_ids_;
   const radio::PathLossModel& model_;
   double d_c_m_;
   double timeout_ms_;

@@ -16,8 +16,8 @@ PlainWatch::PlainWatch(const WatchConfig& cfg, std::vector<PuSite> sites,
   }
 }
 
-const PuSite& PlainWatch::site_of(std::uint32_t pu_id) const {
-  for (const auto& s : sites_) {
+PuSite& PlainWatch::site_of(std::uint32_t pu_id) {
+  for (auto& s : sites_) {
     if (s.pu_id == pu_id) return s;
   }
   throw std::out_of_range("PlainWatch: unknown PU id");
@@ -26,6 +26,12 @@ const PuSite& PlainWatch::site_of(std::uint32_t pu_id) const {
 void PlainWatch::pu_update(std::uint32_t pu_id, const PuTuning& tuning) {
   const PuSite& site = site_of(pu_id);
   sdc_.pu_update(pu_id, build_pu_w_matrix(cfg_, sdc_.e_matrix(), site, tuning));
+}
+
+void PlainWatch::pu_move(std::uint32_t pu_id, radio::BlockId block) {
+  if (!cfg_.make_area().valid(block))
+    throw std::out_of_range("PlainWatch: PU moved outside the service area");
+  site_of(pu_id).block = block;
 }
 
 QMatrix PlainWatch::build_request_matrix(const SuRequest& request) const {

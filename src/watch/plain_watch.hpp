@@ -33,6 +33,11 @@ class PlainWatch {
   /// Unknown pu_id throws std::out_of_range.
   void pu_update(std::uint32_t pu_id, const PuTuning& tuning);
 
+  /// PU i's receiver re-registers at `block` (mobility). F models it there
+  /// from now on, and its next pu_update places the W column there. Unknown
+  /// pu_id or a block outside the area throws std::out_of_range.
+  void pu_move(std::uint32_t pu_id, radio::BlockId block);
+
   /// Evaluate an SU request end to end (builds F, applies eq. (6)/(7)).
   Decision process_request(const SuRequest& request) const;
 
@@ -46,7 +51,7 @@ class PlainWatch {
   const WatchConfig& config() const { return cfg_; }
 
  private:
-  const PuSite& site_of(std::uint32_t pu_id) const;
+  PuSite& site_of(std::uint32_t pu_id);
 
   WatchConfig cfg_;
   std::vector<PuSite> sites_;

@@ -272,6 +272,29 @@ TEST_F(ProtocolFixture, DuplicatesAndUnknownsRejected) {
   EXPECT_THROW(system.pu_update(7, watch::PuTuning{}), std::out_of_range);
 }
 
+TEST(PuRelocation, MovedReceiverIsProtectedAtItsNewBlock) {
+  // A receiver registered at block 0 moves to block 5 and tunes there. Its
+  // W column moves with it, so F must model it at block 5 too: otherwise a
+  // loud SU right next to it is licensed to jam it.
+  PisaConfig cfg = test_config();
+  crypto::ChaChaRng rng{std::uint64_t{0x4E10C}};
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+  PisaSystem system{cfg, {{0, BlockId{0}}}, model, rng};
+  watch::PlainWatch moved{cfg.watch, {{0, BlockId{5}}}, model};
+  system.add_su(100);
+
+  const watch::PuTuning tuning{ChannelId{1}, 1e-6};
+  system.pu_move(0, 5);
+  system.pu_update(0, tuning);
+  moved.pu_update(0, tuning);
+
+  const watch::SuRequest loud{100, BlockId{5},
+                              std::vector<double>(cfg.watch.channels, 100.0)};
+  ASSERT_FALSE(moved.process_request(loud).granted) << "oracle sanity";
+  EXPECT_FALSE(system.su_request(loud).granted);
+  EXPECT_EQ(system.build_f(loud), moved.build_request_matrix(loud));
+}
+
 struct ThresholdProtocolFixture : ::testing::Test {
   PisaConfig cfg = [] {
     auto c = test_config();

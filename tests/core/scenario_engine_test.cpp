@@ -87,7 +87,7 @@ class ScenarioEquivalence
     for (std::uint32_t id = 0; id < sc.num_sus; ++id) sys.add_su(id);
 
     SimScenarioDriver driver{sys};
-    ScenarioEngine engine{cfg, sites, sc, driver};
+    ScenarioEngine engine{cfg, sites, model, sc, driver};
     return engine.run();
   }
 
@@ -112,6 +112,8 @@ TEST_P(ScenarioEquivalence, DeltaPathMatchesFullRebuildTickForTick) {
   EXPECT_EQ(full.grants, delta.grants);
   EXPECT_EQ(full.denials, delta.denials);
   EXPECT_EQ(full.fast_denials, delta.fast_denials);
+  EXPECT_EQ(full.oracle_mismatches, 0u) << "every decision equals WATCH";
+  EXPECT_EQ(delta.oracle_mismatches, 0u) << "every decision equals WATCH";
   EXPECT_EQ(full.transport_failures, 0u);
   EXPECT_EQ(delta.transport_failures, 0u);
 
@@ -137,6 +139,66 @@ INSTANTIATE_TEST_SUITE_P(PackLayouts, ScenarioEquivalence,
                            return "pack" + std::to_string(info.param);
                          });
 
+// Viewing schedules on a plain deployment (no shards, WAL or prefilter):
+// receivers retune and power-cycle, SUs drive and re-request, and every
+// decision must equal the plaintext WATCH oracle's.
+PisaConfig viewing_config() {
+  PisaConfig cfg;
+  cfg.watch.grid_rows = 2;
+  cfg.watch.grid_cols = 3;
+  cfg.watch.block_size_m = 500.0;
+  cfg.watch.channels = 2;
+  cfg.paillier_bits = 768;
+  cfg.rsa_bits = 384;
+  cfg.blind_bits = 48;
+  cfg.mr_rounds = 8;
+  return cfg;
+}
+
+ScenarioResult run_viewing(const PisaConfig& cfg,
+                           const std::vector<watch::PuSite>& sites,
+                           std::uint64_t key_seed, const ScenarioConfig& sc) {
+  crypto::ChaChaRng rng{key_seed};
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+  PisaSystem sys{cfg, sites, model, rng};
+  for (std::uint32_t id = 0; id < sc.num_sus; ++id) sys.add_su(id);
+  SimScenarioDriver driver{sys};
+  return ScenarioEngine{cfg, sites, model, sc, driver}.run();
+}
+
+TEST(ViewingWorkload, ThresholdModeWholeScheduleAgreesWithOracle) {
+  // The §VII threshold-STP extension over a whole schedule: partial
+  // decryptions per entry, the async key directory, the lot.
+  PisaConfig cfg = viewing_config();
+  cfg.threshold_stp = true;
+  ScenarioConfig sc;
+  sc.ticks = 30;
+  sc.num_sus = 1;
+  sc.seed = 99;
+  sc.p_pu_move = 0;
+  sc.p_revoke = 0;
+  sc.license_ttl_ticks = 5;
+  auto res = run_viewing(cfg, {{0, BlockId{0}}}, 0x7512, sc);
+  EXPECT_GT(res.requests, 0u);
+  EXPECT_EQ(res.transport_failures, 0u);
+  EXPECT_EQ(res.oracle_mismatches, 0u);
+}
+
+TEST(ViewingWorkload, EndToEndMiniDay) {
+  // Two receivers and two SUs with every dynamic on, moves included.
+  ScenarioConfig sc;
+  sc.ticks = 40;
+  sc.num_sus = 2;
+  sc.seed = 42;
+  sc.license_ttl_ticks = 5;
+  auto res = run_viewing(viewing_config(), {{0, BlockId{0}}, {1, BlockId{5}}},
+                         0xDA4, sc);
+  EXPECT_GT(res.grants, 0u);
+  EXPECT_GT(res.denials, 0u);
+  EXPECT_EQ(res.transport_failures, 0u);
+  EXPECT_EQ(res.oracle_mismatches, 0u);
+}
+
 TEST(ScenarioEngineConfig, RejectsDegenerateSchedules) {
   auto cfg = scenario_config(1, "/tmp/unused");
   cfg.durability.enabled = false;
@@ -147,22 +209,24 @@ TEST(ScenarioEngineConfig, RejectsDegenerateSchedules) {
 
   auto no_ticks = scenario_schedule(false);
   no_ticks.ticks = 0;
-  EXPECT_THROW(ScenarioEngine(cfg, scenario_sites(), no_ticks, driver),
+  const auto sites = scenario_sites();
+  EXPECT_THROW(ScenarioEngine(cfg, sites, model, no_ticks, driver),
                std::invalid_argument);
 
   auto bad_chaos = scenario_schedule(false);
   bad_chaos.crash_at_tick = 50;
   bad_chaos.restart_at_tick = 50;
-  EXPECT_THROW(ScenarioEngine(cfg, scenario_sites(), bad_chaos, driver),
+  EXPECT_THROW(ScenarioEngine(cfg, sites, model, bad_chaos, driver),
                std::invalid_argument);
 
   auto bad_signal = scenario_schedule(false);
   bad_signal.signal_mw_lo = 0.0;
-  EXPECT_THROW(ScenarioEngine(cfg, scenario_sites(), bad_signal, driver),
+  EXPECT_THROW(ScenarioEngine(cfg, sites, model, bad_signal, driver),
                std::invalid_argument);
 
-  EXPECT_THROW(ScenarioEngine(cfg, {}, scenario_schedule(false), driver),
-               std::invalid_argument);
+  EXPECT_THROW(
+      ScenarioEngine(cfg, {}, model, scenario_schedule(false), driver),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ class TcpScenarioEquivalence
     for (std::uint32_t id = 0; id < sc.num_sus; ++id) client.add_su(id);
 
     TcpScenarioDriver driver{server, client, cfg, sites, model};
-    core::ScenarioEngine engine{cfg, sites, sc, driver};
+    core::ScenarioEngine engine{cfg, sites, model, sc, driver};
     return engine.run();
   }
 
@@ -113,6 +113,8 @@ TEST_P(TcpScenarioEquivalence, DeltaPathMatchesFullRebuildTickForTick) {
 
   EXPECT_GT(full.grants, 0u);
   EXPECT_GT(full.denials, 0u);
+  EXPECT_EQ(full.oracle_mismatches, 0u) << "every decision equals WATCH";
+  EXPECT_EQ(delta.oracle_mismatches, 0u) << "every decision equals WATCH";
   EXPECT_EQ(full.transport_failures, 0u);
   EXPECT_EQ(delta.transport_failures, 0u);
   EXPECT_GT(delta.delta_cells, 0u);

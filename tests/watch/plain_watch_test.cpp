@@ -106,6 +106,27 @@ TEST_F(PlainWatchFixture, UnknownPuThrows) {
                std::out_of_range);
 }
 
+TEST_F(PlainWatchFixture, MovedPuIsProtectedAtItsNewBlock) {
+  const PuTuning tuning{ChannelId{0}, 1e-6};
+  const auto eirp = all_channels_eirp(cfg, 100.0);
+  SuRequest far_corner{100, BlockId{20 * 30 - 1}, eirp};
+  SuRequest beside_old{101, BlockId{1}, eirp};
+  watch.pu_update(0, tuning);
+  EXPECT_TRUE(watch.process_request(far_corner).granted);
+  EXPECT_FALSE(watch.process_request(beside_old).granted);
+
+  // The receiver re-registers next to the far corner and re-tunes there.
+  watch.pu_move(0, BlockId{20 * 30 - 2});
+  watch.pu_update(0, tuning);
+  EXPECT_EQ(watch.sites()[0].block, (BlockId{20 * 30 - 2}));
+  EXPECT_FALSE(watch.process_request(far_corner).granted);
+  EXPECT_TRUE(watch.process_request(beside_old).granted)
+      << "the old block is free once the receiver has left";
+
+  EXPECT_THROW(watch.pu_move(99, BlockId{0}), std::out_of_range);
+  EXPECT_THROW(watch.pu_move(0, BlockId{20 * 30}), std::out_of_range);
+}
+
 TEST_F(PlainWatchFixture, RequestMatrixMatchesDecisionPath) {
   watch.pu_update(0, PuTuning{ChannelId{2}, 1e-6});
   SuRequest req{100, BlockId{1}, all_channels_eirp(cfg, 100.0)};
