@@ -75,8 +75,15 @@ path, scans going super-linear) is a protocol bug, not noise. And every
 pir_sweep row must report decisions_match = 1: swapping the privacy
 mechanism must never flip a grant/deny verdict.
 
+A guard must not pass by finding nothing to compare. Every section above is
+checked as a whole: when the baseline has rows in a guarded section, the
+current run must yield at least one check from it, and every row it reads
+must carry the keys the guard reads. A run that drops a section (say
+pir_sweep) or renames a key fails with exit 2, naming the section.
+
 Exits 1 when any guarded metric is more than `threshold`x worse than the
-committed snapshot, 2 when a snapshot/run file is missing or unparseable.
+committed snapshot, 2 when a snapshot/run file is missing or unparseable, or
+a guarded section has no overlapping row in the current run.
 Quick-mode measurement windows are short, so the default threshold is a
 generous 1.25x: real regressions on these paths (an extra modexp, a lost
 CRT/fusion/packing/batching win) are 2x-class, far above the noise floor.
@@ -127,8 +134,8 @@ def microbench_checks(label, patterns, baseline, current):
             yield f"{label} {name}", base[name], cur[name], False
 
 
-def system_checks(baseline, current):
-    for section in SYSTEM_SECTIONS:
+def system_checks(baseline, current, sections=SYSTEM_SECTIONS):
+    for section in sections:
         base = {
             tuple(r.get(k, 1) for k in SYSTEM_KEY): r
             for r in baseline.get(section, [])
@@ -142,7 +149,7 @@ def system_checks(baseline, current):
                 continue
             label = "n={} C={} B={} t={} k={}".format(*key)
             for metric in SYSTEM_METRICS:
-                if metric in base[key] and metric in cur[key]:
+                if metric in base[key]:
                     yield (f"{metric} {section} {label}", base[key][metric],
                            cur[key][metric], False)
 
@@ -287,7 +294,7 @@ def pir_snapshot_checks(baseline, current, threshold, tcp_threshold):
             continue
         label = "pir {} C={} B={}".format(*key)
         for metric in PIR_WALL_METRICS:
-            if base[key].get(metric, 0) > 0 and metric in cur[key]:
+            if base[key].get(metric, 0) > 0:
                 yield (f"{metric} {label}", base[key][metric],
                        cur[key][metric], False, tcp_threshold)
         if base[key].get("pir_bytes_per_request", 0) > 0:
@@ -391,38 +398,58 @@ def main():
     args = ap.parse_args()
 
     # Each check is (label, baseline, current, higher_is_better, threshold);
-    # the WAL-overhead pairs carry their own tighter threshold.
+    # the within-run pairs carry their own threshold.
     checks = []
+
+    def guard(section, baseline_rows, gen, threshold=None):
+        """Adds one guarded section's checks. A section the baseline has
+        rows in must yield at least one check, and every row the guard reads
+        must carry its keys — otherwise the run fails (exit 2)."""
+        try:
+            found = list(gen)
+        except KeyError as e:
+            print(f"error: {section}: a current-run row has no {e} field",
+                  file=sys.stderr)
+            sys.exit(2)
+        if baseline_rows and not found:
+            print(f"error: {section}: no row in the current run overlaps the "
+                  "baseline", file=sys.stderr)
+            sys.exit(2)
+        checks.extend(c if threshold is None else (*c, threshold)
+                      for c in found)
+
     for label, patterns in (("paillier", PAILLIER_PATTERNS),
                             ("bigint", BIGINT_PATTERNS)):
-        checks.extend((*c, args.threshold) for c in microbench_checks(
-            label, patterns,
-            load(f"{args.baseline_dir}/BENCH_{label}.json"),
-            load(f"{args.current_dir}/BENCH_{label}.json")))
-    system_baseline = load(f"{args.baseline_dir}/BENCH_system.json")
-    system_current = load(f"{args.current_dir}/BENCH_system.json")
-    checks.extend((*c, args.threshold)
-                  for c in system_checks(system_baseline, system_current))
-    checks.extend(throughput_checks(system_baseline, system_current,
-                                    args.threshold, args.tcp_threshold))
-    checks.extend((*c, args.wal_threshold)
-                  for c in durability_checks(system_current))
-    checks.extend((*c, 1.0)
-                  for c in denial_checks(system_current,
-                                         args.fast_deny_factor))
-    checks.extend(scenario_checks(system_baseline, system_current,
-                                  args.tcp_threshold))
-    checks.extend((*c, 1.0)
-                  for c in delta_speedup_checks(system_current,
-                                                args.delta_speedup_factor))
-    checks.extend((*c, 1.0) for c in scenario_oracle_checks(system_current))
-    checks.extend((*c, 1.0) for c in decision_checks(system_current))
-    checks.extend(pir_snapshot_checks(system_baseline, system_current,
-                                      args.threshold, args.tcp_threshold))
-    checks.extend((*c, 1.0)
-                  for c in pir_floor_checks(system_current,
-                                            args.pir_latency_factor))
-    checks.extend((*c, 1.0) for c in pir_decision_checks(system_current))
+        baseline = load(f"{args.baseline_dir}/BENCH_{label}.json")
+        guarded = [r for r in baseline.get("results", [])
+                   if any(fnmatch.fnmatch(r["name"], p) for p in patterns)]
+        guard(f"BENCH_{label}.json results", guarded, microbench_checks(
+            label, patterns, baseline,
+            load(f"{args.current_dir}/BENCH_{label}.json")), args.threshold)
+    base = load(f"{args.baseline_dir}/BENCH_system.json")
+    cur = load(f"{args.current_dir}/BENCH_system.json")
+    for section in SYSTEM_SECTIONS:
+        guard(section, base.get(section),
+              system_checks(base, cur, (section,)),
+              args.threshold)
+    guard("throughput", base.get("throughput"),
+          throughput_checks(base, cur, args.threshold, args.tcp_threshold))
+    guard("shard_sweep", base.get("shard_sweep"), durability_checks(cur),
+          args.wal_threshold)
+    guard("denial_sweep", base.get("denial_sweep"),
+          denial_checks(cur, args.fast_deny_factor), 1.0)
+    guard("scenario_sweep", base.get("scenario_sweep"),
+          scenario_checks(base, cur, args.tcp_threshold))
+    guard("scenario_sweep", base.get("scenario_sweep"),
+          delta_speedup_checks(cur, args.delta_speedup_factor), 1.0)
+    guard("scenario_sweep", base.get("scenario_sweep"),
+          scenario_oracle_checks(cur), 1.0)
+    guard("denial_sweep", base.get("denial_sweep"), decision_checks(cur), 1.0)
+    guard("pir_sweep", base.get("pir_sweep"),
+          pir_snapshot_checks(base, cur, args.threshold, args.tcp_threshold))
+    guard("pir_sweep", base.get("pir_sweep"),
+          pir_floor_checks(cur, args.pir_latency_factor), 1.0)
+    guard("pir_sweep", base.get("pir_sweep"), pir_decision_checks(cur), 1.0)
 
     if not checks:
         print("error: no overlapping guarded metrics between baseline and "

@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Self-test for check_perf_regression.py: a run that loses a guarded
+section or renames a guarded key must fail, not pass silently.
+
+Builds its inputs from the committed snapshots at the repo root (so the
+rows carry the real schema), runs the guard on an identical copy (must
+pass), then on copies with pir_sweep removed and with a key renamed (each
+must exit 2 and name the section). Run directly or through ctest:
+
+    python3 scripts/check_perf_regression_test.py
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+GUARD = os.path.join(HERE, "check_perf_regression.py")
+
+
+def load(name):
+    with open(os.path.join(ROOT, name)) as f:
+        return json.load(f)
+
+
+def run_guard(baseline_dir, system):
+    """Runs the guard against `system` as the current BENCH_system.json."""
+    with tempfile.TemporaryDirectory() as cur:
+        for name in ("BENCH_paillier.json", "BENCH_bigint.json"):
+            with open(os.path.join(cur, name), "w") as f:
+                json.dump(load(name), f)
+        with open(os.path.join(cur, "BENCH_system.json"), "w") as f:
+            json.dump(system, f)
+        return subprocess.run(
+            [sys.executable, GUARD, "--baseline-dir", baseline_dir,
+             "--current-dir", cur], capture_output=True, text=True)
+
+
+def rename_key(system, section, old, new):
+    for row in system[section]:
+        row[new] = row.pop(old)
+    return system
+
+
+def main():
+    # The committed snapshot predates the scenario rows' oracle_mismatches
+    # column, which the current-run guard requires.
+    system = load("BENCH_system.json")
+    for row in system["scenario_sweep"]:
+        row.setdefault("oracle_mismatches", 0)
+
+    failures = []
+    with tempfile.TemporaryDirectory() as base:
+        for name in ("BENCH_paillier.json", "BENCH_bigint.json"):
+            with open(os.path.join(base, name), "w") as f:
+                json.dump(load(name), f)
+        with open(os.path.join(base, "BENCH_system.json"), "w") as f:
+            json.dump(system, f)
+
+        identical = run_guard(base, system)
+        if identical.returncode != 0:
+            failures.append("identical run did not pass:\n" + identical.stdout +
+                            identical.stderr)
+
+        dropped = copy.deepcopy(system)
+        del dropped["pir_sweep"]
+        renamed_metric = rename_key(copy.deepcopy(system), "scaling",
+                                    "su_request_total_ms", "request_total_ms")
+        renamed_match = rename_key(copy.deepcopy(system), "throughput",
+                                   "mode", "kind")
+        for what, current, section in (
+                ("pir_sweep removed", dropped, "pir_sweep"),
+                ("scaling key renamed", renamed_metric, "scaling"),
+                ("throughput key renamed", renamed_match, "throughput")):
+            r = run_guard(base, current)
+            if r.returncode != 2 or section not in r.stderr:
+                failures.append(f"{what}: exit {r.returncode}, expected 2 "
+                                f"naming {section}:\n{r.stderr}")
+
+    for f in failures:
+        print("FAIL:", f, file=sys.stderr)
+    if failures:
+        sys.exit(1)
+    print("check_perf_regression.py self-test passed (4 cases)")
+
+
+if __name__ == "__main__":
+    main()

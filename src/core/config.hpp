@@ -15,16 +15,14 @@
 
 namespace pisa::core {
 
-/// Reliable-delivery knobs for the simulated network (net::ReliableTransport).
+/// Reliable delivery on the simulated network (net::ReliableTransport).
 /// Disabled by default: the perfect-delivery bus reproduces the paper's
 /// Figure 6 byte accounting exactly; the chaos suites enable it together
 /// with a seeded net::FaultPlan to prove the protocol survives loss,
-/// duplication, reordering and corruption.
+/// duplication, reordering and corruption. The retry timings are the
+/// constants of net::ReliablePolicy{}.
 struct ReliabilityConfig {
   bool enabled = false;
-  std::size_t max_retries = 6;      ///< retransmissions before a typed failure
-  double timeout_us = 4'000.0;      ///< initial retransmission timeout
-  double backoff = 2.0;             ///< exponential backoff multiplier
 };
 
 /// Write-ahead durability for the SDC state engine (DESIGN.md §3.6).
@@ -215,12 +213,6 @@ struct PisaConfig {
       throw std::invalid_argument(
           "PisaConfig: pir.replicas must be in [2, 16] (one server sees the "
           "query in the clear; more than 16 buys nothing but wire bytes)");
-    if (reliability.enabled) {
-      if (reliability.timeout_us <= 0)
-        throw std::invalid_argument("PisaConfig: reliability.timeout_us must be > 0");
-      if (reliability.backoff < 1.0)
-        throw std::invalid_argument("PisaConfig: reliability.backoff must be >= 1");
-    }
   }
 };
 

@@ -23,11 +23,7 @@ std::unique_ptr<net::ReliableTransport> reliable_layer(
     const PisaConfig& cfg, net::SimulatedNetwork& net) {
   cfg.validate();
   if (!cfg.reliability.enabled) return nullptr;
-  net::ReliablePolicy policy;
-  policy.max_retries = cfg.reliability.max_retries;
-  policy.timeout_us = cfg.reliability.timeout_us;
-  policy.backoff = cfg.reliability.backoff;
-  return std::make_unique<net::ReliableTransport>(net, policy);
+  return std::make_unique<net::ReliableTransport>(net, net::ReliablePolicy{});
 }
 
 }  // namespace

@@ -555,10 +555,11 @@ double SdcServer::watchdog_delay_us() const {
   if (cfg_.reliability.enabled) {
     // Outlive the transport's whole retry schedule (Σ timeout·backoff^k over
     // every transmission) with 50% headroom, plus our own linger.
-    double budget = 0.0, t = cfg_.reliability.timeout_us;
-    for (std::size_t k = 0; k <= cfg_.reliability.max_retries; ++k) {
+    const net::ReliablePolicy policy;
+    double budget = 0.0, t = policy.timeout_us;
+    for (std::size_t k = 0; k <= policy.max_retries; ++k) {
       budget += t;
-      t *= cfg_.reliability.backoff;
+      t *= policy.backoff;
     }
     return 1.5 * budget + cfg_.convert_batch_linger_us;
   }

@@ -36,9 +36,6 @@ PisaConfig chaos_batch_config() {
   cfg.blind_bits = 48;
   cfg.mr_rounds = 8;
   cfg.reliability.enabled = true;
-  cfg.reliability.max_retries = 6;
-  cfg.reliability.timeout_us = 4'000.0;
-  cfg.reliability.backoff = 2.0;
   cfg.convert_batch_max = 10'000;  // whole burst per batch
   cfg.convert_batch_linger_us = 200.0;
   cfg.stp_pool_target = 12;  // one request's worth (2 groups × 6 blocks)

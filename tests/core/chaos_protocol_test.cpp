@@ -36,9 +36,6 @@ PisaConfig chaos_config() {
   cfg.blind_bits = 48;
   cfg.mr_rounds = 8;
   cfg.reliability.enabled = true;
-  cfg.reliability.max_retries = 6;
-  cfg.reliability.timeout_us = 4'000.0;
-  cfg.reliability.backoff = 2.0;
   return cfg;
 }
 
