@@ -337,18 +337,6 @@ void BM_MakeRandomizer(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeRandomizer)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
-void BM_FastRandomizerBase(benchmark::State& state) {
-  // Fixed-base ablation: h^k with a 256-bit exponent and a precomputed
-  // window table — ~64 multiplications, no squarings, vs the full modexp
-  // above. (Short-exponent trade-off; see FastRandomizerBase docs.)
-  const auto& kp = keys(static_cast<std::size_t>(state.range(0)));
-  crypto::FastRandomizerBase base{kp.pk, rng()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(base.make(rng()));
-  }
-}
-BENCHMARK(BM_FastRandomizerBase)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -149,6 +149,9 @@ struct Answer {
 struct Served {
   std::vector<Answer> answers;
   double wall_ms = 0;      // host wall clock of the timed window
+  // sim: PisaSystem's STP refill after each drain, kept out of wall_ms
+  // (a tcp deployment does that work in its idle time).
+  double refill_ms = 0;
   double makespan_us = 0;  // first send to last answer (sim: virtual time)
   std::uint64_t bytes = 0;
   std::size_t convert_msgs = 0;  // SDC→STP conversion messages (sim only)
@@ -176,14 +179,14 @@ class Deployment {
     });
   }
 
-  /// Key distribution is an offline registration step (paper §III-C): with
-  /// `prime_sdc` the sim SDC gets the key up front, so no directory lookup
-  /// lands on a timed request. Without it, the SDC fetches the key from the
-  /// STP during the SU's first request, and the sim counts those bytes.
-  void add_su(std::uint32_t id, bool prime_sdc = true) {
+  /// Key distribution is an offline registration step (paper §III-C): the
+  /// sim SDC gets the key up front, so no directory lookup lands on a timed
+  /// request. The tcp SDC fetches it from the STP during the SU's first
+  /// request, inside the server process, so no socket counts it either.
+  void add_su(std::uint32_t id) {
     if (sim_) {
       auto& su = sim_->add_su(id);
-      if (prime_sdc) sim_->sdc().register_su_key(id, su.public_key());
+      sim_->sdc().register_su_key(id, su.public_key());
     } else {
       client_->add_su(id);
     }
@@ -241,6 +244,7 @@ class Deployment {
  private:
   void serve_sim(const std::vector<Ask>& asks, Served& s) {
     auto t0 = Clock::now();
+    const double refill0 = sim_->refill_wall_ms();
     for (std::size_t i = 0; i < asks.size(); ++i) {
       auto out = sim_->su_request(asks[i].req, asks[i].range);
       s.answers[i] = {out.completed(), out.granted, out.fast_denied, false,
@@ -250,7 +254,8 @@ class Deployment {
                  out.convert_reply_bytes + out.response_bytes;
       s.convert_msgs += out.convert_bytes > 0;
     }
-    s.wall_ms = ms_since(t0);
+    s.refill_ms = sim_->refill_wall_ms() - refill0;
+    s.wall_ms = ms_since(t0) - s.refill_ms;
   }
 
   void serve_sim_burst(const std::vector<Ask>& asks, Served& s) {
@@ -581,8 +586,9 @@ std::vector<Row> run_pack_sweep() {
 //   concurrent_unbatched  (sim) all requests in flight at once, one
 //                         ConvertRequestMsg round-trip per SU
 //   batched               (sim) the cross-request engine: blinded Ṽ entries
-//                         coalesced into one ConvertBatchMsg, always-warm
-//                         per-SU STP pools, request-phase pipelining
+//                         coalesced into one ConvertBatchMsg, every SU's STP
+//                         randomizer source precomputed one request deep,
+//                         request-phase pipelining
 //   closed_loop           (tcp) every session's request prepared off the
 //                         clock, then the whole fleet poured down one
 //                         pipelined connection at once
@@ -591,7 +597,9 @@ std::vector<Row> run_pack_sweep() {
 // deterministic for the CI perf guard. The tcp rows are wall clock across
 // real sockets (framing, CRC sealing, epoll wakeups, the dispatch lane),
 // with p50/p99 as sojourn times from burst start; bytes_per_request is
-// then the wire bytes, both directions.
+// then the wire bytes, both directions. stp_inline_factors counts the
+// conversion entries whose r^n factor the STP computed on the request path
+// instead of taking it from its cache.
 
 Row measure_throughput(Transport t, const std::string& mode,
                        std::size_t concurrency, std::uint64_t seed) {
@@ -603,12 +611,14 @@ Row measure_throughput(Transport t, const std::string& mode,
   if (mode == "batched") {
     cfg.convert_batch_max = 4096;  // coalesce the whole burst
     cfg.convert_batch_linger_us = 200.0;
-    cfg.stp_pool_target = entries;  // always-warm: one full request deep
   }
 
   Deployment dep{t, cfg, {{0, radio::BlockId{0}}}, seed};
-  for (std::size_t i = 0; i < concurrency; ++i)
-    dep.add_su(static_cast<std::uint32_t>(i + 1));
+  for (std::size_t i = 0; i < concurrency; ++i) {
+    const auto su = static_cast<std::uint32_t>(i + 1);
+    dep.add_su(su);
+    if (mode == "batched") dep.stp().precompute_su_randomizers(su, entries);
+  }
   dep.pu_update(0, watch::PuTuning{radio::ChannelId{0}, 1e-6});
 
   // The tcp fleet alternates strong and weak EIRP, so both verdicts cross
@@ -619,7 +629,9 @@ Row measure_throughput(Transport t, const std::string& mode,
                      radio::BlockId{static_cast<std::uint32_t>(i % blocks)},
                      std::vector<double>(cfg.watch.channels,
                                          sim || i % 2 == 0 ? 100.0 : 1e-4)}});
+  const std::uint64_t inline0 = dep.stp().factors_inline();
   auto s = dep.serve(asks, /*burst=*/mode != "sequential");
+  const std::uint64_t inline_factors = dep.stp().factors_inline() - inline0;
 
   std::vector<double> lat;
   for (const auto& a : s.answers) lat.push_back(a.latency_us);
@@ -640,7 +652,8 @@ Row measure_throughput(Transport t, const std::string& mode,
       .add("convert_round_trips", s.convert_msgs)
       .add("bytes_per_request", per_request)
       .add("wire_bytes_per_request", sim ? 0.0 : per_request)
-      .add("serve_wall_ms", s.wall_ms);
+      .add("serve_wall_ms", s.wall_ms)
+      .add("stp_inline_factors", inline_factors);
 }
 
 std::vector<Row> run_throughput(bool quick) {
@@ -824,113 +837,163 @@ std::vector<Row> run_shard_sweep(bool quick) {
 // With the filter on every deny is a one-round 32-byte FastDenyMsg — no Ṽ
 // blinding, no STP conversion — so wall-clock requests/sec at a deny-heavy
 // mix is the headline number: the within-run on/off pair at 80% deny feeds
-// the ≥2x fast-deny guard. stp_decryptions counts conversion entries +
+// the ≥2x fast-deny guard. The two rows of a pair serve their mix round
+// after round, interleaved so both sample the same stretch of host speed,
+// until each has at least 150 ms on the clock: a single quick round is a
+// 2–20 ms window, and a shared host's vCPUs can change speed every few
+// hundred milliseconds. stp_decryptions counts conversion entries +
 // probe slots the STP opened during the timed burst; per denied request it
 // must sit at ~0 with the filter on (probes amortize at PU-update time, off
 // the serve path). decisions_match asserts every decision equals the
 // constructed mix and the oracle — the filter never flips a verdict.
 
-Row measure_denial(Transport t, std::size_t deny_pct, bool filter, bool quick,
-                   std::uint64_t seed) {
-  auto cfg = bench_config(512, 2, 1, 4, 1000.0, 48, 8);
+constexpr std::size_t kDenialChannels = 2;
+
+core::PisaConfig denial_config(bool filter) {
+  auto cfg = bench_config(512, kDenialChannels, 1, 4, 1000.0, 48, 8);
   cfg.watch.pu_min_signal_dbm = -40.0;  // d^c ≈ 527 m < one block: exhaustion
   cfg.watch.su_max_eirp_dbm = 20.0;     // stays local to the PU-site block
   cfg.denial_filter.enabled = filter;
-  Deployment dep{t, cfg,
-                 {{0, radio::BlockId{0}}, {1, radio::BlockId{0}},
-                  {2, radio::BlockId{0}}},
-                 seed};
-  const std::size_t n = quick ? 10 : 30;
-  // One SU session per request, plus a warm-up session.
-  for (std::size_t i = 0; i <= n; ++i)
-    dep.add_su(static_cast<std::uint32_t>(i + 1));
-  // Exhaust (channel 0, block 0): the folds invalidate, the probe rounds
-  // confirm — all before the timed burst, like PU churn in deployment.
-  for (std::uint32_t pu : {0u, 1u, 2u})
-    dep.pu_update(pu, watch::PuTuning{radio::ChannelId{0}, 1e-6});
+  return cfg;
+}
 
-  auto ask = [&](std::size_t su, bool deny) {
+/// One side (filter off or on) of a denial-mix pair: the deployment, its
+/// request mix and what its timed rounds have served so far.
+class DenialRun {
+ public:
+  DenialRun(Transport t, std::size_t deny_pct, bool filter, bool quick,
+            std::uint64_t seed)
+      : t_(t), deny_pct_(deny_pct), filter_(filter), n_(quick ? 10 : 30),
+        dep_{t, denial_config(filter),
+             {{0, radio::BlockId{0}}, {1, radio::BlockId{0}},
+              {2, radio::BlockId{0}}},
+             seed} {
+    // One SU session per request, plus a warm-up session.
+    for (std::size_t i = 0; i <= n_; ++i)
+      dep_.add_su(static_cast<std::uint32_t>(i + 1));
+    // Exhaust (channel 0, block 0): the folds invalidate, the probe rounds
+    // confirm — all before the timed rounds, like PU churn in deployment.
+    for (std::uint32_t pu : {0u, 1u, 2u})
+      dep_.pu_update(pu, watch::PuTuning{radio::ChannelId{0}, 1e-6});
+
+    // Untimed warm-up grant on its own session: cold-start allocations stay
+    // off the clock, FIFO ordering drains the PU folds (and their probe
+    // rounds) first, and its conversion-entry count calibrates the
+    // per-grant decryption cost.
+    auto& stp = dep_.stp();
+    const std::uint64_t entries0 = stp.entries_converted();
+    const auto warm = dep_.serve({ask(n_ + 1, false)}).answers[0];
+    match_ = warm.right && warm.granted;
+    entries_per_grant_ = stp.entries_converted() - entries0;
+
+    for (std::size_t i = 0; i < n_; ++i)
+      asks_.push_back(ask(i + 1, deny_slot(i)));
+    dec0_ = stp.entries_converted() + stp.probe_slots_signed();
+    fp0_ = dep_.sdc().stats().prefilter_false_positives;
+  }
+
+  double wall_ms() const { return wall_ms_; }
+
+  /// Serve the whole mix once. tcp pipelines it, prepared off the clock;
+  /// the sim has no burst with a disclosed range, so it serves one request
+  /// at a time. Served back to back on one thread, the sim has no idle
+  /// time, so its STP refill counts toward the throughput here.
+  void serve_round() {
+    const auto s = dep_.serve(asks_, /*burst=*/t_ == Transport::kTcp);
+    ++rounds_;
+    wall_ms_ += s.wall_ms + s.refill_ms;
+    bytes_ += s.bytes;
+    for (std::size_t i = 0; i < n_; ++i) {
+      const auto& a = s.answers[i];
+      match_ = match_ && a.right && a.granted != deny_slot(i);
+      grants_ += a.granted;
+      fast_ += a.fast_denied;
+      full_ += !a.granted && !a.fast_denied;
+    }
+  }
+
+  Row row() {
+    auto& stp = dep_.stp();
+    const std::uint64_t decryptions =
+        stp.entries_converted() + stp.probe_slots_signed() - dec0_;
+    const std::size_t served = n_ * rounds_;
+    const std::uint64_t grant_cost = grants_ * entries_per_grant_;
+    return Row()
+        .add("transport", transport_name(t_))
+        .add("deny_pct", deny_pct_)
+        .add("filter", filter_)
+        .add("requests", served)
+        .add("rounds", rounds_)
+        .add("grants", grants_)
+        .add("fast_denials", fast_)
+        .add("full_denials", full_)
+        .add("serve_wall_ms", wall_ms_)
+        .add("requests_per_sec",
+             ratio(static_cast<double>(served) * 1e3, wall_ms_))
+        .add("stp_decryptions", decryptions)
+        .add("stp_decryptions_per_denied",
+             fast_ + full_ > 0 && decryptions > grant_cost
+                 ? static_cast<double>(decryptions - grant_cost) /
+                       static_cast<double>(fast_ + full_)
+                 : 0.0)
+        .add("wire_bytes_per_request",
+             static_cast<double>(bytes_) / static_cast<double>(served))
+        .add("prefilter_false_positives",
+             dep_.sdc().stats().prefilter_false_positives - fp0_)
+        .add("decisions_match", match_);
+  }
+
+ private:
+  Ask ask(std::size_t su, bool deny) const {
     const std::uint32_t block = deny ? 0 : 3;
     return Ask{{static_cast<std::uint32_t>(su), radio::BlockId{block},
-                std::vector<double>(cfg.watch.channels, 1e-4)},
+                std::vector<double>(kDenialChannels, 1e-4)},
                std::pair{block, block + 1}};
-  };
-  // deterministic interleave: 80% = 8-in-10
-  auto deny_slot = [&](std::size_t i) { return i % 10 < deny_pct / 10; };
-
-  // Untimed warm-up grant on its own session: cold-start allocations stay
-  // off the clock, FIFO ordering drains the PU folds (and their probe
-  // rounds) first, and its conversion-entry count calibrates the per-grant
-  // decryption cost.
-  auto& stp = dep.stp();
-  const std::uint64_t entries0 = stp.entries_converted();
-  const auto warm = dep.serve({ask(n + 1, false)}).answers[0];
-  bool match = warm.right && warm.granted;
-  const std::uint64_t entries_per_grant = stp.entries_converted() - entries0;
-
-  std::vector<Ask> asks;
-  for (std::size_t i = 0; i < n; ++i) asks.push_back(ask(i + 1, deny_slot(i)));
-  const std::uint64_t dec0 = stp.entries_converted() + stp.probe_slots_signed();
-  const std::uint64_t fp0 = dep.sdc().stats().prefilter_false_positives;
-  // tcp pipelines the mix, prepared off the clock; the sim has no burst
-  // with a disclosed range, so it serves one request at a time.
-  const auto s = dep.serve(asks, /*burst=*/t == Transport::kTcp);
-  const std::uint64_t decryptions =
-      stp.entries_converted() + stp.probe_slots_signed() - dec0;
-
-  std::size_t grants = 0, fast = 0, full = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& a = s.answers[i];
-    match = match && a.right && a.granted != deny_slot(i);
-    grants += a.granted;
-    fast += a.fast_denied;
-    full += !a.granted && !a.fast_denied;
   }
-  const std::uint64_t grant_cost = grants * entries_per_grant;
-  return Row()
-      .add("transport", transport_name(t))
-      .add("deny_pct", deny_pct)
-      .add("filter", filter)
-      .add("requests", n)
-      .add("grants", grants)
-      .add("fast_denials", fast)
-      .add("full_denials", full)
-      .add("serve_wall_ms", s.wall_ms)
-      .add("requests_per_sec", ratio(static_cast<double>(n) * 1e3, s.wall_ms))
-      .add("stp_decryptions", decryptions)
-      .add("stp_decryptions_per_denied",
-           fast + full > 0 && decryptions > grant_cost
-               ? static_cast<double>(decryptions - grant_cost) /
-                     static_cast<double>(fast + full)
-               : 0.0)
-      .add("wire_bytes_per_request",
-           static_cast<double>(s.bytes) / static_cast<double>(n))
-      .add("prefilter_false_positives",
-           dep.sdc().stats().prefilter_false_positives - fp0)
-      .add("decisions_match", match);
-}
+  // deterministic interleave: 80% = 8-in-10
+  bool deny_slot(std::size_t i) const { return i % 10 < deny_pct_ / 10; }
+
+  Transport t_;
+  std::size_t deny_pct_;
+  bool filter_;
+  std::size_t n_;
+  Deployment dep_;
+  std::vector<Ask> asks_;
+  bool match_ = false;
+  std::uint64_t entries_per_grant_ = 0, dec0_ = 0, fp0_ = 0, bytes_ = 0;
+  std::size_t rounds_ = 0, grants_ = 0, fast_ = 0, full_ = 0;
+  double wall_ms_ = 0;
+};
 
 std::vector<Row> run_denial_sweep(bool quick) {
   std::printf(
       "Denial-mix sweep at n=512, C=2, B=4 (§3.8 prefilter off vs on; "
       "deny requests hit the exhausted block, wall-clock req/s):\n");
+  constexpr double kMinServeMs = 150.0;
   std::vector<Row> rows;
   for (std::size_t deny_pct :
        {std::size_t{20}, std::size_t{50}, std::size_t{80}}) {
     for (auto t : {Transport::kSim, Transport::kTcp}) {
       const std::uint64_t seed =
           0xFA57DE00 + deny_pct * 4 + (t == Transport::kTcp ? 2 : 0);
-      for (bool filter : {false, true}) {
-        rows.push_back(measure_denial(t, deny_pct, filter, quick, seed + filter));
+      DenialRun off{t, deny_pct, false, quick, seed};
+      DenialRun on{t, deny_pct, true, quick, seed + 1};
+      // The side with less time on the clock serves next, so both sample
+      // the same stretch of host speed.
+      while (std::min(off.wall_ms(), on.wall_ms()) < kMinServeMs)
+        (off.wall_ms() <= on.wall_ms() ? off : on).serve_round();
+      for (auto* run : {&off, &on}) {
+        rows.push_back(run->row());
         rows.back().print();
       }
-      const Row& off = rows[rows.size() - 2];
-      const Row& on = rows.back();
+      const Row& off_row = rows[rows.size() - 2];
+      const Row& on_row = rows.back();
       std::printf("    -> prefilter at %zu%% deny (%s): %.2fx req/s, %.0f "
                   "full denials -> %.0f\n",
                   deny_pct, transport_name(t),
-                  ratio(on.num("requests_per_sec"), off.num("requests_per_sec")),
-                  off.num("full_denials"), on.num("full_denials"));
+                  ratio(on_row.num("requests_per_sec"),
+                        off_row.num("requests_per_sec")),
+                  off_row.num("full_denials"), on_row.num("full_denials"));
     }
   }
   std::printf("\n");
@@ -1068,10 +1131,8 @@ Row measure_pir(Transport t, std::size_t channels, std::size_t rows,
   Deployment enc{t, enc_cfg, sites, seed};
   Deployment pir{t, pir_cfg, sites, seed};
   watch::PuTuning tuning{radio::ChannelId{0}, 1e-6};
-  // The first Paillier request carries the SDC's key lookup, as a fresh
-  // SU's first request does.
   for (auto* dep : {&enc, &pir}) {
-    dep->add_su(1, /*prime_sdc=*/false);
+    dep->add_su(1);
     dep->pu_update(0, tuning);
   }
 

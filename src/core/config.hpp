@@ -92,11 +92,6 @@ struct PisaConfig {
   /// bit-identical at every setting — the knob trades wall-clock only.
   std::size_t num_threads = 1;
 
-  /// Use the fixed-base r^n table (crypto::FastRandomizerBase) for
-  /// randomizer-pool refills. Off by default: the short-exponent sampling
-  /// it implies is a security trade-off (see paillier.hpp).
-  bool fast_randomizers = false;
-
   /// Threshold-STP mode (the paper's §VII future-work direction): the group
   /// decryption exponent is 2-of-2 shared between SDC and STP, so the STP
   /// alone can no longer decrypt stored PU/SU ciphertexts — it can only
@@ -143,13 +138,6 @@ struct PisaConfig {
   /// staged request arms a timer and later arrivals ride along. 0 still
   /// coalesces requests delivered at the same virtual instant.
   double convert_batch_linger_us = 0.0;
-
-  /// Always-warm STP randomizer pools: keep this many precomputed r^n
-  /// factors per registered SU, refilled in the background (per-SU ChaCha
-  /// sub-stream + the shared thread pool) so the conversion hot path pays
-  /// one modular multiplication per entry without any manual
-  /// precompute_su_randomizers call. 0 = manual pools only (paper path).
-  std::size_t stp_pool_target = 0;
 
   /// Slot packing (crypto::SlotCodec, DESIGN.md §3.4): fold this many
   /// channel entries into each Paillier plaintext. 1 reproduces the paper's

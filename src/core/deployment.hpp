@@ -77,9 +77,6 @@ class Infrastructure {
   /// set. Idempotent.
   void crash_pir_replica(std::size_t index);
 
-  /// Off-path STP pool maintenance (always-warm mode).
-  void maintain_pools() { stp_->maintain_pools(); }
-
  private:
   void boot_sdc();
 

@@ -201,6 +201,12 @@ std::optional<double> PisaSystem::collect(std::uint64_t rid,
   return arrived.mapped();
 }
 
+void PisaSystem::refill_randomizers() {
+  const auto t0 = std::chrono::steady_clock::now();
+  stp().refill_randomizers();
+  refill_wall_ms_ += wall_ms_since(t0);
+}
+
 PisaSystem::RequestOutcome PisaSystem::su_request(
     const watch::SuRequest& request,
     std::optional<std::pair<std::uint32_t, std::uint32_t>> range, PrepMode mode) {
@@ -224,9 +230,9 @@ PisaSystem::RequestOutcome PisaSystem::su_request(
                     msg.encode(stp().group_key().ciphertext_bytes())});
   net_.run();
   double t_done = net_.now_us();
-  // Off-path pool maintenance: top the STP's always-warm pools back up
-  // between requests so the next conversion hits precomputed factors.
-  infra_.maintain_pools();
+  // The simulation's idle time: keep every SU's randomizer source one
+  // largest conversion ahead, so the next conversion hits the cache.
+  refill_randomizers();
 
   RequestOutcome out;
   out.request_bytes = net_.stats(name, "sdc").bytes - su_sdc_before;
@@ -362,7 +368,7 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
   auto t_serve = std::chrono::steady_clock::now();
   net_.run();
   double serve_ms = wall_ms_since(t_serve);
-  infra_.maintain_pools();
+  refill_randomizers();
 
   std::vector<RequestOutcome> outs(prepared.size());
   double last_arrival = t_send;

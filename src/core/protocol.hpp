@@ -150,6 +150,11 @@ class PisaSystem {
     return infra_.thread_pool();
   }
 
+  /// Host wall clock spent in StpServer::refill_randomizers after network
+  /// drains — the simulation's stand-in for a deployment's idle time, which
+  /// benches keep off their clocks.
+  double refill_wall_ms() const { return refill_wall_ms_; }
+
  private:
   static std::string su_name(std::uint32_t id) { return "su_" + std::to_string(id); }
 
@@ -178,6 +183,9 @@ class PisaSystem {
                                 std::uint64_t rid, std::uint32_t lo,
                                 std::uint32_t hi);
 
+  /// Refill the STP's randomizer sources after a drain, timed.
+  void refill_randomizers();
+
   const radio::PathLossModel& model_;
   bn::RandomSource& rng_;
   double d_c_m_;
@@ -191,6 +199,7 @@ class PisaSystem {
   std::map<std::uint32_t, std::unique_ptr<pir::PirClient>> pir_clients_;
   std::map<std::uint64_t, double> arrival_us_;  // last SU-bound frame, by rid
   std::uint64_t next_request_id_ = 1;
+  double refill_wall_ms_ = 0;
 };
 
 }  // namespace pisa::core

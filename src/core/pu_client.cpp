@@ -189,10 +189,8 @@ crypto::PaillierCiphertext PuClient::encrypt_delta(const bn::BigInt& diff) {
 }
 
 void PuClient::precompute_randomizers(std::size_t count) {
-  if (cfg_.fast_randomizers && !fast_base_)
-    fast_base_.emplace(group_pk_, stream_);
   rpool_.emplace(group_pk_, count);
-  rpool_->refill(stream_, exec_.get(), fast_base_ ? &*fast_base_ : nullptr);
+  rpool_->refill(stream_, exec_.get());
 }
 
 std::size_t PuClient::update_bytes() const {

@@ -137,7 +137,6 @@ class PuClient {
   /// SDC currently holds it for this PU.
   std::map<std::uint64_t, bn::BigInt> footprint_;
   std::map<bn::BigUint, crypto::PaillierCiphertext> det_cache_;
-  std::optional<crypto::FastRandomizerBase> fast_base_;
   std::optional<crypto::RandomizerPool> rpool_;
   /// Private encryption stream, seeded once from the construction rng
   /// (same isolation argument as SdcServer::stream_). Declared last.

@@ -1,18 +1,37 @@
 #include "core/stp_server.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "bigint/prime.hpp"
+#include "crypto/chacha_rng.hpp"
 #include "crypto/key_codec.hpp"
 #include "crypto/packing.hpp"
+#include "crypto/sha256.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace pisa::core {
 
+namespace {
+
+std::array<std::uint8_t, 32> draw_seed(bn::RandomSource& rng) {
+  std::array<std::uint8_t, 32> seed{};
+  rng.fill(seed);
+  return seed;
+}
+
+void put_u64(crypto::Sha256& h, std::uint64_t v) {
+  std::array<std::uint8_t, 8> b{};
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  h.update(b);
+}
+
+}  // namespace
+
 StpServer::StpServer(const PisaConfig& cfg, bn::RandomSource& rng)
     : cfg_(cfg), rng_(rng),
       group_(crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds)),
-      stream_(rng.next_u64()) {
+      master_(draw_seed(rng)) {
   cfg_.validate();
   if (cfg_.threshold_stp) deal_ = crypto::threshold_split(group_.sk, rng_);
 }
@@ -23,111 +42,139 @@ const crypto::ThresholdKeyShare& StpServer::sdc_share() const {
 }
 
 void StpServer::register_su_key(std::uint32_t su_id, crypto::PaillierPublicKey pk) {
-  su_keys_.insert_or_assign(su_id, std::move(pk));
-  if (cfg_.stp_pool_target == 0) return;
-  // Always-warm mode: provision the fast base (optional), a private refill
-  // stream and a full pool right at registration, so the first conversion
-  // already hits precomputed factors. Re-registration (last-writer-wins)
-  // rebuilds everything — old factors belong to the old modulus.
-  const auto& pk_j = su_keys_.at(su_id);
-  if (cfg_.fast_randomizers)
-    su_fast_bases_.insert_or_assign(su_id,
-                                    crypto::FastRandomizerBase{pk_j, stream_});
-  su_streams_.erase(su_id);
-  auto stream_it =
-      su_streams_.try_emplace(su_id, crypto::ChaChaRng{stream_.next_u64()}).first;
-  auto fast_it = su_fast_bases_.find(su_id);
-  crypto::RandomizerPool pool{pk_j, cfg_.stp_pool_target};
-  pool.refill(stream_it->second, exec_.get(),
-              fast_it != su_fast_bases_.end() ? &fast_it->second : nullptr);
-  su_pools_.insert_or_assign(su_id, std::move(pool));
-}
-
-void StpServer::maintain_pools() {
-  for (auto& [su_id, stream] : su_streams_) {
-    auto pool_it = su_pools_.find(su_id);
-    if (pool_it == su_pools_.end()) continue;
-    auto fast_it = su_fast_bases_.find(su_id);
-    pool_it->second.refill(
-        stream, exec_.get(),
-        fast_it != su_fast_bases_.end() ? &fast_it->second : nullptr);
-  }
-}
-
-std::size_t StpServer::pool_available(std::uint32_t su_id) const {
-  auto it = su_pools_.find(su_id);
-  return it == su_pools_.end() ? 0 : it->second.available();
+  const auto pk_digest = crypto::Sha256::hash(crypto::serialize(pk));
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = sources_.find(su_id);
+  // Same key again (a replayed upload): its indices must never rewind.
+  if (it != sources_.end() && *it->second.pk == pk) return;
+  Source src;
+  src.key_number = it == sources_.end() ? 0 : it->second.key_number + 1;
+  crypto::Sha256 h;
+  h.update(master_);
+  put_u64(h, su_id);
+  put_u64(h, src.key_number);
+  h.update(pk_digest);
+  src.seed = h.finalize();
+  src.pk = std::make_shared<const crypto::PaillierPublicKey>(std::move(pk));
+  sources_.insert_or_assign(su_id, std::move(src));
 }
 
 const crypto::PaillierPublicKey& StpServer::su_key(std::uint32_t su_id) const {
-  auto it = su_keys_.find(su_id);
-  if (it == su_keys_.end())
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = sources_.find(su_id);
+  if (it == sources_.end())
     throw std::out_of_range("StpServer: unknown SU key " + std::to_string(su_id));
-  return it->second;
+  return *it->second.pk;
 }
 
 void StpServer::set_thread_pool(std::shared_ptr<exec::ThreadPool> pool) {
   exec_ = std::move(pool);
 }
 
-void StpServer::precompute_su_randomizers(std::uint32_t su_id, std::size_t count) {
-  const auto& pk_j = su_key(su_id);
-  const crypto::FastRandomizerBase* fast = nullptr;
-  if (cfg_.fast_randomizers) {
-    auto it = su_fast_bases_.find(su_id);
-    if (it == su_fast_bases_.end())
-      it = su_fast_bases_.emplace(su_id, crypto::FastRandomizerBase{pk_j, stream_})
-               .first;
-    fast = &it->second;
+bn::BigUint StpServer::make_factor(const crypto::PaillierPublicKey& pk,
+                                   const Seed& seed, std::uint64_t index) {
+  crypto::ChaChaRng r_stream{seed, index};
+  return pk.make_randomizer(r_stream);
+}
+
+void StpServer::compute_and_store(std::vector<FactorTask>& tasks) {
+  if (tasks.empty()) return;
+  auto compute = [&](std::size_t i) {
+    tasks[i].factor = make_factor(*tasks[i].pk, tasks[i].seed, tasks[i].index);
+  };
+  if (tasks.size() == 1)
+    compute(0);
+  else
+    exec::parallel_for(exec_.get(), 0, tasks.size(), compute);
+  std::lock_guard<std::mutex> lk(mu_);
+  for (auto& t : tasks) {
+    // A conversion may have taken this index inline meanwhile, or the SU
+    // may have registered a new key: then the factor is no longer wanted.
+    auto it = sources_.find(t.su_id);
+    if (it == sources_.end() || it->second.pk != t.pk) continue;
+    auto& src = it->second;
+    if (t.index == src.next + src.ready.size())
+      src.ready.push_back(std::move(t.factor));
   }
-  crypto::RandomizerPool pool{pk_j, count};
-  pool.refill(stream_, exec_.get(), fast);
-  su_pools_.insert_or_assign(su_id, std::move(pool));
+}
+
+void StpServer::precompute_su_randomizers(std::uint32_t su_id, std::size_t count) {
+  std::vector<FactorTask> tasks;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = sources_.find(su_id);
+    if (it == sources_.end())
+      throw std::out_of_range("StpServer: unknown SU key " + std::to_string(su_id));
+    const auto& src = it->second;
+    for (std::size_t have = src.ready.size(); have < count; ++have)
+      tasks.push_back({su_id, src.next + have, src.pk, src.seed, {}});
+  }
+  compute_and_store(tasks);
+}
+
+std::size_t StpServer::refill_randomizers(std::size_t max_factors) {
+  std::vector<FactorTask> tasks;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& [su_id, src] : sources_) {
+      for (std::size_t have = src.ready.size();
+           have < depth_ && tasks.size() < max_factors; ++have)
+        tasks.push_back({su_id, src.next + have, src.pk, src.seed, {}});
+      if (tasks.size() >= max_factors) break;
+    }
+  }
+  compute_and_store(tasks);
+  return tasks.size();
+}
+
+std::size_t StpServer::randomizer_depth() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return depth_;
+}
+
+std::size_t StpServer::pool_available(std::uint32_t su_id) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = sources_.find(su_id);
+  return it == sources_.end() ? 0 : it->second.ready.size();
 }
 
 struct StpServer::ConvertEntry {
-  enum class Mode { kPooled, kFastExp, kFreshR };
-
   const crypto::PaillierCiphertext* v = nullptr;
   const crypto::PaillierCiphertext* partial = nullptr;  // threshold mode only
-  const crypto::PaillierPublicKey* pk = nullptr;
-  const crypto::FastRandomizerBase* fast = nullptr;  // set iff kFastExp
-  bn::BigUint rand;  // ready factor / short exponent / fresh r, by mode
-  Mode mode = Mode::kFreshR;
+  std::shared_ptr<const crypto::PaillierPublicKey> pk;
+  Seed seed{};
+  std::uint64_t index = 0;
+  bool cached = false;  // factor already holds r^n for `index`
+  bn::BigUint factor;
   crypto::PaillierCiphertext* out = nullptr;
 };
 
 void StpServer::stage_randomness(std::uint32_t su_id, std::size_t count,
                                  std::vector<ConvertEntry>& entries,
                                  std::size_t base) {
-  const auto& pk_j = su_key(su_id);
-  auto pool_it = su_pools_.find(su_id);
-  crypto::RandomizerPool* pool =
-      pool_it != su_pools_.end() ? &pool_it->second : nullptr;
-  auto fast_it = su_fast_bases_.find(su_id);
-  const crypto::FastRandomizerBase* fast =
-      fast_it != su_fast_bases_.end() ? &fast_it->second : nullptr;
-  // Drain the pool for as many entries as it covers; the remainder falls
-  // back to the cached fast base (one short-exponent table power each) or,
-  // without one, a fresh r plus a full modexp in the parallel section.
-  // Drawing everything here, in entry order, keeps the private stream_ —
-  // and therefore every output byte — independent of thread count and of
-  // how entries were grouped into batches.
-  for (std::size_t i = 0; i < count; ++i) {
-    auto& e = entries[base + i];
-    e.pk = &pk_j;
-    if (pool != nullptr && pool->available() > 0) {
-      e.mode = ConvertEntry::Mode::kPooled;
-      e.rand = pool->pop();
-    } else if (fast != nullptr) {
-      e.mode = ConvertEntry::Mode::kFastExp;
-      e.fast = fast;
-      e.rand = bn::random_bits(stream_, crypto::FastRandomizerBase::kExponentBits);
-    } else {
-      e.mode = ConvertEntry::Mode::kFreshR;
-      e.rand = bn::random_coprime(stream_, pk_j.n());
+  std::size_t cached = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = sources_.find(su_id);
+    if (it == sources_.end())
+      throw std::out_of_range("StpServer: unknown SU key " + std::to_string(su_id));
+    auto& src = it->second;
+    depth_ = std::max(depth_, count);
+    for (std::size_t i = 0; i < count; ++i, ++src.next) {
+      auto& e = entries[base + i];
+      e.pk = src.pk;
+      e.seed = src.seed;
+      e.index = src.next;
+      if (!src.ready.empty()) {
+        e.factor = std::move(src.ready.front());
+        src.ready.pop_front();
+        e.cached = true;
+        ++cached;
+      }
     }
   }
+  factors_precomputed_ += cached;
+  factors_inline_ += count - cached;
 }
 
 void StpServer::convert_entries(std::vector<ConvertEntry>& entries) {
@@ -149,20 +196,9 @@ void StpServer::convert_entries(std::vector<ConvertEntry>& entries) {
     auto slots = codec.unpack(v);
     for (auto& s : slots) s = (s.sign() > 0) ? bn::BigInt{1} : bn::BigInt{-1};
     bn::BigInt x = codec.pack(slots);
-    bn::BigUint factor;
-    switch (e.mode) {
-      case ConvertEntry::Mode::kPooled:
-        factor = std::move(e.rand);
-        break;
-      case ConvertEntry::Mode::kFastExp:
-        factor = e.fast->from_exponent(e.rand);
-        break;
-      case ConvertEntry::Mode::kFreshR:
-        factor = e.pk->mont_n2().pow(e.rand, e.pk->n());
-        break;
-    }
+    if (!e.cached) e.factor = make_factor(*e.pk, e.seed, e.index);
     *e.out = e.pk->rerandomize_with(
-        e.pk->encrypt_deterministic(x.mod_euclid(e.pk->n())), factor);
+        e.pk->encrypt_deterministic(x.mod_euclid(e.pk->n())), e.factor);
   });
 }
 
@@ -185,6 +221,7 @@ ConvertResponseMsg StpServer::convert(const ConvertRequestMsg& request) {
   convert_entries(entries);
   ++conversions_;
   entries_ += count * cfg_.pack_slots;
+  after_conversion();
   return resp;
 }
 
@@ -199,8 +236,7 @@ BudgetProbeResponseMsg StpServer::probe_signs(const BudgetProbeMsg& probe) {
   resp.probe_id = probe.probe_id;
   resp.signs.resize(probe.v.size() * k);
   // Decrypt-and-sign only — no sign-to-±1 re-encryption, no SU key, no
-  // randomizer draws, so probes never perturb the conversion stream and
-  // batched/sequential conversion bytes stay identical with probes mixed in.
+  // randomizer factors, so probes never touch an SU's randomizer source.
   exec::parallel_for(exec_.get(), 0, probe.v.size(), [&](std::size_t i) {
     bn::BigInt v;
     if (deal_) {
@@ -238,9 +274,9 @@ ConvertBatchResponseMsg StpServer::convert_batch(const ConvertBatchMsg& batch) {
       if (deal_) entries[base + i].partial = &item.partials[i];
       entries[base + i].out = &resp.items[j].x[i];
     }
-    // Randomness staged item by item in arrival order: the exact draws an
-    // item-by-item convert() sequence would make, so batch composition
-    // never changes a request's output bytes.
+    // Each item takes its own SU's next indices — the factors an
+    // item-by-item convert() would use — so batch composition never changes
+    // a request's output bytes.
     stage_randomness(item.su_id, item.v.size(), entries, base);
     base += item.v.size();
   }
@@ -248,6 +284,7 @@ ConvertBatchResponseMsg StpServer::convert_batch(const ConvertBatchMsg& batch) {
   ++batches_;
   conversions_ += batch.items.size();
   entries_ += base * cfg_.pack_slots;
+  after_conversion();
   return resp;
 }
 
@@ -281,10 +318,15 @@ void StpServer::attach(net::Transport& net, const std::string& name) {
       auto lookup = KeyLookupMsg::decode(msg.payload);
       KeyLookupResponseMsg resp;
       resp.su_id = lookup.su_id;
-      auto it = su_keys_.find(lookup.su_id);
-      if (it != su_keys_.end()) {
+      std::optional<crypto::PaillierPublicKey> pk;
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto it = sources_.find(lookup.su_id);
+        if (it != sources_.end()) pk = *it->second.pk;
+      }
+      if (pk) {
         resp.found = true;
-        resp.public_key = crypto::serialize(it->second);
+        resp.public_key = crypto::serialize(*pk);
       }
       net.send({name, msg.from, kMsgKeyLookupResponse, resp.encode()});
     } else {

@@ -8,17 +8,22 @@
 // blinding applied by the SDC (eq. (14)) hides both magnitude and sign.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
-#include <string>
-
+#include <mutex>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "crypto/chacha_rng.hpp"
 #include "crypto/paillier.hpp"
 #include "crypto/threshold_paillier.hpp"
 #include "net/bus.hpp"
@@ -39,7 +44,10 @@ class StpServer {
   const crypto::PaillierPublicKey& group_key() const { return group_.pk; }
 
   /// SU key directory (paper: "Each SU i ... uploads pk_i to STP").
+  /// Last writer wins; a new key gets a new randomizer source, while
+  /// re-registering the current key keeps its source where it is.
   void register_su_key(std::uint32_t su_id, crypto::PaillierPublicKey pk);
+  /// The reference stays valid until `su_id` registers a different key.
   const crypto::PaillierPublicKey& su_key(std::uint32_t su_id) const;
 
   /// The key-conversion service, callable directly (tests, benches) or via
@@ -58,25 +66,45 @@ class StpServer {
   /// values stay ε-masked, so the STP learns no budget signs itself.
   BudgetProbeResponseMsg probe_signs(const BudgetProbeMsg& probe);
 
-  /// Offline optimization: precompute `count` r^n factors for SU `su_id`'s
-  /// key so the conversion re-encryption costs one modular multiplication
-  /// per entry instead of a full encryption. The STP knows every pk_j in
-  /// advance, so this moves its dominant cost off the request path — the
-  /// same trick §VI-A applies to SU request preparation.
+  /// One randomizer source per SU key (DESIGN.md §3.5): factor k of SU j
+  /// is r^{n_j} mod n_j² with r = random_coprime(ChaChaRng{seed_j, k}, n_j).
+  /// Conversions take indices 0, 1, 2, … in entry order, from the cache when
+  /// a factor was computed ahead and inline otherwise — the same value
+  /// either way, so output bytes never depend on what was precomputed, on
+  /// batch composition or on how requests of different SUs interleave.
+  ///
+  /// Offline warm-up: compute SU `su_id`'s next factors until `count` are
+  /// cached, on the thread pool. The STP knows every pk_j in advance, so
+  /// this moves its dominant cost off the request path — the trick §VI-A
+  /// applies to SU request preparation.
   void precompute_su_randomizers(std::uint32_t su_id, std::size_t count);
 
-  /// Background pool maintenance for the always-warm mode
-  /// (PisaConfig::stp_pool_target > 0): top every auto-managed pool back up
-  /// to its target from the SU's private refill stream, modexps on the
-  /// shared thread pool. Called off the request path (PisaSystem invokes it
-  /// after each network drain); pool contents depend only on registration
-  /// order and pop counts, never on when refills run.
-  void maintain_pools();
+  /// The one refill primitive: compute up to `max_factors` missing factors
+  /// so that every registered SU moves toward randomizer_depth() cached
+  /// factors, in SU-id order. Modexps run outside the cache lock (on the
+  /// thread pool when more than one is due), so this is safe to call from
+  /// any thread while conversions run. Returns how many factors it
+  /// computed; 0 means every SU is at depth. PisaSystem calls it after each
+  /// network drain; RpcServer calls it one factor at a time from an
+  /// idle-priority thread.
+  std::size_t refill_randomizers(
+      std::size_t max_factors = std::numeric_limits<std::size_t>::max());
 
-  /// Available precomputed factors for one SU (0 if no pool).
+  /// Factors kept ahead per SU: the largest conversion (entries of one
+  /// request) served so far, 0 before the first — a deployment that never
+  /// converts (PIR mode) precomputes nothing.
+  std::size_t randomizer_depth() const;
+
+  /// Cached factors for one SU (0 for an unknown SU).
   std::size_t pool_available(std::uint32_t su_id) const;
 
-  /// Execution lanes for conversion and pool refills (nullptr = sequential).
+  /// Called on the converting thread after every convert() and
+  /// convert_batch(). Set it before traffic starts.
+  void set_conversion_hook(std::function<void()> hook) {
+    conversion_hook_ = std::move(hook);
+  }
+
+  /// Execution lanes for conversion and batch refills (nullptr = sequential).
   void set_thread_pool(std::shared_ptr<exec::ThreadPool> pool);
 
   /// Threshold mode (PisaConfig::threshold_stp): at setup this server acts
@@ -98,6 +126,10 @@ class StpServer {
   std::uint64_t batches_served() const { return batches_; }
   std::uint64_t probes_served() const { return probes_; }
   std::uint64_t probe_slots_signed() const { return probe_slots_; }
+  /// Converted ciphertexts whose r^n factor came from the cache / was
+  /// computed on the request path.
+  std::uint64_t factors_precomputed() const { return factors_precomputed_.load(); }
+  std::uint64_t factors_inline() const { return factors_inline_.load(); }
 
   /// TEST/AUDIT ONLY: decrypt a group-key ciphertext. Models what a curious
   /// STP could compute; the privacy tests use it to show blinded values
@@ -107,32 +139,70 @@ class StpServer {
   }
 
  private:
+  using Seed = std::array<std::uint8_t, 32>;
+
+  /// One SU key's randomizer source. `ready` holds the factors for indices
+  /// next, next + 1, …; a conversion pops the front or, when it is empty,
+  /// computes factor `next` inline.
+  struct Source {
+    /// A new key gets a new pointer, which tells a late refill its source
+    /// was replaced.
+    std::shared_ptr<const crypto::PaillierPublicKey> pk;
+    std::uint64_t key_number = 0;  ///< keys this SU registered before pk
+    Seed seed{};
+    std::uint64_t next = 0;
+    std::deque<bn::BigUint> ready;
+  };
+
+  /// A factor to compute outside the lock, then append to its source if
+  /// that source still wants exactly this index.
+  struct FactorTask {
+    std::uint32_t su_id = 0;
+    std::uint64_t index = 0;
+    std::shared_ptr<const crypto::PaillierPublicKey> pk;
+    Seed seed{};
+    bn::BigUint factor;
+  };
+
   /// One Ṽ entry of a (possibly batched) conversion, flattened: where its
-  /// ciphertext lives, which SU key re-encrypts it, and the pre-staged
-  /// randomness (pooled factor, fast-base exponent, or fresh r, by mode).
+  /// ciphertext lives, which SU key re-encrypts it, and its factor — taken
+  /// from the cache, or computed from (seed, index) in the parallel section.
   struct ConvertEntry;
 
-  /// Sequential randomness pre-pass for `count` entries of one SU, written
-  /// into entries[base..base+count): drain the SU's pool while it lasts,
-  /// then fall back to the cached fast base (short exponents) or fresh
-  /// random_coprime draws from rng_ for the remainder.
+  static bn::BigUint make_factor(const crypto::PaillierPublicKey& pk,
+                                 const Seed& seed, std::uint64_t index);
+
+  /// Reserve the next `count` indices of SU `su_id`'s source for
+  /// entries[base..base+count), in entry order, taking cached factors where
+  /// they exist; raises the depth to `count`. Throws std::out_of_range for
+  /// an unknown SU.
   void stage_randomness(std::uint32_t su_id, std::size_t count,
                         std::vector<ConvertEntry>& entries, std::size_t base);
+
+  /// Compute every task's factor (outside the lock), then append each to
+  /// its source where it is still the next missing index.
+  void compute_and_store(std::vector<FactorTask>& tasks);
 
   /// The conversion kernel: decrypt (threshold or direct), per-slot sign
   /// map, re-encrypt under pk_j — one parallel_for over all flat entries.
   void convert_entries(std::vector<ConvertEntry>& entries);
 
+  void after_conversion() {
+    if (conversion_hook_) conversion_hook_();
+  }
+
   PisaConfig cfg_;
   bn::RandomSource& rng_;
   crypto::PaillierKeyPair group_;
+  /// Master secret of every source, drawn once right after key generation:
+  /// seed_j = SHA-256(master, su_id, key_number, SHA-256(pk_j)), so a
+  /// re-registered key — even one the SU used before — never reuses an r.
+  Seed master_;
   std::shared_ptr<exec::ThreadPool> exec_;
-  std::map<std::uint32_t, crypto::PaillierPublicKey> su_keys_;
-  std::map<std::uint32_t, crypto::RandomizerPool> su_pools_;
-  std::map<std::uint32_t, crypto::FastRandomizerBase> su_fast_bases_;
-  /// Private refill stream per auto-managed (always-warm) pool, seeded at
-  /// registration — keeps pool contents independent of refill timing.
-  std::map<std::uint32_t, crypto::ChaChaRng> su_streams_;
+  mutable std::mutex mu_;  ///< guards sources_ and depth_
+  std::map<std::uint32_t, Source> sources_;
+  std::size_t depth_ = 0;
+  std::function<void()> conversion_hook_;
   std::optional<crypto::ThresholdDeal> deal_;  // set iff cfg.threshold_stp
   net::DedupWindow seen_frames_;  // at-least-once replay defence
   std::uint64_t conversions_ = 0;
@@ -140,15 +210,8 @@ class StpServer {
   std::uint64_t batches_ = 0;
   std::uint64_t probes_ = 0;
   std::uint64_t probe_slots_ = 0;
-
-  /// Private runtime stream for conversion randomness (fast-base setup,
-  /// refill-stream seeds, fresh factors), seeded once from the construction
-  /// rng. Conversion outputs then depend only on this entity's own draw
-  /// order — never on how its work interleaves with other parties on a
-  /// shared simulation rng — which is what makes batched and per-request
-  /// conversion byte-identical for every batch composition (DESIGN.md
-  /// §3.5). Declared last: its seed draw follows key generation.
-  crypto::ChaChaRng stream_;
+  std::atomic<std::uint64_t> factors_precomputed_{0};
+  std::atomic<std::uint64_t> factors_inline_{0};
 };
 
 }  // namespace pisa::core

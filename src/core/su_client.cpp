@@ -21,10 +21,8 @@ void SuClient::set_thread_pool(std::shared_ptr<exec::ThreadPool> pool) {
 }
 
 void SuClient::precompute_randomizers(std::size_t count) {
-  if (cfg_.fast_randomizers && !fast_base_)
-    fast_base_.emplace(group_pk_, rng_);
   pool_ = crypto::RandomizerPool{group_pk_, count};
-  pool_.refill(rng_, exec_.get(), fast_base_ ? &*fast_base_ : nullptr);
+  pool_.refill(rng_, exec_.get());
 }
 
 SuRequestMsg SuClient::prepare_request(const watch::QMatrix& f,

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "bigint/random_source.hpp"
@@ -49,8 +48,7 @@ class SuClient {
   }
 
   /// Precompute `count` r^n randomizer factors (the offline phase). Runs on
-  /// the thread pool when one is set; uses the fixed-base table when
-  /// cfg.fast_randomizers is on.
+  /// the thread pool when one is set.
   void precompute_randomizers(std::size_t count);
   std::size_t randomizers_available() const { return pool_.available(); }
 
@@ -95,7 +93,6 @@ class SuClient {
   crypto::PaillierKeyPair keys_;
   crypto::RandomizerPool pool_;
   std::shared_ptr<exec::ThreadPool> exec_;
-  std::optional<crypto::FastRandomizerBase> fast_base_;
 };
 
 }  // namespace pisa::core

@@ -336,15 +336,6 @@ PaillierKeyPair paillier_generate(std::size_t n_bits, bn::RandomSource& rng,
   }
 }
 
-FastRandomizerBase::FastRandomizerBase(const PaillierPublicKey& pk,
-                                       bn::RandomSource& rng)
-    : pk_(pk),
-      table_(pk_.mont_n2(), pk_.make_randomizer(rng), kExponentBits) {}
-
-BigUint FastRandomizerBase::make(bn::RandomSource& rng) const {
-  return table_.pow(bn::random_bits(rng, kExponentBits));
-}
-
 RandomizerPool::RandomizerPool(PaillierPublicKey pk, std::size_t capacity)
     : pk_(std::move(pk)), capacity_(capacity) {
   pool_.reserve(capacity_);
@@ -354,22 +345,9 @@ void RandomizerPool::refill(bn::RandomSource& rng) {
   while (pool_.size() < capacity_) pool_.push_back(pk_.make_randomizer(rng));
 }
 
-void RandomizerPool::refill(bn::RandomSource& rng, exec::ThreadPool* pool,
-                            const FastRandomizerBase* fast) {
+void RandomizerPool::refill(bn::RandomSource& rng, exec::ThreadPool* pool) {
   if (pool_.size() >= capacity_) return;
-  std::size_t base = pool_.size();
-  std::size_t need = capacity_ - base;
-  if (fast != nullptr) {
-    // Short exponents sampled sequentially, table powers in parallel.
-    std::vector<BigUint> ks(need);
-    for (auto& k : ks) k = bn::random_bits(rng, FastRandomizerBase::kExponentBits);
-    pool_.resize(capacity_);
-    exec::parallel_for(pool, 0, need, [&](std::size_t i) {
-      pool_[base + i] = fast->from_exponent(ks[i]);
-    });
-    return;
-  }
-  auto factors = pk_.make_randomizer_batch(need, rng, pool);
+  auto factors = pk_.make_randomizer_batch(capacity_ - pool_.size(), rng, pool);
   for (auto& f : factors) pool_.push_back(std::move(f));
 }
 

@@ -251,39 +251,6 @@ struct PaillierKeyPair {
 PaillierKeyPair paillier_generate(std::size_t n_bits, bn::RandomSource& rng,
                                   int mr_rounds = 32);
 
-/// Shared fixed-base acceleration for r^n mod n² generation. h = r0^n is
-/// computed once for a random r0, backed by a bn::FixedBaseTable; each
-/// randomizer afterwards is h^k for a fresh kExponentBits-bit k — roughly
-/// ceil(kExponentBits/4) multiplications instead of a full |n|-bit modexp.
-///
-/// Security note: randomizers are then sampled from the 2^kExponentBits-size
-/// subgroup generated by h instead of uniformly from all n-th residues —
-/// the standard short-exponent precomputation trade-off. Gated behind
-/// PisaConfig::fast_randomizers (off by default) for that reason.
-class FastRandomizerBase {
- public:
-  static constexpr std::size_t kExponentBits = 256;
-
-  /// Draws r0 from `rng` and builds the window table (one full modexp plus
-  /// ~15·ceil(kExponentBits/4) multiplications, amortized over every later
-  /// make()). The table is immutable afterwards: make() with per-task rngs
-  /// is safe from any thread.
-  FastRandomizerBase(const PaillierPublicKey& pk, bn::RandomSource& rng);
-
-  /// One r^n-style factor: h^k, fresh k from `rng`.
-  bn::BigUint make(bn::RandomSource& rng) const;
-
-  /// h^k for a caller-supplied exponent (pre-sampled sequentially by batch
-  /// refills so pool contents are thread-count independent).
-  bn::BigUint from_exponent(const bn::BigUint& k) const { return table_.pow(k); }
-
-  const PaillierPublicKey& public_key() const { return pk_; }
-
- private:
-  PaillierPublicKey pk_;
-  bn::FixedBaseTable table_;
-};
-
 /// Offline pool of precomputed r^n blinding factors (paper §VI-A: request
 /// re-preparation drops from ~221 s to ~11 s when the modexps are moved
 /// offline). pop() consumes one factor; refill() tops the pool back up.
@@ -296,11 +263,8 @@ class RandomizerPool {
 
   /// Thread-aware refill: r values are sampled from `rng` sequentially (so
   /// the pool contents do not depend on the thread count), the modexps run
-  /// on `pool`. With `fast` set, factors come from the fixed-base table
-  /// instead of full modexps (cheap enough that the pool is mostly a FIFO
-  /// of table lookups).
-  void refill(bn::RandomSource& rng, exec::ThreadPool* pool,
-              const FastRandomizerBase* fast = nullptr);
+  /// on `pool`.
+  void refill(bn::RandomSource& rng, exec::ThreadPool* pool);
 
   /// Take one factor. Throws std::runtime_error if the pool is empty.
   bn::BigUint pop();

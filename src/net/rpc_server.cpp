@@ -1,5 +1,10 @@
 #include "net/rpc_server.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <stdexcept>
 
 #include "core/messages.hpp"
@@ -10,7 +15,45 @@ namespace pisa::rpc {
 RpcServer::RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts, std::uint16_t port)
     : tcp_(opts), infra_(cfg, tcp_, rng) {
+  infra_.stp().set_conversion_hook([this] { wake_refill(); });
   tcp_.listen(port);
+}
+
+RpcServer::~RpcServer() {
+  tcp_.stop();  // joins the dispatch thread: no conversion wakes us any more
+  {
+    std::lock_guard<std::mutex> lk(refill_mu_);
+    refill_stop_ = true;
+  }
+  refill_cv_.notify_one();
+  if (refill_.joinable()) refill_.join();
+}
+
+void RpcServer::wake_refill() {
+  std::lock_guard<std::mutex> lk(refill_mu_);
+  if (refill_stop_) return;
+  // Created from the dispatch thread, so it inherits that thread's CPU set.
+  if (!refill_.joinable()) refill_ = std::thread([this] { refill_loop(); });
+  refill_wake_ = true;
+  refill_cv_.notify_one();
+}
+
+void RpcServer::refill_loop() {
+  // SCHED_IDLE runs this thread only on a CPU nothing else wants, and any
+  // waking request thread preempts it at once.
+  sched_param param{};
+  if (::pthread_setschedparam(::pthread_self(), SCHED_IDLE, &param) != 0)
+    ::setpriority(PRIO_PROCESS, static_cast<id_t>(::gettid()), 19);
+  std::unique_lock<std::mutex> lk(refill_mu_);
+  for (;;) {
+    refill_cv_.wait(lk, [&] { return refill_wake_ || refill_stop_; });
+    if (refill_stop_) return;
+    refill_wake_ = false;
+    lk.unlock();
+    while (!refill_stop_ && infra_.stp().refill_randomizers(1) > 0) {
+    }
+    lk.lock();
+  }
 }
 
 RpcClient::RpcClient(const core::PisaConfig& cfg,

@@ -20,16 +20,28 @@
 // re-send bookkeeping (pinned net_seq, PR 2 discipline) that turns TCP's
 // at-most-once-across-resets into application-level exactly-once.
 //
+// Idle-time refill (DESIGN.md §3.5): the first conversion starts one
+// background thread at SCHED_IDLE (nice 19 where that policy is refused)
+// that keeps every SU's STP randomizer source one largest conversion ahead,
+// a factor at a time, so the r^n modexp leaves the decision path whenever
+// the server has a spare moment. Every conversion wakes it. A PIR-only
+// deployment never converts and never starts it.
+//
 // Both stop their transport first on destruction: its threads call into
-// the entities / the inbox, so those must outlive every handler.
+// the entities / the inbox, so those must outlive every handler. RpcServer
+// then stops the refill thread, which checks its stop flag between factors.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -53,7 +65,7 @@ class RpcServer {
   /// with port()).
   explicit RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts = {}, std::uint16_t port = 0);
-  ~RpcServer() { tcp_.stop(); }
+  ~RpcServer();
 
   std::uint16_t port() const { return tcp_.port(); }
 
@@ -75,8 +87,18 @@ class RpcServer {
   net::TcpTransport& transport() { return tcp_; }
 
  private:
+  /// StpServer's conversion hook, on the dispatch thread: start the refill
+  /// thread on first use, then wake it.
+  void wake_refill();
+  void refill_loop();
+
   net::TcpTransport tcp_;
   core::Infrastructure infra_;
+  std::mutex refill_mu_;
+  std::condition_variable refill_cv_;
+  bool refill_wake_ = false;
+  std::atomic<bool> refill_stop_{false};
+  std::thread refill_;
 };
 
 class RpcClient {

@@ -38,7 +38,6 @@ PisaConfig chaos_batch_config() {
   cfg.reliability.enabled = true;
   cfg.convert_batch_max = 10'000;  // whole burst per batch
   cfg.convert_batch_linger_us = 200.0;
-  cfg.stp_pool_target = 12;  // one request's worth (2 groups × 6 blocks)
   return cfg;
 }
 
@@ -197,8 +196,8 @@ TEST_F(ChaosBatchFixture, WatchdogUnblocksBatcherAfterDeadLink) {
 
 // Batched chaos runs replay bit-for-bit from the fault seed — outcomes,
 // fault schedule, traffic, retransmissions and the virtual clock — across
-// executions and thread counts, with batching, linger timers and warm
-// pools all enabled.
+// executions and thread counts, with batching and linger timers enabled and
+// the STP's randomizer cache refilled after every drain.
 TEST(ChaosBatchDeterminism, BatchedRunsAreBitReproducible) {
   auto run_chaos = [](std::size_t num_threads) {
     PisaConfig cfg = chaos_batch_config();

@@ -1,8 +1,14 @@
 // Direct (network-free) unit tests of the SDC/STP two-phase computation:
 // the blinding algebra of eqs. (13)–(17) at exact decision boundaries, the
-// incremental-vs-recompute budget maintenance, and error handling.
+// incremental-vs-recompute budget maintenance, error handling, and the
+// STP's per-SU randomizer sources.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bigint/modular.hpp"
 #include "core/sdc_server.hpp"
 #include "core/stp_server.hpp"
 #include "core/su_client.hpp"
@@ -294,98 +300,186 @@ TEST_F(SdcStpFixture, StpPooledConversionMatchesFresh) {
   EXPECT_EQ(fresh, pooled);
   EXPECT_FALSE(pooled) << "scenario is a deny; both paths must agree on it";
 
-  // Pool drained below one request's worth: falls back to fresh encryption
-  // transparently (still correct).
+  // Nothing refilled the cache: the next request computes its factors
+  // inline (still correct).
+  EXPECT_EQ(stp.pool_available(1), 0u);
   bool again = decide(f);
   EXPECT_EQ(again, fresh);
 }
 
 TEST_F(SdcStpFixture, StpDrainsPartialPoolAndFreshSamplesRemainder) {
-  // A pool holding fewer factors than the request needs is not skipped
-  // wholesale: the 3 available factors serve the first 3 entries and the
-  // remaining 5 get fresh randomness, with no correctness difference.
+  // A cache holding fewer factors than the request needs is not skipped
+  // wholesale: the 3 cached factors serve the first 3 entries and the
+  // remaining 5 are computed inline, with no correctness difference.
   both_update(0, BlockId{0}, ChannelId{0}, 1e-6);
   watch::QMatrix f{cfg.watch.channels, 4, 0};
   f.at(ChannelId{0}, BlockId{0}) = cfg.watch.quantizer.quantize_mw(1e-3);
 
   stp.precompute_su_randomizers(1, 3);  // request needs channels*blocks = 8
   EXPECT_EQ(stp.pool_available(1), 3u);
-  EXPECT_FALSE(decide(f)) << "deny scenario survives the mixed-mode round";
-  EXPECT_EQ(stp.pool_available(1), 0u)
-      << "partial pool drained, not bypassed";
+  EXPECT_FALSE(decide(f)) << "deny scenario survives the mixed round";
+  EXPECT_EQ(stp.pool_available(1), 0u) << "partial cache drained, not bypassed";
+  EXPECT_EQ(stp.factors_precomputed(), 3u);
+  EXPECT_EQ(stp.factors_inline(), 5u);
 
   watch::QMatrix quiet{cfg.watch.channels, 4, 0};
-  EXPECT_TRUE(decide(quiet)) << "fully fresh follow-up stays correct";
+  EXPECT_TRUE(decide(quiet)) << "fully inline follow-up stays correct";
+  EXPECT_EQ(stp.factors_inline(), 13u);
 }
 
-TEST(SdcStpFastBase, CachedFastBaseServesPoolOverflow) {
-  // With fast_randomizers on, entries past the pool's end use the cached
-  // FastRandomizerBase (one short-exponent table power each) instead of a
-  // full-width fresh modexp — and the decision algebra is unaffected.
-  PisaConfig cfg;
-  cfg.watch.grid_rows = 1;
-  cfg.watch.grid_cols = 4;
-  cfg.watch.channels = 2;
-  cfg.paillier_bits = 768;
-  cfg.rsa_bits = 384;
-  cfg.blind_bits = 48;
-  cfg.mr_rounds = 8;
-  cfg.fast_randomizers = true;
+// --- one randomizer source per SU key ----------------------------------------
 
-  crypto::ChaChaRng rng{std::uint64_t{4242}};
-  StpServer stp{cfg, rng};
-  SdcServer sdc{cfg, stp.group_key(), watch::make_e_matrix(cfg.watch), rng};
-  SuClient su{1, cfg, stp.group_key(), rng};
-  stp.register_su_key(1, su.public_key());
-  sdc.register_su_key(1, su.public_key());
+struct SdcStpRandomizerSource : ::testing::Test {
+  PisaConfig cfg = tiny_config();
+  crypto::ChaChaRng key_rng{std::uint64_t{0x5EED}};
+  crypto::PaillierKeyPair su1 =
+      crypto::paillier_generate(cfg.paillier_bits, key_rng, cfg.mr_rounds);
+  crypto::PaillierKeyPair su2 =
+      crypto::paillier_generate(cfg.paillier_bits, key_rng, cfg.mr_rounds);
 
-  stp.precompute_su_randomizers(1, 1);  // 1 pooled, 7 fast-base entries
-  EXPECT_EQ(stp.pool_available(1), 1u);
+  /// A fresh STP from a fixed seed: every instance draws the same master.
+  std::unique_ptr<StpServer> make_stp() {
+    stp_rngs.push_back(std::make_unique<crypto::ChaChaRng>(std::uint64_t{77}));
+    return std::make_unique<StpServer>(cfg, *stp_rngs.back());
+  }
 
-  watch::QMatrix f{cfg.watch.channels, 4, 0};
-  auto req = su.prepare_request(f, 1);
-  auto resp = sdc.finish_request(stp.convert(sdc.begin_request(req)));
-  EXPECT_TRUE(su.process_response(resp, sdc.license_key()).granted)
-      << "zero interference is always a grant";
-  EXPECT_EQ(stp.pool_available(1), 0u);
-  EXPECT_EQ(stp.entries_converted(), 8u);
+  /// A conversion of `count` blinded values for `su_id`, encrypted under
+  /// `group_pk` from a stream fixed by `request_id`.
+  static ConvertRequestMsg request(const crypto::PaillierPublicKey& group_pk,
+                                   std::uint64_t request_id,
+                                   std::uint32_t su_id, std::size_t count) {
+    crypto::ChaChaRng v_rng{request_id};
+    ConvertRequestMsg req;
+    req.request_id = request_id;
+    req.su_id = su_id;
+    for (std::size_t i = 0; i < count; ++i)
+      req.v.push_back(group_pk.encrypt_signed(
+          bn::BigInt{static_cast<std::int64_t>(i % 3) - 1}, v_rng));
+    return req;
+  }
+
+  /// r of a conversion output X = (1 + x·n)·r^n mod n²: X ≡ r^n (mod n),
+  /// and n is invertible mod λ, so r = (X mod n)^(n⁻¹ mod λ) mod n.
+  static bn::BigUint recover_r(const crypto::PaillierKeyPair& kp,
+                               const crypto::PaillierCiphertext& x) {
+    const auto& n = kp.pk.n();
+    auto d = bn::mod_inverse(n, kp.sk.lambda());
+    return bn::mod_pow(x.value % n, *d, n);
+  }
+
+  std::vector<std::unique_ptr<crypto::ChaChaRng>> stp_rngs;
+};
+
+TEST_F(SdcStpRandomizerSource, ConversionBytesDoNotDependOnCacheState) {
+  // The same two conversions on three identically-seeded STPs: one never
+  // precomputes, one is partly warm, one is kept full by the refill
+  // primitive. Factor k is the same value whether it was cached or not.
+  std::vector<std::vector<bn::BigUint>> outputs;
+  for (int warmth : {0, 1, 2}) {
+    SCOPED_TRACE("warmth " + std::to_string(warmth));
+    auto stp = make_stp();
+    stp->register_su_key(1, su1.pk);
+    if (warmth == 1) stp->precompute_su_randomizers(1, 3);
+    if (warmth == 2) stp->precompute_su_randomizers(1, 8);
+    std::vector<bn::BigUint> bytes;
+    for (std::uint64_t rid : {1u, 2u}) {
+      for (const auto& x : stp->convert(request(stp->group_key(), rid, 1, 8)).x)
+        bytes.push_back(x.value);
+      if (warmth == 2) {
+        EXPECT_EQ(stp->refill_randomizers(), 8u);
+        EXPECT_EQ(stp->pool_available(1), 8u);
+      }
+    }
+    EXPECT_EQ(stp->factors_precomputed() + stp->factors_inline(), 16u);
+    EXPECT_EQ(stp->factors_precomputed(), warmth == 0 ? 0u : warmth == 1 ? 3u : 16u);
+    outputs.push_back(std::move(bytes));
+  }
+  EXPECT_EQ(outputs[0], outputs[1]);
+  EXPECT_EQ(outputs[0], outputs[2]);
 }
 
-TEST(SdcStpWarmPools, RegistrationProvisionsAndMaintainRefills) {
-  // Always-warm mode (stp_pool_target > 0): registering a key provisions a
-  // full pool with no precompute call; conversions drain it; and
-  // maintain_pools() — the off-request-path hook — tops it back up.
-  PisaConfig cfg;
-  cfg.watch.grid_rows = 1;
-  cfg.watch.grid_cols = 4;
-  cfg.watch.channels = 2;
-  cfg.paillier_bits = 768;
-  cfg.rsa_bits = 384;
-  cfg.blind_bits = 48;
-  cfg.mr_rounds = 8;
-  cfg.stp_pool_target = 5;
+TEST_F(SdcStpRandomizerSource, SwappedCrossSuOrderGivesIdenticalResponses) {
+  // Two SUs' conversions reach two identically-seeded STPs in opposite
+  // orders (registrations too): each SU draws from its own source, so every
+  // response is byte-identical per request id.
+  auto a = make_stp();
+  auto b = make_stp();
+  a->register_su_key(1, su1.pk);
+  a->register_su_key(2, su2.pk);
+  b->register_su_key(2, su2.pk);
+  b->register_su_key(1, su1.pk);
+  const auto r1 = request(a->group_key(), 11, 1, 5);
+  const auto r2 = request(a->group_key(), 12, 2, 7);
+  auto a1 = a->convert(r1);
+  auto a2 = a->convert(r2);
+  auto b2 = b->convert(r2);
+  auto b1 = b->convert(r1);
+  EXPECT_EQ(a1.x, b1.x);
+  EXPECT_EQ(a2.x, b2.x);
 
-  crypto::ChaChaRng rng{std::uint64_t{77}};
-  StpServer stp{cfg, rng};
-  auto su_keys = crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds);
-  stp.register_su_key(1, su_keys.pk);
-  EXPECT_EQ(stp.pool_available(1), 5u) << "warm from the moment of registration";
+  // Batched in either order, too.
+  auto c = make_stp();
+  c->register_su_key(1, su1.pk);
+  c->register_su_key(2, su2.pk);
+  ConvertBatchMsg batch;
+  batch.batch_id = 1;
+  batch.items.push_back({r2.request_id, r2.su_id, r2.v, {}});
+  batch.items.push_back({r1.request_id, r1.su_id, r1.v, {}});
+  auto cb = c->convert_batch(batch);
+  EXPECT_EQ(cb.items[0].x, a2.x);
+  EXPECT_EQ(cb.items[1].x, a1.x);
+}
 
-  ConvertRequestMsg req;
-  req.request_id = 1;
-  req.su_id = 1;
-  for (int v : {3, -2, 1})
-    req.v.push_back(stp.group_key().encrypt_signed(bn::BigInt{v}, rng));
-  auto resp = stp.convert(req);
-  ASSERT_EQ(resp.x.size(), 3u);
-  EXPECT_EQ(stp.pool_available(1), 2u);
+TEST_F(SdcStpRandomizerSource, NewKeyNeverReusesAnR) {
+  auto stp = make_stp();
+  auto first_r = [&](const crypto::PaillierKeyPair& kp, std::uint64_t rid) {
+    return recover_r(kp, stp->convert(request(stp->group_key(), rid, 1, 1)).x[0]);
+  };
+  stp->register_su_key(1, su1.pk);
+  const auto old_r = first_r(su1, 1);
+  // A new key starts a new source at index 0, under a new seed.
+  stp->register_su_key(1, su2.pk);
+  const auto new_r = first_r(su2, 2);
+  EXPECT_NE(new_r, old_r);
+  // Replaying the current key's upload does not rewind its source.
+  stp->register_su_key(1, su2.pk);
+  EXPECT_NE(first_r(su2, 3), new_r);
+  // Rotating back to the first key does not revisit its old r values.
+  stp->register_su_key(1, su1.pk);
+  EXPECT_NE(first_r(su1, 4), old_r);
+}
 
-  stp.maintain_pools();
-  EXPECT_EQ(stp.pool_available(1), 5u) << "background refill restores the target";
+TEST_F(SdcStpRandomizerSource, RefillKeepsEverySuOneLargestConversionAhead) {
+  auto stp = make_stp();
+  stp->register_su_key(1, su1.pk);
+  stp->register_su_key(2, su1.pk);
+  EXPECT_EQ(stp->randomizer_depth(), 0u);
+  EXPECT_EQ(stp->refill_randomizers(), 0u) << "no conversion yet: nothing to keep";
 
-  // Re-registration (key rotation) rebuilds the pool for the new modulus.
-  stp.register_su_key(1, su_keys.pk);
-  EXPECT_EQ(stp.pool_available(1), 5u);
+  auto convert = [&](std::uint32_t su, std::size_t entries) {
+    auto resp = stp->convert(request(stp->group_key(), su, su, entries));
+    ASSERT_EQ(resp.x.size(), entries);
+  };
+  convert(1, 3);
+  EXPECT_EQ(stp->randomizer_depth(), 3u);
+  EXPECT_EQ(stp->refill_randomizers(1), 1u) << "one factor per call when capped";
+  EXPECT_EQ(stp->refill_randomizers(), 5u) << "both SUs filled to depth 3";
+  EXPECT_EQ(stp->pool_available(1), 3u);
+  EXPECT_EQ(stp->pool_available(2), 3u);
+  EXPECT_EQ(stp->refill_randomizers(), 0u);
+
+  convert(2, 5);  // 3 cached + 2 inline; the depth grows to 5
+  EXPECT_EQ(stp->factors_precomputed(), 3u);
+  EXPECT_EQ(stp->factors_inline(), 5u);
+  EXPECT_EQ(stp->randomizer_depth(), 5u);
+  EXPECT_EQ(stp->refill_randomizers(), 2u + 5u);
+  EXPECT_EQ(stp->pool_available(1), 5u);
+  EXPECT_EQ(stp->pool_available(2), 5u);
+
+  // A new key starts its source cold; the next refill brings it to depth.
+  stp->register_su_key(1, su2.pk);
+  EXPECT_EQ(stp->pool_available(1), 0u);
+  EXPECT_EQ(stp->refill_randomizers(), 5u);
 }
 
 }  // namespace

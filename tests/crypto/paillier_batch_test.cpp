@@ -187,34 +187,5 @@ TEST(FixedBaseTableTest, PowMatchesMontgomeryPow) {
   EXPECT_THROW(table.pow(wide), std::out_of_range);
 }
 
-TEST_F(PaillierBatchTest, FastRandomizerBaseFactorsAreValidRandomizers) {
-  ChaChaRng rng{std::uint64_t{0xFA}};
-  FastRandomizerBase base{kp().pk, rng};
-  auto m = bn::BigUint{424242};
-  auto ct = kp().pk.encrypt_deterministic(m);
-  for (int i = 0; i < 5; ++i) {
-    auto factor = base.make(rng);
-    // A valid randomizer is an n-th residue: multiplying by it must not
-    // change the plaintext.
-    auto rr = kp().pk.rerandomize_with(ct, factor);
-    EXPECT_NE(rr, ct);
-    EXPECT_EQ(kp().sk.decrypt(rr), m);
-  }
-}
-
-TEST_F(PaillierBatchTest, RefillWithFastBaseProducesValidFactors) {
-  ChaChaRng rng{std::uint64_t{0xFB}};
-  FastRandomizerBase base{kp().pk, rng};
-  RandomizerPool pool_obj{kp().pk, 5};
-  exec::ThreadPool tp{2};
-  pool_obj.refill(rng, &tp, &base);
-  auto m = bn::BigUint{777};
-  auto ct = kp().pk.encrypt_deterministic(m);
-  for (int i = 0; i < 5; ++i) {
-    auto rr = kp().pk.rerandomize_with(ct, pool_obj.pop());
-    EXPECT_EQ(kp().sk.decrypt(rr), m);
-  }
-}
-
 }  // namespace
 }  // namespace pisa::crypto

@@ -4,15 +4,18 @@
 // memory, admission control, and the headline acceptance criterion —
 // concurrent multiplexed SU sessions over 127.0.0.1 byte-identical to the
 // SimulatedNetwork oracle at pack_slots ∈ {1, 4} and with a threshold STP on
-// a two-lane server — plus teardown with work still in flight.
+// a two-lane server, also while the server's idle-time randomizer refill
+// races the conversions — plus teardown with work still in flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -438,6 +441,104 @@ TEST(RpcTeardown, DestroysClientAndServerWithResponsesAndFoldsInFlight) {
     server.reset();
     EXPECT_LE(completed.load(), 5);
   }
+}
+
+// Idle-time refill (DESIGN.md §3.5): the server's background thread keeps
+// every SU's randomizer source one largest conversion ahead. Its factors
+// are the ones the conversion would have computed inline, so responses
+// match the simulated oracle — which converted everything inline in one
+// drain — whether the refill thread had filled the cache, was racing the
+// conversions, or had not started.
+TEST(RpcRandomizerRefill, IdleRefillLeavesConversionBytesUnchanged) {
+  core::PisaConfig cfg = deployment_config({});
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+  crypto::ChaChaRng sim_rng{std::uint64_t{0x1D1E}};
+  core::PisaSystem sim{cfg, test_sites(), model, sim_rng};
+  crypto::ChaChaRng tcp_rng{std::uint64_t{0x1D1E}};
+  rpc::RpcServer server{cfg, tcp_rng};
+  rpc::RpcClient client{cfg, server.group_key(), "127.0.0.1", server.port(),
+                        tcp_rng};
+  for (const auto& site : test_sites()) client.add_pu(site);
+  for (std::uint32_t su : {1u, 2u}) {
+    sim.add_su(su);
+    client.add_su(su);
+  }
+  watch::PuTuning t0{ChannelId{0}, 1e-6};
+  sim.pu_update(0, t0);
+  client.pu_update(0, t0);
+
+  std::vector<watch::SuRequest> reqs;
+  for (std::uint32_t i = 0; i < 6; ++i)
+    reqs.push_back({i % 2 + 1, BlockId{i % 6},
+                    std::vector<double>(cfg.watch.channels,
+                                        i % 3 == 0 ? 100.0 : 1e-4)});
+  auto sim_outs = sim.su_request_many(reqs);
+  std::vector<rpc::RpcClient::PreparedRequest> prepared;
+  for (const auto& r : reqs)
+    prepared.push_back(client.prepare_request(r.su_id, sim.build_f(r)));
+
+  auto check = [&](std::size_t i) {
+    core::SuResponseMsg resp;
+    ASSERT_TRUE(client.wait_response(prepared[i].request_id, &resp, 60000))
+        << "request " << i;
+    auto outcome =
+        client.su(prepared[i].su_id).process_response(resp, server.license_key());
+    EXPECT_EQ(outcome.signature, sim_outs[i].signature) << "request " << i;
+    EXPECT_EQ(outcome.granted, sim_outs[i].granted) << "request " << i;
+  };
+  // Cold: the first conversion computes its factors inline and starts the
+  // refill thread.
+  client.submit(prepared[0]);
+  check(0);
+  // Warm: wait until the idle thread has filled both SUs' caches.
+  const std::size_t depth = server.stp().randomizer_depth();
+  ASSERT_GT(depth, 0u);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.stp().pool_available(1) < depth ||
+         server.stp().pool_available(2) < depth) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "refill never ran";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  client.submit(prepared[1]);
+  check(1);
+  EXPECT_EQ(server.stp().factors_precomputed(), depth);
+  // Racing: the rest back to back while the thread refills behind them.
+  for (std::size_t i = 2; i < prepared.size(); ++i) client.submit(prepared[i]);
+  for (std::size_t i = 2; i < prepared.size(); ++i) check(i);
+}
+
+// Teardown while the refill thread is mid-refill: ~RpcServer stops the
+// transport, then the thread (it checks its stop flag between factors),
+// before the STP goes. Clean under ThreadSanitizer.
+TEST(RpcTeardown, StopsTheRefillThreadMidRefill) {
+  core::PisaConfig cfg = deployment_config({});
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+  const auto sites = test_sites();
+  crypto::ChaChaRng rng{std::uint64_t{0x7EB}};
+  auto server = std::make_unique<rpc::RpcServer>(cfg, rng);
+  rpc::RpcClient client{cfg, server->group_key(), "127.0.0.1", server->port(),
+                        rng};
+  client.add_su(1);
+  // Many more registered keys than requests: after the first conversion
+  // the refill has a few hundred factors to compute.
+  for (std::uint32_t su = 100; su < 164; ++su)
+    server->stp().register_su_key(su, client.su(1).public_key());
+  const auto f = watch::build_su_f_matrix(
+      cfg.watch, sites, BlockId{1},
+      std::vector<double>(cfg.watch.channels, 100.0), model,
+      watch::exclusion_radius_m(cfg.watch, model));
+  auto req = client.prepare_request(1, f);
+  client.submit(req);
+  ASSERT_TRUE(client.wait_response(req.request_id, nullptr, 60000));
+  const std::size_t depth = server->stp().randomizer_depth();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server->stp().pool_available(1) == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "refill never ran";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_LT(server->stp().pool_available(163), depth)
+      << "the refill must still be running when the server goes";
+  server.reset();
 }
 
 INSTANTIATE_TEST_SUITE_P(PackSlots, TcpVsSimulated,
