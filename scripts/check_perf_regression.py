@@ -252,8 +252,9 @@ def delta_speedup_checks(current, factor):
     """Incremental vs full-column per-update cost, paired per fleet size.
 
     Within the current run only, like the WAL and fast-deny pairs: the two
-    rows ran the identical seeded schedule back to back, so the
-    update_ms_per_send ratio is the §3.9 incremental win itself. Role-swap
+    rows ran the identical seeded schedule in interleaved fresh runs until
+    each had >= 150 ms of updates on the clock, so the update_ms_per_send
+    ratio is the §3.9 incremental win itself. Role-swap
     encoding: 'current' = factor * delta cost, lower-is-better with
     threshold 1.0, so the check fails exactly when the delta path is less
     than `factor`x cheaper per update than the full-column path.

@@ -1,6 +1,5 @@
 #include "core/deployment.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "exec/thread_pool.hpp"
@@ -68,51 +67,6 @@ void Infrastructure::crash_pir_replica(std::size_t index) {
   if (!slot) return;
   transport_.remove_endpoint(pir::replica_name(index));
   slot.reset();
-}
-
-std::uint64_t SuInbox::deliver(const net::Message& msg) {
-  // Decode outside the lock; only the registry update is serialized.
-  std::optional<pir::PirReplyMsg> reply;
-  std::optional<SuResponseMsg> response;
-  bool fast_denied = false;
-  std::uint64_t rid = 0;
-  if (msg.type == pir::kMsgPirReply) {
-    reply = pir::PirReplyMsg::decode(msg.payload);
-    rid = reply->request_id;
-  } else if (msg.type == kMsgFastDeny) {
-    // decode() validates the fixed 32-byte shape (leakage discipline).
-    rid = FastDenyMsg::decode(msg.payload).request_id;
-    fast_denied = true;
-  } else if (msg.type == kMsgSuResponse) {
-    response = SuResponseMsg::decode(msg.payload);
-    rid = response->request_id;
-  } else {
-    throw std::runtime_error("SU endpoint: unexpected message " + msg.type);
-  }
-  bool done = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto& a = answers_[rid];
-    if (reply) a.pir_replies.push_back(std::move(*reply));
-    if (response) a.response = std::move(response);
-    a.fast_denied = a.fast_denied || fast_denied;
-    done = complete(a);
-  }
-  if (done && hook_) hook_(rid);
-  cv_.notify_all();
-  return rid;
-}
-
-SuInbox::Answer SuInbox::take(std::uint64_t request_id, double timeout_ms) {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait_for(
-      lk, std::chrono::microseconds(static_cast<std::int64_t>(timeout_ms * 1e3)),
-      [&] {
-        auto it = answers_.find(request_id);
-        return it != answers_.end() && complete(it->second);
-      });
-  auto node = answers_.extract(request_id);
-  return node.empty() ? Answer{} : std::move(node.mapped());
 }
 
 }  // namespace pisa::core

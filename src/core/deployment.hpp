@@ -5,30 +5,19 @@
 // (generating pk_G), the SDC, the threshold share, attaches both, and brings
 // up PIR replicas 1..ℓ−1. PisaSystem (simulated network) and rpc::RpcServer
 // (TCP) each hold one, so an identically-seeded rng draws the same keys and
-// per-entity streams on both by construction.
-//
-// SuInbox is the client side's counterpart: the single handler behind every
-// SU endpoint. It decodes the three frames an SU can receive — SuResponseMsg,
-// the §3.8 FastDenyMsg and the §3.10 PirReplyMsg — into one registry keyed by
-// request id, and hands each request's answer to whoever waits for it.
+// per-entity streams on both by construction. The client side's
+// counterpart is core::ClientSession (client_session.hpp).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
-#include "core/messages.hpp"
 #include "core/sdc_server.hpp"
 #include "core/stp_server.hpp"
 #include "net/bus.hpp"
-#include "pir/pir_messages.hpp"
 #include "pir/pir_replica.hpp"
 #include "watch/matrices.hpp"
 
@@ -88,47 +77,6 @@ class Infrastructure {
   std::unique_ptr<SdcServer> sdc_;
   /// §3.10 standalone replicas 1..ℓ−1 (null slot = crashed).
   std::vector<std::unique_ptr<pir::PirServer>> pir_extras_;
-};
-
-class SuInbox {
- public:
-  /// Everything that arrived for one request id.
-  struct Answer {
-    std::optional<SuResponseMsg> response;
-    bool fast_denied = false;  ///< §3.8 one-round denial (no SuResponseMsg)
-    std::vector<pir::PirReplyMsg> pir_replies;
-  };
-
-  /// A PIR answer is complete at `pir_replicas` replies.
-  explicit SuInbox(std::size_t pir_replicas) : pir_replicas_(pir_replicas) {}
-
-  /// Completion hook: called inside deliver() whenever a frame leaves its
-  /// request's answer complete, before any take() waiter wakes, so a load
-  /// generator's completion timestamp is recorded by the time the waiter
-  /// sees the answer. Set it before traffic starts.
-  void set_hook(std::function<void(std::uint64_t)> hook) {
-    hook_ = std::move(hook);
-  }
-
-  /// The SU endpoint handler: decode `msg` into the registry and return its
-  /// request id. Throws std::runtime_error on any other message type.
-  /// Thread-safe against take().
-  std::uint64_t deliver(const net::Message& msg);
-
-  /// Wait up to `timeout_ms` for `request_id`'s answer to complete, then
-  /// remove and return whatever arrived for it — complete or not.
-  Answer take(std::uint64_t request_id, double timeout_ms = 0);
-
- private:
-  bool complete(const Answer& a) const {
-    return a.response || a.fast_denied || a.pir_replies.size() >= pir_replicas_;
-  }
-
-  std::size_t pir_replicas_;
-  std::function<void(std::uint64_t)> hook_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::uint64_t, Answer> answers_;
 };
 
 }  // namespace pisa::core

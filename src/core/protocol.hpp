@@ -1,12 +1,15 @@
 // End-to-end PISA deployment over the simulated network.
 //
 // PisaSystem holds the shared core::Infrastructure (STP, SDC, PIR replicas)
-// on a simulated network, one PuClient per registered TV-receiver site and
-// any number of SuClients, and drives the full message flows of
-// Figures 4 and 5: PU tuning updates, and the two-phase SU request with the
-// STP key-conversion round. It reuses the exact plaintext matrix builders
-// of the watch layer, so a PlainWatch instance fed the same inputs is a
-// bit-exact decision oracle for this encrypted pipeline.
+// and a core::ClientSession with one PuClient per registered TV-receiver
+// site and any number of SuClients, all on a simulated network, and drives
+// the full message flows of Figures 4 and 5: PU tuning updates, and the
+// two-phase SU request with the STP key-conversion round. What it adds to
+// the session is what only the simulation has: draining the bus, per-link
+// byte accounting, virtual-time latency and the reliable layer's give-ups.
+// It reuses the exact plaintext matrix builders of the watch layer, so a
+// PlainWatch instance fed the same inputs is a bit-exact decision oracle
+// for this encrypted pipeline.
 #pragma once
 
 #include <cstdint>
@@ -18,13 +21,11 @@
 #include <vector>
 
 #include "bigint/random_source.hpp"
+#include "core/client_session.hpp"
 #include "core/config.hpp"
 #include "core/deployment.hpp"
-#include "core/pu_client.hpp"
-#include "core/su_client.hpp"
 #include "net/bus.hpp"
 #include "net/reliable_channel.hpp"
-#include "pir/pir_client.hpp"
 #include "radio/pathloss.hpp"
 #include "watch/plain_watch.hpp"
 
@@ -39,41 +40,32 @@ class PisaSystem {
   PisaSystem(const PisaConfig& cfg, const std::vector<watch::PuSite>& sites,
              const radio::PathLossModel& model, bn::RandomSource& rng);
 
-  /// Create an SU client, register its public key with STP and SDC, and
-  /// optionally precompute `precompute` offline randomizer factors.
+  /// Create an SU client and register its public key with the STP (see
+  /// ClientSession::add_su), delivered before this returns.
   SuClient& add_su(std::uint32_t su_id, std::size_t precompute = 0);
 
-  /// Drive a PU tuning change through the network (Figure 4).
-  void pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning);
+  /// Drive one PU event through the network (Figure 4): the full column,
+  /// or with `use_delta` the §3.9 footprint diff of `tuning` at the PU's
+  /// current block. Returns false when a delta found the footprint already
+  /// current (nothing sent).
+  bool pu_send(std::uint32_t pu_id, const watch::PuTuning& tuning,
+               bool use_delta);
+  void pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning) {
+    pu_send(pu_id, tuning, false);
+  }
+  bool pu_delta(std::uint32_t pu_id, const watch::PuTuning& tuning) {
+    return pu_send(pu_id, tuning, true);
+  }
 
-  /// §3.9 incremental path: diff `tuning` (at the PU's current block)
-  /// against its delivered footprint and ship only the changed cells.
-  /// Returns false when the footprint is already current (nothing sent).
-  bool pu_delta(std::uint32_t pu_id, const watch::PuTuning& tuning);
+  /// Vehicular mobility (see ClientSession::pu_move).
+  void pu_move(std::uint32_t pu_id, std::uint32_t block) {
+    session_.pu_move(pu_id, block);
+  }
 
-  /// Vehicular mobility: relocate the PU's receiver. Takes effect on its
-  /// next pu_update / pu_delta (the delta path retracts the old block's
-  /// cells automatically).
-  void pu_move(std::uint32_t pu_id, std::uint32_t block);
-
-  struct RequestOutcome {
-    /// kCompleted covers both grant and deny (see `granted`);
-    /// kTransportFailed means the request round could not be delivered
-    /// within the reliability retry budget — `failure` says which hop gave
-    /// up. Only possible outcomes: faults never hang or throw here.
-    enum class Status { kCompleted, kTransportFailed };
-    Status status = Status::kCompleted;
-    bool completed() const { return status == Status::kCompleted; }
-
-    bool granted = false;
-    /// §3.8: denied in one round by the SDC's prefilter — no conversion
-    /// round, no license. Always false when the decision was a grant, and
-    /// always a decision the full pipeline would also have denied.
-    bool fast_denied = false;
-    LicenseBody license;
-    bn::BigUint signature;
-    /// Human-readable transport diagnosis when status == kTransportFailed.
-    std::string failure;
+  /// The SU's decision (on a transport failure, `failure` also names every
+  /// hop the reliable layer gave up on), plus what the simulation measures.
+  /// Faults never hang or throw here.
+  struct RequestOutcome : SuDecision {
     // Communication accounting for this request (Figure 6):
     std::size_t request_bytes = 0;   // SU → SDC
     std::size_t convert_bytes = 0;   // SDC → STP
@@ -118,8 +110,7 @@ class PisaSystem {
       PrepMode mode = PrepMode::kFresh, MultiRequestStats* stats = nullptr);
 
   /// The F matrix the request encrypts — shared with PlainWatch's pipeline.
-  /// It models every receiver where its PuClient is now, so a pu_move
-  /// relocates the receiver's protection along with its W column.
+  /// It models every receiver where it is now (ClientSession::pu_sites).
   watch::QMatrix build_f(const watch::SuRequest& request) const;
 
   const PisaConfig& config() const { return infra_.config(); }
@@ -140,24 +131,29 @@ class PisaSystem {
   }
 
   Infrastructure& infrastructure() { return infra_; }
+  ClientSession& session() { return session_; }
+  const radio::PathLossModel& model() const { return model_; }
   SdcServer& sdc() { return infra_.sdc(); }
   StpServer& stp() { return infra_.stp(); }
-  SuClient& su(std::uint32_t su_id);
-  PuClient& pu(std::uint32_t pu_id);
+  SuClient& su(std::uint32_t su_id) { return session_.su(su_id); }
+  PuClient& pu(std::uint32_t pu_id) { return session_.pu(pu_id); }
 
   /// Shared execution pool (null when cfg.num_threads == 1).
   const std::shared_ptr<exec::ThreadPool>& thread_pool() const {
     return infra_.thread_pool();
   }
 
+  /// Deliver everything in flight, then refill the STP's randomizer
+  /// sources — the simulation's stand-in for a deployment's idle time: every
+  /// SU's source stays one largest conversion ahead, so the next
+  /// conversion hits the cache.
+  void drain();
+
   /// Host wall clock spent in StpServer::refill_randomizers after network
-  /// drains — the simulation's stand-in for a deployment's idle time, which
-  /// benches keep off their clocks.
+  /// drains, which benches keep off their clocks.
   double refill_wall_ms() const { return refill_wall_ms_; }
 
  private:
-  static std::string su_name(std::uint32_t id) { return "su_" + std::to_string(id); }
-
   /// The message-passing layer the entities are attached to: the reliable
   /// transport when cfg.reliability.enabled, the raw bus otherwise.
   net::Transport& transport();
@@ -167,38 +163,37 @@ class PisaSystem {
   std::size_t failure_count() const;
   std::string gave_up_since(std::size_t since) const;
 
-  /// The outcome collector both request paths share: fill `out`'s decision
-  /// for `rid` from the inbox — or a typed kTransportFailed when no answer
-  /// arrived — and measure latency_us to the answer's arrival. Returns that
-  /// arrival time (virtual µs), if one was recorded.
-  std::optional<double> collect(std::uint64_t rid, std::uint32_t su_id,
+  /// The SDC's license key, or null while it is down.
+  const crypto::RsaPublicKey* issuer() {
+    return sdc_running() ? &sdc().license_key() : nullptr;
+  }
+
+  /// The outcome collector every request path shares: put `decision` into
+  /// `out` — a failure with the give-ups recorded since `failures_before`
+  /// — and measure latency_us to the answer's arrival. Returns that arrival
+  /// time (virtual µs), if the answer completed.
+  std::optional<double> collect(std::uint64_t rid, SuDecision decision,
                                 double t_send, std::size_t failures_before,
                                 RequestOutcome& out);
 
-  /// §3.10 query path: split the fetch of [lo, hi) into XOR shares, one
-  /// query per replica, reconstruct and decide locally. Fills the same
-  /// RequestOutcome su_request does (license fields stay empty — a PIR
-  /// grant is a local decision, not a signed license).
+  /// §3.10 query path: one XOR-share query per replica, reconstructed and
+  /// decided locally. Fills the same RequestOutcome su_request does
+  /// (license fields stay empty — a PIR grant is a local decision).
   RequestOutcome su_request_pir(std::uint32_t su_id, const watch::QMatrix& f,
-                                std::uint64_t rid, std::uint32_t lo,
-                                std::uint32_t hi);
+                                std::uint32_t lo, std::uint32_t hi);
 
   /// Refill the STP's randomizer sources after a drain, timed.
   void refill_randomizers();
 
   const radio::PathLossModel& model_;
-  bn::RandomSource& rng_;
   double d_c_m_;
 
   net::SimulatedNetwork net_;
   std::unique_ptr<net::ReliableTransport> reliable_;
   Infrastructure infra_;
-  SuInbox inbox_;
-  std::map<std::uint32_t, std::unique_ptr<PuClient>> pus_;
-  std::map<std::uint32_t, std::unique_ptr<SuClient>> sus_;
-  std::map<std::uint32_t, std::unique_ptr<pir::PirClient>> pir_clients_;
-  std::map<std::uint64_t, double> arrival_us_;  // last SU-bound frame, by rid
-  std::uint64_t next_request_id_ = 1;
+  ClientSession session_;
+  /// Virtual time each answer completed, by request id (the inbox hook).
+  std::map<std::uint64_t, double> arrival_us_;
   double refill_wall_ms_ = 0;
 };
 

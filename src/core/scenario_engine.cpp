@@ -18,20 +18,6 @@ double ms_since(Clock::time_point start) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// SimScenarioDriver
-
-void SimScenarioDriver::pu_move(std::uint32_t pu_id, std::uint32_t block) {
-  sys_.pu_move(pu_id, block);
-}
-
-bool SimScenarioDriver::pu_send(std::uint32_t pu_id,
-                                const watch::PuTuning& tuning, bool use_delta) {
-  if (use_delta) return sys_.pu_delta(pu_id, tuning);
-  sys_.pu_update(pu_id, tuning);
-  return true;
-}
-
 std::pair<std::uint32_t, std::uint32_t> disclosed_range(
     const watch::QMatrix& f, std::uint32_t su_block, std::uint32_t pad) {
   std::uint32_t lo = su_block, hi = su_block + 1;
@@ -48,34 +34,36 @@ std::pair<std::uint32_t, std::uint32_t> disclosed_range(
   return {lo, hi};
 }
 
-ScenarioDriver::RequestResult SimScenarioDriver::su_request(
-    const watch::SuRequest& request, std::uint32_t range_pad) {
-  const auto range =
-      disclosed_range(sys_.build_f(request), request.block.index, range_pad);
-  auto out = sys_.su_request(request, range);
-  RequestResult res;
-  res.completed = out.completed();
-  res.granted = out.granted;
-  res.fast_denied = out.fast_denied;
-  res.serial = out.license.serial;
-  return res;
-}
-
 // ---------------------------------------------------------------------------
 // ScenarioDriver
 
-std::vector<std::uint8_t> ScenarioDriver::exhausted_state_bytes() {
-  sync();
-  return infra_.sdc().state().exhausted_state_bytes();
+ScenarioDriver::ScenarioDriver(Infrastructure& infra, ClientSession& session,
+                               const radio::PathLossModel& model,
+                               double timeout_ms)
+    : infra_(infra),
+      session_(session),
+      model_(model),
+      d_c_m_(watch::exclusion_radius_m(infra.config().watch, model)),
+      timeout_ms_(timeout_ms) {}
+
+SuDecision ScenarioDriver::su_request(const watch::SuRequest& request,
+                                      std::uint32_t range_pad) {
+  const auto f = watch::build_su_f_matrix(
+      infra_.config().watch, session_.pu_sites(), request.block,
+      request.eirp_mw_per_channel, model_, d_c_m_);
+  const auto range = disclosed_range(f, request.block.index, range_pad);
+  if (infra_.config().query_mode == QueryMode::kPir) {
+    const auto query =
+        session_.submit_pir(request.su_id, range.first, range.second);
+    deliver();
+    return session_.decide_pir(query, f, timeout_ms_);
+  }
+  const auto prepared = session_.prepare_request(request.su_id, f, range);
+  session_.submit(prepared);
+  deliver();
+  return session_.decide(prepared, &infra_.sdc().license_key(), timeout_ms_);
 }
-std::uint64_t ScenarioDriver::wal_bytes() {
-  sync();
-  return infra_.sdc().state().wal_bytes();
-}
-std::uint64_t ScenarioDriver::delta_cells_folded() {
-  sync();
-  return infra_.sdc().state().delta_cells_folded();
-}
+
 
 // ---------------------------------------------------------------------------
 // ScenarioEngine
@@ -168,7 +156,7 @@ void ScenarioEngine::run_requests(std::uint32_t tick, ScenarioResult& result,
 
     ++result.requests;
     const auto res = driver_.su_request(req, sc_.request_range_blocks);
-    if (!res.completed) {
+    if (!res.completed()) {
       ++result.transport_failures;
       continue;
     }
@@ -177,7 +165,7 @@ void ScenarioEngine::run_requests(std::uint32_t tick, ScenarioResult& result,
     if (res.granted) {
       ++result.grants;
       su.license_expires = tick + sc_.license_ttl_ticks;
-      outcome.grants.push_back({id, res.serial});
+      outcome.grants.push_back({id, res.license.serial});
     } else {
       ++result.denials;
       outcome.denials.push_back(id);
@@ -192,7 +180,8 @@ void ScenarioEngine::run_requests(std::uint32_t tick, ScenarioResult& result,
 ScenarioResult ScenarioEngine::run() {
   ScenarioResult result;
   const auto run_start = Clock::now();
-  if (driver_.sdc_running()) last_wal_bytes_ = driver_.wal_bytes();
+  if (driver_.sdc_running())
+    last_wal_bytes_ = driver_.settled_state().wal_bytes();
 
   for (std::uint32_t tick = 0; tick < sc_.ticks; ++tick) {
     TickOutcome outcome;
@@ -203,7 +192,7 @@ ScenarioResult ScenarioEngine::run() {
     if (sc_.crash_at_tick && tick == *sc_.crash_at_tick) driver_.crash_sdc();
     if (sc_.restart_at_tick && tick == *sc_.restart_at_tick) {
       driver_.restart_sdc();
-      last_wal_bytes_ = driver_.wal_bytes();
+      last_wal_bytes_ = driver_.settled_state().wal_bytes();
       resync_all_pus(result);
     }
 
@@ -274,15 +263,17 @@ ScenarioResult ScenarioEngine::run() {
 
     outcome.sdc_up = driver_.sdc_running();
     if (outcome.sdc_up) {
-      outcome.exhausted_state = driver_.exhausted_state_bytes();
-      const std::uint64_t wal = driver_.wal_bytes();
+      const auto& state = driver_.settled_state();
+      outcome.exhausted_state = state.exhausted_state_bytes();
+      const std::uint64_t wal = state.wal_bytes();
       if (wal > last_wal_bytes_) result.wal_bytes += wal - last_wal_bytes_;
       last_wal_bytes_ = wal;
     }
     result.ticks.push_back(std::move(outcome));
   }
 
-  if (driver_.sdc_running()) result.delta_cells = driver_.delta_cells_folded();
+  if (driver_.sdc_running())
+    result.delta_cells = driver_.settled_state().delta_cells_folded();
   result.total_wall_ms = ms_since(run_start);
   return result;
 }

@@ -115,24 +115,26 @@ struct ScenarioResult {
 
 /// Transport-agnostic face of a deployment: the engine scripts *what*
 /// happens, a driver says *how* it reaches the entities. SDC lifecycle and
-/// state reads go straight to the shared Infrastructure; a driver supplies
-/// only what differs by transport — PU and SU traffic and a barrier.
-/// Implementations: SimScenarioDriver (below, over PisaSystem) and
-/// rpc::TcpScenarioDriver (net/rpc_scenario.hpp, over a real socket pair).
+/// state reads go straight to the shared Infrastructure, and PU moves and
+/// SU requests to the deployment's ClientSession; a driver supplies only
+/// what differs by transport — delivering PU frames, delivering what the
+/// session sent, and a barrier. Implementations: SimScenarioDriver (below,
+/// over PisaSystem) and rpc::TcpScenarioDriver (net/rpc_scenario.hpp, over
+/// a real socket pair).
 class ScenarioDriver {
  public:
-  struct RequestResult {
-    bool completed = false;  ///< false = transport failure / timeout
-    bool granted = false;
-    bool fast_denied = false;
-    std::uint64_t serial = 0;  ///< license serial when granted
-  };
-
-  explicit ScenarioDriver(Infrastructure& infra) : infra_(infra) {}
+  /// Every SU/PU the engine touches must already be added to `session`.
+  /// An SU's F models every receiver the session holds, where it is now,
+  /// under the path loss `model` (must outlive the driver). `timeout_ms`
+  /// bounds the wait for each answer.
+  ScenarioDriver(Infrastructure& infra, ClientSession& session,
+                 const radio::PathLossModel& model, double timeout_ms = 0);
   virtual ~ScenarioDriver() = default;
 
   /// Relocate a PU (mobility). Takes effect on its next send.
-  virtual void pu_move(std::uint32_t pu_id, std::uint32_t block) = 0;
+  void pu_move(std::uint32_t pu_id, std::uint32_t block) {
+    session_.pu_move(pu_id, block);
+  }
   /// Deliver a PU's tuning: full column, or (use_delta) the footprint diff,
   /// and return once the SDC has folded it. Returns false when nothing
   /// needed to be sent.
@@ -141,8 +143,8 @@ class ScenarioDriver {
   /// One full SU request round. The driver discloses the tightest block
   /// range covering the request's non-zero F entries (see disclosed_range),
   /// widened by `range_pad` blocks of privacy slack on each side.
-  virtual RequestResult su_request(const watch::SuRequest& request,
-                                   std::uint32_t range_pad) = 0;
+  SuDecision su_request(const watch::SuRequest& request,
+                        std::uint32_t range_pad);
 
   /// The SDC dies on a settled deployment, as on the sim's drained network.
   void crash_sdc() {
@@ -152,19 +154,27 @@ class ScenarioDriver {
   void restart_sdc() { infra_.restart_sdc(); }
   bool sdc_running() const { return infra_.sdc_running(); }
 
-  // Callable only while sdc_running(); each settles the deployment first
-  // (post-grant budget folds re-probe after the response).
-  std::vector<std::uint8_t> exhausted_state_bytes();
-  std::uint64_t wal_bytes();
-  std::uint64_t delta_cells_folded();
+  /// The SDC's state once the deployment has settled (post-grant budget
+  /// folds re-probe after the response). Callable only while sdc_running().
+  const SdcStateEngine& settled_state() {
+    sync();
+    return infra_.sdc().state();
+  }
 
  protected:
+  /// Deliver the request the session just sent, where delivery needs a
+  /// push (the sim drains its network); a socket needs none.
+  virtual void deliver() {}
   /// Barrier: return once every causal chain rooted in a frame already
   /// delivered to the infrastructure has run. The sim's network is drained
   /// by every call, so its barrier is empty.
   virtual void sync() {}
 
   Infrastructure& infra_;
+  ClientSession& session_;
+  const radio::PathLossModel& model_;
+  double d_c_m_;
+  double timeout_ms_;
 };
 
 /// The tightest disclosed block range [lo, hi) covering every non-zero
@@ -179,13 +189,16 @@ std::pair<std::uint32_t, std::uint32_t> disclosed_range(
 class SimScenarioDriver final : public ScenarioDriver {
  public:
   explicit SimScenarioDriver(PisaSystem& sys)
-      : ScenarioDriver(sys.infrastructure()), sys_(sys) {}
+      : ScenarioDriver(sys.infrastructure(), sys.session(), sys.model()),
+        sys_(sys) {}
 
-  void pu_move(std::uint32_t pu_id, std::uint32_t block) override;
   bool pu_send(std::uint32_t pu_id, const watch::PuTuning& tuning,
-               bool use_delta) override;
-  RequestResult su_request(const watch::SuRequest& request,
-                           std::uint32_t range_pad) override;
+               bool use_delta) override {
+    return sys_.pu_send(pu_id, tuning, use_delta);
+  }
+
+ protected:
+  void deliver() override { sys_.drain(); }
 
  private:
   PisaSystem& sys_;

@@ -25,22 +25,17 @@ namespace pisa::rpc {
 
 class TcpScenarioDriver final : public core::ScenarioDriver {
  public:
-  /// `sites` names the receivers an SU's F models; each is read from its
-  /// PuClient at request time, so F sees a receiver where it is now, not
-  /// where it registered (exactly like PisaSystem::build_f). `model` must
-  /// outlive the driver. Every SU/PU the engine touches must already be
-  /// added to `client`.
+  /// A ScenarioDriver over `client`, waiting up to `timeout_ms` for each
+  /// answer and barrier. `cfg` and `sites` are not read: the deployment's
+  /// configuration is the server's, and F models every PU the client holds.
   TcpScenarioDriver(RpcServer& server, RpcClient& client,
                     const core::PisaConfig& cfg,
                     const std::vector<watch::PuSite>& sites,
                     const radio::PathLossModel& model,
                     double timeout_ms = 60'000.0);
 
-  void pu_move(std::uint32_t pu_id, std::uint32_t block) override;
   bool pu_send(std::uint32_t pu_id, const watch::PuTuning& tuning,
                bool use_delta) override;
-  RequestResult su_request(const watch::SuRequest& request,
-                           std::uint32_t range_pad) override;
 
  protected:
   /// Quiesce the server's dispatch lane (bounded by the driver timeout).
@@ -49,10 +44,6 @@ class TcpScenarioDriver final : public core::ScenarioDriver {
  private:
   RpcServer& server_;
   RpcClient& client_;
-  std::vector<std::uint32_t> pu_ids_;
-  const radio::PathLossModel& model_;
-  double d_c_m_;
-  double timeout_ms_;
 };
 
 }  // namespace pisa::rpc

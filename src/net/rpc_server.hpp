@@ -14,11 +14,13 @@
 // builds the same Infrastructure, one built from an identically-seeded rng
 // is a bit-exact oracle for this server.
 //
-// RpcClient is the matching client bundle: it owns the SU/PU client
-// objects, one client TcpTransport multiplexing every logical session over
-// a single connection, the core::SuInbox every SU endpoint feeds, and the
+// RpcClient is the matching client: a core::ClientSession (the SU/PU/PIR
+// clients, their frames and decisions, exactly as under PisaSystem) over
+// one client TcpTransport multiplexing every logical session on a single
+// connection. What it adds is what only a socket needs: the routes, the
 // re-send bookkeeping (pinned net_seq, PR 2 discipline) that turns TCP's
-// at-most-once-across-resets into application-level exactly-once.
+// at-most-once-across-resets into application-level exactly-once,
+// reconnects, and waiting with a timeout.
 //
 // Idle-time refill (DESIGN.md §3.5): the first conversion starts one
 // background thread at SCHED_IDLE (nice 19 where that policy is refused)
@@ -35,8 +37,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,15 +46,12 @@
 #include <vector>
 
 #include "bigint/random_source.hpp"
+#include "core/client_session.hpp"
 #include "core/config.hpp"
 #include "core/deployment.hpp"
-#include "core/pu_client.hpp"
-#include "core/su_client.hpp"
 #include "net/tcp_transport.hpp"
-#include "pir/pir_client.hpp"
 #include "pir/pir_replica.hpp"
 #include "watch/matrices.hpp"
-#include "watch/plain_sdc.hpp"
 
 namespace pisa::rpc {
 
@@ -101,91 +98,63 @@ class RpcServer {
   std::thread refill_;
 };
 
-class RpcClient {
+namespace detail {
+/// RpcClient's socket transport, held in a base constructed before the
+/// ClientSession base that sends through it.
+struct ClientTransport {
+  explicit ClientTransport(net::TcpOptions opts) : tcp_(opts) {}
+  net::TcpTransport tcp_;
+};
+}  // namespace detail
+
+class RpcClient : private detail::ClientTransport, public core::ClientSession {
  public:
-  /// Connect to an RpcServer and route "sdc"/"stp" over one multiplexed
-  /// connection. `group_pk` is pk_G (retrieved from the STP out of band in
-  /// the paper; handed over directly here). `rng` feeds SU/PU keygen and
-  /// request randomness — seed it like the oracle world's master rng and
-  /// make the same call sequence to get byte-identical traffic.
+  /// Connect to an RpcServer and route "sdc"/"stp" (and in PIR mode every
+  /// replica) over one multiplexed connection. `group_pk` is pk_G
+  /// (retrieved from the STP out of band in the paper; handed over directly
+  /// here). `rng` feeds SU/PU keygen and request randomness — seed it like
+  /// the oracle world's master rng and make the same call sequence to get
+  /// byte-identical traffic.
   RpcClient(const core::PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
             std::string host, std::uint16_t port, bn::RandomSource& rng,
             net::TcpOptions opts = {});
   ~RpcClient() { tcp_.stop(); }
 
-  /// Create an SU client, register "su_<id>" as a local endpoint feeding
-  /// the inbox, and upload pk_j to the STP (paper §III-C). The
-  /// registration frame precedes any request on the same connection, so
-  /// FIFO ordering makes the directory entry visible before first use.
-  core::SuClient& add_su(std::uint32_t su_id, std::size_t precompute = 0);
+  using PreparedRequest = core::PreparedRequest;
 
-  /// Create a PU client for `site` with the shared public E matrix, exactly
-  /// like PisaSystem (a mobile PU needs the full matrix).
-  core::PuClient& add_pu(const watch::PuSite& site);
-
-  core::SuClient& su(std::uint32_t su_id);
-  core::PuClient& pu(std::uint32_t pu_id);
-
-  /// One PU tuning update, sent with a pinned net_seq so the exact frame
-  /// can be re-sent after a connection reset: the SDC's (sender, seq)
-  /// DedupWindow folds it into Ñ exactly once no matter how many copies
-  /// arrive (PR 2 discipline; the chaos suite pins this).
-  struct PuUpdateHandle {
-    std::uint32_t pu_id = 0;
-    std::uint64_t net_seq = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-  PuUpdateHandle pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning);
-  void resend_pu_update(const PuUpdateHandle& handle);
-
-  /// §3.9 incremental update over the socket, with the same pinned-seq
-  /// re-send discipline as pu_update. Returns nullopt (nothing sent) when
-  /// the PU's delivered footprint already matches `tuning`.
+  /// A PU event's SDC frame — a full column or a §3.9 delta — sent with a
+  /// pinned net_seq, so the exact frame can be re-sent after a connection
+  /// reset: the SDC's (sender, seq) DedupWindow folds it into Ñ exactly
+  /// once no matter how many copies arrive, and the engine's per-PU
+  /// delta_seq folds a delta once even across a crash that tore its
+  /// application (PR 2 discipline; the chaos suite pins this). PIR-mode
+  /// replica frames are pinned the same way, so replica versions stay in
+  /// lockstep under re-sends.
+  using PuUpdateHandle = net::Message;
+  /// Nothing is sent (nullopt) when a delta finds the PU's footprint
+  /// already current.
+  std::optional<PuUpdateHandle> pu_send(std::uint32_t pu_id,
+                                        const watch::PuTuning& tuning,
+                                        bool use_delta);
+  PuUpdateHandle pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning) {
+    return *pu_send(pu_id, tuning, false);
+  }
   std::optional<PuUpdateHandle> pu_delta(std::uint32_t pu_id,
-                                         const watch::PuTuning& tuning);
-  void resend_pu_delta(const PuUpdateHandle& handle);
+                                         const watch::PuTuning& tuning) {
+    return pu_send(pu_id, tuning, true);
+  }
+  void resend_pu_update(const PuUpdateHandle& handle) { tcp_.send(handle); }
 
-  /// An encrypted request, built off the clock: benches prepare every
-  /// session's request first, then pour the whole burst down the pipe.
-  struct PreparedRequest {
-    std::uint64_t request_id = 0;
-    std::uint32_t su_id = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-  PreparedRequest prepare_request(
-      std::uint32_t su_id, const watch::QMatrix& f,
-      std::optional<std::pair<std::uint32_t, std::uint32_t>> range =
-          std::nullopt,
-      core::PrepMode mode = core::PrepMode::kFresh);
-
-  /// Fire one prepared request at the SDC (does not consume the handle —
-  /// re-submitting the same bytes after a reset is the retry path; the SDC
-  /// drops duplicate request ids while the original is still pending and
-  /// re-serves completed ones with a fresh serial).
-  void submit(const PreparedRequest& req);
-
-  /// Block until the response for `request_id` arrives (dispatch thread
-  /// fills the inbox) or `timeout_ms` passes. Returns false on timeout.
-  /// A §3.8 prefilter denial also completes the wait: `*fast_denied` is set
-  /// true (when the pointer is given) and `*out` is left untouched — there
-  /// is no SuResponseMsg for a fast-denied request, just the 32-byte
-  /// FastDenyMsg the dispatch thread already validated.
+  /// The raw answer to a submitted request, for callers that time the
+  /// client-side decision themselves: block until it arrives or
+  /// `timeout_ms` passes (false). A §3.8 prefilter denial also completes
+  /// the wait: `*fast_denied` is set true (when the pointer is given) and
+  /// `*out` is left untouched — there is no SuResponseMsg for it.
   bool wait_response(std::uint64_t request_id, core::SuResponseMsg* out,
                      double timeout_ms, bool* fast_denied = nullptr);
 
-  /// Per-response completion probe for load generators: called on the
-  /// dispatch thread the moment each SU answer completes in the inbox —
-  /// before any wait_response waiter wakes — so per-request completion
-  /// timestamps are exact even when the bench drains waiters lazily. Set
-  /// it before traffic starts; installation is not synchronized against
-  /// in-flight deliveries.
-  void set_response_hook(std::function<void(std::uint64_t)> hook) {
-    inbox_.set_hook(std::move(hook));
-  }
-
-  /// §3.10 PIR round trip over the socket: split [block_lo, block_hi) into
-  /// XOR shares, fire one query per replica, wait for all ℓ replies (or
-  /// `timeout_ms`), reconstruct and decide locally against `f`.
+  /// §3.10 PIR round trip over the socket: submit_pir + decide_pir with
+  /// `timeout_ms` for all ℓ replies.
   struct PirOutcome {
     /// False when a reply set never completed (replica crashed / timeout)
     /// or the replicas' versions diverged — `failure` says which. The
@@ -194,7 +163,7 @@ class RpcClient {
     bool granted = false;
     std::string failure;
     std::size_t query_bytes = 0;  ///< Σ encoded queries (SU → replicas)
-    std::size_t reply_bytes = 0;  ///< Σ encoded replies (replicas → SU)
+    std::size_t reply_bytes = 0;  ///< Σ reply payloads (replicas → SU)
   };
   PirOutcome pir_request(std::uint32_t su_id, const watch::QMatrix& f,
                          std::uint32_t block_lo, std::uint32_t block_hi,
@@ -208,35 +177,14 @@ class RpcClient {
   net::TcpTransport& transport() { return tcp_; }
 
  private:
-  static std::string su_name(std::uint32_t id) {
-    return "su_" + std::to_string(id);
-  }
-
   /// Logical peers multiplexed over the one connection: sdc + stp, plus
   /// every PIR replica in PIR mode.
   std::vector<std::string> route_names() const;
 
-  /// PIR mode: ship the PU's current plaintext column to every replica
-  /// (pinned seqs — replica-side dedup keeps versions in lockstep under
-  /// resends). No-op in Paillier mode.
-  void send_pir_updates(std::uint32_t pu_id, const watch::PuTuning& tuning);
-
-  core::PisaConfig cfg_;
-  crypto::PaillierPublicKey group_pk_;
   std::string host_;
   std::uint16_t port_;
-  bn::RandomSource& rng_;
-  net::TcpTransport tcp_;
   std::uint64_t conn_id_ = 0;
-  watch::QMatrix e_matrix_;
-
-  std::map<std::uint32_t, std::unique_ptr<core::SuClient>> sus_;
-  std::map<std::uint32_t, std::unique_ptr<core::PuClient>> pus_;
-  std::map<std::uint32_t, std::unique_ptr<pir::PirClient>> pir_clients_;
-
-  std::uint64_t next_request_id_ = 1;
   std::uint64_t next_pin_seq_ = 1;  // pinned seqs for re-sendable frames
-  core::SuInbox inbox_;
 };
 
 }  // namespace pisa::rpc

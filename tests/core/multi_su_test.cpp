@@ -68,6 +68,19 @@ TEST_F(MultiSuFixture, ThreeSusIndependentOutcomes) {
   EXPECT_NE(o2.license.serial, o3.license.serial) << "serials are unique";
 }
 
+TEST_F(MultiSuFixture, BurstByteTotalsCountEachRequestOnce) {
+  system.add_su(1);
+  system.pu_update(0, watch::PuTuning{ChannelId{0}, 1e-6});
+  const auto req = request(1, 7, 0.0001);
+  PisaSystem::MultiRequestStats one, two;
+  system.su_request_many({req}, PrepMode::kFresh, &one);
+  system.su_request_many({req, req}, PrepMode::kFresh, &two);
+  // Same F, same sizes: one SU's two requests are twice one request, not
+  // its link counted once per request.
+  EXPECT_EQ(two.request_bytes, 2 * one.request_bytes);
+  EXPECT_EQ(two.response_bytes, 2 * one.response_bytes);
+}
+
 TEST_F(MultiSuFixture, InterleavedPendingRequestsAtTheSdc) {
   // Start two requests at the SDC before finishing either; each must
   // complete against its own blinding state.

@@ -6,6 +6,10 @@
 // never a hang or a bogus reconstruction.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include "crypto/chacha_rng.hpp"
 #include "net/rpc_server.hpp"
 #include "radio/pathloss.hpp"
@@ -167,6 +171,25 @@ TEST(PirTcp, KilledReplicaYieldsTypedTimeoutNotHangOrGarbage) {
   EXPECT_EQ(server.pir_replica(1), nullptr);
   EXPECT_NE(server.pir_replica(0), nullptr);
   EXPECT_THROW(server.crash_pir_replica(0), std::out_of_range);
+}
+
+TEST(PirTcp, OverflowingInterferenceThrowsLikeTheOracle) {
+  // F·X wider than int64 is a configuration fault, not a delivery failure:
+  // the socket path must fail as loudly as the simulated PIR path and
+  // PlainSdc do, never report it as an incomplete request.
+  auto cfg = pir_tcp_config(1);
+  crypto::ChaChaRng server_rng{std::uint64_t{0x81}};
+  RpcServer server{cfg, server_rng};
+  crypto::ChaChaRng client_rng{std::uint64_t{0x82}};
+  RpcClient client{cfg, server.group_key(), "127.0.0.1", server.port(),
+                   client_rng};
+  for (const auto& site : test_sites()) client.add_pu(site);
+  client.add_su(100);
+
+  auto f = watch::QMatrix{3, 6};
+  f.at(ChannelId{0}, BlockId{0}) = std::numeric_limits<std::int64_t>::max() / 2;
+  EXPECT_THROW(client.pir_request(100, f, 0, 6, /*timeout_ms=*/60000),
+               std::overflow_error);
 }
 
 }  // namespace

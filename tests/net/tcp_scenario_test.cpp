@@ -4,7 +4,9 @@
 // including the mid-schedule SDC kill + WAL recovery. Delta and full-column
 // runs must produce byte-identical per-tick outcomes here too: the socket
 // path adds framing, a dispatch thread and reconnect machinery, none of
-// which may perturb a single decision, serial or exhausted-cell set.
+// which may perturb a single decision, serial or exhausted-cell set. And
+// the same schedule run once over the simulated network and once over the
+// sockets must decide identically at every tick.
 #include "net/rpc_scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/protocol.hpp"
 #include "crypto/chacha_rng.hpp"
 #include "radio/pathloss.hpp"
 
@@ -97,6 +100,40 @@ class TcpScenarioEquivalence
     return engine.run();
   }
 
+  /// The same schedule on the simulated network: one rng, drawn in the
+  /// order the socket pair below draws it (infrastructure, PUs, SUs).
+  core::ScenarioResult run_simulated(bool use_delta) {
+    auto cfg = scenario_config(GetParam(), (dir_ / "sim").string());
+    radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+    auto sites = scenario_sites();
+    auto sc = scenario_schedule(use_delta);
+
+    crypto::ChaChaRng rng{std::uint64_t{0x7C9}};
+    core::PisaSystem sys{cfg, sites, model, rng};
+    for (std::uint32_t id = 0; id < sc.num_sus; ++id) sys.add_su(id);
+    core::SimScenarioDriver driver{sys};
+    core::ScenarioEngine engine{cfg, sites, model, sc, driver};
+    return engine.run();
+  }
+
+  /// The socket pair sharing that one rng between server and client, as
+  /// TcpVsSimulated does.
+  core::ScenarioResult run_socket_shared_rng(bool use_delta) {
+    auto cfg = scenario_config(GetParam(), (dir_ / "tcp").string());
+    radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+    auto sites = scenario_sites();
+    auto sc = scenario_schedule(use_delta);
+
+    crypto::ChaChaRng rng{std::uint64_t{0x7C9}};
+    RpcServer server{cfg, rng};
+    RpcClient client{cfg, server.group_key(), "127.0.0.1", server.port(), rng};
+    for (const auto& site : sites) client.add_pu(site);
+    for (std::uint32_t id = 0; id < sc.num_sus; ++id) client.add_su(id);
+    TcpScenarioDriver driver{server, client, cfg, sites, model};
+    core::ScenarioEngine engine{cfg, sites, model, sc, driver};
+    return engine.run();
+  }
+
   fs::path dir_;
 };
 
@@ -123,6 +160,31 @@ TEST_P(TcpScenarioEquivalence, DeltaPathMatchesFullRebuildTickForTick) {
   auto sc = scenario_schedule(false);
   EXPECT_FALSE(full.ticks[*sc.crash_at_tick].sdc_up);
   EXPECT_TRUE(full.ticks[*sc.restart_at_tick].sdc_up);
+}
+
+TEST_P(TcpScenarioEquivalence, SimulatedAndSocketTransportsDecideTickForTick) {
+  // One client side under both transports: every grant and its serial,
+  // every (fast) denial and every exhausted-cell set must match, through
+  // the SDC kill at tick 80 and the WAL recovery at tick 120.
+  auto sim = run_simulated(/*use_delta=*/true);
+  auto tcp = run_socket_shared_rng(/*use_delta=*/true);
+
+  ASSERT_EQ(sim.ticks.size(), tcp.ticks.size());
+  for (std::size_t t = 0; t < sim.ticks.size(); ++t) {
+    SCOPED_TRACE("tick " + std::to_string(t));
+    EXPECT_EQ(tcp.ticks[t], sim.ticks[t])
+        << "the transport must not perturb a single decision";
+  }
+  EXPECT_GT(sim.grants, 0u);
+  EXPECT_GT(sim.denials, 0u);
+  EXPECT_EQ(sim.oracle_mismatches, 0u);
+  EXPECT_EQ(tcp.oracle_mismatches, 0u);
+  EXPECT_EQ(sim.transport_failures, 0u);
+  EXPECT_EQ(tcp.transport_failures, 0u);
+
+  auto sc = scenario_schedule(true);
+  EXPECT_FALSE(tcp.ticks[*sc.crash_at_tick].sdc_up);
+  EXPECT_TRUE(tcp.ticks[*sc.restart_at_tick].sdc_up);
 }
 
 INSTANTIATE_TEST_SUITE_P(PackLayouts, TcpScenarioEquivalence,
