@@ -25,7 +25,7 @@
 //       batching and through the cross-request batching engine (§3.5,
 //       virtual-time req/s), plus the closed-loop burst over real epoll
 //       sockets (§3.7, transport="tcp", wall clock).
-//   shard_sweep  a PU-fold burst and a burst of prepared requests at
+//   shard_sweep  a PU-fold burst and rounds of prepared request bursts at
 //       num_shards ∈ {1, 2, 4, 8} (num_threads follows), WAL off and on
 //       (§3.6): fold throughput, serve-only req/s — the WAL-overhead guard
 //       input — and the engine's own crash-recovery time.
@@ -47,8 +47,8 @@
 // `--quick` (the CI perf-smoke configuration) runs the n=1024 scaling rows,
 // the pack sweep, a two-point thread sweep, the {2, 8}-SU throughput sweep,
 // the 64-session TCP row, the full shard × durability grid with a shorter
-// burst, the denial grid with 10 requests per row, a 40-tick 2-SU scenario
-// pair and the sim PIR row at the small grid.
+// fold burst, the denial grid with 10 requests per row, a 40-tick 2-SU
+// scenario pair and the sim PIR row at the small grid.
 #include <unistd.h>
 
 #include <algorithm>
@@ -684,114 +684,142 @@ std::vector<Row> run_throughput(bool quick) {
 
 // ---- Shard × durability sweep (DESIGN.md §3.6) ---------------------------
 //
-// The same seeded workload — a PU-fold burst followed by a burst of SU
-// requests — at every shard count, durability off and on. The fold burst is
-// the path the WAL sits on (journal → retract → add per shard), so
+// The same seeded workload — a PU-fold burst followed by rounds of SU
+// request bursts — at every shard count, durability off and on. The fold
+// burst is the path the WAL sits on (journal → retract → add per shard), so
 // pu_fold_ms carries the journaling cost. requests_per_sec is wall clock
 // over the serve path only: every request is encrypted off the clock
 // (MultiRequestStats::prep_wall_ms), so the column measures the SDC + STP
 // pipeline, not SU-side encryption. The regression guard compares the
-// on/off pair from the same run, so host speed cancels out. num_threads
-// follows num_shards (one fold lane per shard), so the serve path also gets
-// that many lanes. recovery_ms is the engine's own timing of the
-// snapshot-load + WAL-replay rebuild after a crash.
+// on/off pair from the same run, so host speed cancels out — as far as both
+// sides see the same host: the two sides serve 5-request bursts round after
+// round, interleaved, until each has at least 300 ms on the clock, since one
+// burst per side back to back left the 15% cap at the mercy of a few hundred
+// milliseconds of host noise (at 150 ms per side one slow round still moved
+// a pair by up to 14%). num_threads follows num_shards (one fold lane per
+// shard), so the serve path also gets that many lanes. The WAL columns are
+// read after the first round, so they do not depend on how many rounds the
+// clock took; recovery_ms is the engine's own timing of the snapshot-load +
+// WAL-replay rebuild after a crash at the end of the run.
 
-Row measure_shard(std::size_t num_shards, bool durable, bool quick,
-                  std::uint64_t seed) {
-  namespace fs = std::filesystem;
-  auto cfg = bench_config(768, 8, 2, 3);  // 8 channel groups at pack_slots =
-                                          // 1: every shard count partitions
-                                          // them evenly
-  cfg.num_shards = num_shards;
-  cfg.num_threads = num_shards;
-  fs::path dir;
-  if (durable) {
-    dir = fs::temp_directory_path() /
-          ("pisa_bench_shard_" + std::to_string(::getpid()) + "_" +
-           std::to_string(num_shards));
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    cfg.durability.enabled = true;
-    cfg.durability.dir = dir.string();
-    // Compaction triggers mid-burst. The default serial_reserve (64) keeps
-    // every licence of the warm-up and the burst in one reserved chunk.
-    cfg.durability.snapshot_every = 4;
+class ShardRun {
+ public:
+  ShardRun(std::size_t num_shards, bool durable, bool quick, std::uint64_t seed)
+      : durable_(durable), pu_updates_(quick ? 6 : 12), rng_{seed} {
+    namespace fs = std::filesystem;
+    cfg_ = bench_config(768, 8, 2, 3);  // 8 channel groups at pack_slots = 1:
+                                        // every shard count partitions them
+                                        // evenly
+    cfg_.num_shards = num_shards;
+    cfg_.num_threads = num_shards;
+    if (durable) {
+      dir_ = fs::temp_directory_path() /
+             ("pisa_bench_shard_" + std::to_string(::getpid()) + "_" +
+              std::to_string(num_shards));
+      fs::remove_all(dir_);
+      fs::create_directories(dir_);
+      cfg_.durability.enabled = true;
+      cfg_.durability.dir = dir_.string();
+      // Compaction triggers mid-burst.
+      cfg_.durability.snapshot_every = 4;
+    }
+    const std::vector<watch::PuSite> sites{{0, radio::BlockId{0}},
+                                           {1, radio::BlockId{4}}};
+    system_ = std::make_unique<core::PisaSystem>(cfg_, sites, kModel, rng_);
+    // One SU session per request of a burst, so the burst overlaps in the
+    // SDC.
+    for (std::size_t id = 1; id <= kRoundRequests; ++id) {
+      const auto su = static_cast<std::uint32_t>(id);
+      system_->sdc().register_su_key(su, system_->add_su(su).public_key());
+    }
+
+    // PU encryption happens client-side and off the clock; the timed
+    // section is exactly the sharded fold.
+    std::vector<core::PuUpdateMsg> updates;
+    for (std::size_t i = 0; i < pu_updates_; ++i) {
+      watch::PuTuning tuning{
+          radio::ChannelId{static_cast<std::uint32_t>(i % cfg_.watch.channels)},
+          1e-6 * static_cast<double>(i % 5 + 1)};
+      updates.push_back(system_->pu(i % sites.size()).make_update(tuning));
+    }
+    auto t0 = Clock::now();
+    for (const auto& u : updates) system_->sdc().handle_pu_update(u);
+    fold_ms_ = ms_since(t0);
+
+    // One untimed warm-up request first: lazy pools, page faults and
+    // first-use allocations land outside the measurement window.
+    if (!system_->su_request(request(1)).completed())
+      report_failure("shard-sweep warm-up request failed");
   }
 
-  crypto::ChaChaRng rng{seed};
-  std::vector<watch::PuSite> sites{{0, radio::BlockId{0}},
-                                   {1, radio::BlockId{4}}};
-  core::PisaSystem system{cfg, sites, kModel, rng};
-  auto register_su = [&](std::uint32_t id) {
-    system.sdc().register_su_key(id, system.add_su(id).public_key());
-  };
-  register_su(1);
-
-  // PU encryption happens client-side and off the clock; the timed section
-  // is exactly the sharded fold.
-  const std::size_t pu_updates = quick ? 6 : 12;
-  std::vector<core::PuUpdateMsg> updates;
-  for (std::size_t i = 0; i < pu_updates; ++i) {
-    watch::PuTuning tuning{
-        radio::ChannelId{static_cast<std::uint32_t>(i % cfg.watch.channels)},
-        1e-6 * static_cast<double>(i % 5 + 1)};
-    updates.push_back(system.pu(i % sites.size()).make_update(tuning));
+  ~ShardRun() {
+    if (durable_) std::filesystem::remove_all(dir_);
   }
-  auto t0 = Clock::now();
-  for (const auto& u : updates) system.sdc().handle_pu_update(u);
-  const double fold_ms = ms_since(t0);
 
-  // One SU session per request, so the burst overlaps in the SDC; the clock
-  // covers the serve path only, and the burst is long enough (>= ~150 ms
-  // at 8 shards on a 4-vCPU host) to keep the on/off pair clear of host
-  // noise. One untimed warm-up request first: lazy pools, page faults and
-  // first-use allocations land outside the measurement window.
-  const std::size_t n_req = quick ? 20 : 40;
-  for (std::size_t id = 2; id <= n_req; ++id)
-    register_su(static_cast<std::uint32_t>(id));
-  auto request = [&](std::size_t id) {
+  double wall_ms() const { return wall_ms_; }
+
+  /// Serve one burst of prepared requests, one per SU session.
+  void serve_round() {
+    std::vector<watch::SuRequest> burst;
+    for (std::size_t id = 1; id <= kRoundRequests; ++id)
+      burst.push_back(request(id));
+    core::PisaSystem::MultiRequestStats stats;
+    for (const auto& out :
+         system_->su_request_many(burst, core::PrepMode::kFresh, &stats))
+      if (!out.completed())
+        report_failure("shard-sweep request failed: " + out.failure);
+    wall_ms_ += stats.serve_wall_ms;
+    if (rounds_++ == 0) {
+      const auto& state = system_->sdc().state();
+      wal_records_ = state.wal_records();
+      wal_bytes_ = state.wal_bytes();
+      snapshots_ = state.snapshots_written();
+    }
+  }
+
+  Row row() {
+    // Crash and restart: zero recovery time with durability off — the
+    // restarted SDC has nothing to recover from.
+    system_->crash_sdc();
+    const double recovery_ms =
+        system_->restart_sdc().state().recovery_stats().recover_ms;
+    return Row()
+        .add("num_shards", cfg_.num_shards)
+        .add("durability", durable_)
+        .add("channels", cfg_.watch.channels)
+        .add("blocks", cfg_.watch.grid_rows * cfg_.watch.grid_cols)
+        .add("pu_updates", pu_updates_)
+        .add("pu_fold_ms", fold_ms_ / static_cast<double>(pu_updates_))
+        .add("pu_fold_rows_per_sec_per_shard",
+             ratio(static_cast<double>(pu_updates_ * cfg_.watch.channels) * 1e3,
+                   fold_ms_ * static_cast<double>(cfg_.num_shards)))
+        .add("rounds", rounds_)
+        .add("requests_per_sec",
+             ratio(static_cast<double>(kRoundRequests * rounds_) * 1e3,
+                   wall_ms_))
+        .add("serve_wall_ms", wall_ms_)
+        .add("recovery_ms", recovery_ms)
+        .add("wal_records", wal_records_)
+        .add("wal_bytes", wal_bytes_)
+        .add("snapshots_written", snapshots_);
+  }
+
+ private:
+  watch::SuRequest request(std::size_t id) const {
     return watch::SuRequest{static_cast<std::uint32_t>(id), radio::BlockId{2},
-                            std::vector<double>(cfg.watch.channels, 100.0)};
-  };
-  if (!system.su_request(request(1)).completed())
-    report_failure("shard-sweep warm-up request failed");
-  std::vector<watch::SuRequest> burst;
-  for (std::size_t id = 1; id <= n_req; ++id) burst.push_back(request(id));
-  core::PisaSystem::MultiRequestStats stats;
-  for (const auto& out :
-       system.su_request_many(burst, core::PrepMode::kFresh, &stats))
-    if (!out.completed())
-      report_failure("shard-sweep request failed: " + out.failure);
+                            std::vector<double>(cfg_.watch.channels, 100.0)};
+  }
 
-  const std::uint64_t wal_records = system.sdc().state().wal_records();
-  const std::uint64_t wal_bytes = system.sdc().state().wal_bytes();
-  const std::uint64_t snapshots = system.sdc().state().snapshots_written();
-
-  // Crash and restart: zero recovery time with durability off — the
-  // restarted SDC has nothing to recover from.
-  system.crash_sdc();
-  const double recovery_ms =
-      system.restart_sdc().state().recovery_stats().recover_ms;
-  if (durable) fs::remove_all(dir);
-
-  return Row()
-      .add("num_shards", num_shards)
-      .add("durability", durable)
-      .add("channels", cfg.watch.channels)
-      .add("blocks", cfg.watch.grid_rows * cfg.watch.grid_cols)
-      .add("pu_updates", pu_updates)
-      .add("pu_fold_ms", fold_ms / static_cast<double>(pu_updates))
-      .add("pu_fold_rows_per_sec_per_shard",
-           ratio(static_cast<double>(pu_updates * cfg.watch.channels) * 1e3,
-                 fold_ms * static_cast<double>(num_shards)))
-      .add("requests_per_sec",
-           ratio(static_cast<double>(n_req) * 1e3, stats.serve_wall_ms))
-      .add("serve_wall_ms", stats.serve_wall_ms)
-      .add("recovery_ms", recovery_ms)
-      .add("wal_records", wal_records)
-      .add("wal_bytes", wal_bytes)
-      .add("snapshots_written", snapshots);
-}
+  static constexpr std::size_t kRoundRequests = 5;
+  bool durable_;
+  std::size_t pu_updates_, rounds_ = 0;
+  core::PisaConfig cfg_;
+  std::filesystem::path dir_;
+  crypto::ChaChaRng rng_;
+  std::unique_ptr<core::PisaSystem> system_;
+  double fold_ms_ = 0, wall_ms_ = 0;
+  std::uint64_t wal_records_ = 0, wal_bytes_ = 0, snapshots_ = 0;
+};
 
 std::vector<Row> run_shard_sweep(bool quick) {
   // All four shard counts run in --quick too (the fold burst shrinks
@@ -800,21 +828,28 @@ std::vector<Row> run_shard_sweep(bool quick) {
   std::printf("Shard x durability sweep at n=768, C=8, B=6 (serve-only "
               "wall-clock req/s; num_threads = num_shards; recovery = crash + "
               "rebuild):\n");
+  constexpr double kMinServeMs = 300.0;
   std::vector<Row> rows;
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                         std::size_t{8}}) {
-    for (bool durable : {false, true}) {
-      rows.push_back(measure_shard(n, durable, quick, 0xD0C5EED));
+    ShardRun off{n, false, quick, 0xD0C5EED};
+    ShardRun on{n, true, quick, 0xD0C5EED};
+    // The side with less time on the clock serves next, so both sample the
+    // same stretch of host speed.
+    while (std::min(off.wall_ms(), on.wall_ms()) < kMinServeMs)
+      (off.wall_ms() <= on.wall_ms() ? off : on).serve_round();
+    for (auto* run : {&off, &on}) {
+      rows.push_back(run->row());
       rows.back().print();
     }
-    const Row& off = rows[rows.size() - 2];
-    const Row& on = rows.back();
+    const Row& off_row = rows[rows.size() - 2];
+    const Row& on_row = rows.back();
     std::printf("    -> durability overhead at %zu shard%s: %+.1f%% req/s "
                 "(guard: <= 15%%), recovery %.1f ms\n",
                 n, n == 1 ? "" : "s",
-                (ratio(off.num("requests_per_sec"), on.num("requests_per_sec")) -
-                 1.0) * 100.0,
-                on.num("recovery_ms"));
+                (ratio(off_row.num("requests_per_sec"),
+                       on_row.num("requests_per_sec")) - 1.0) * 100.0,
+                on_row.num("recovery_ms"));
   }
   std::printf("\n");
   return rows;
@@ -1143,8 +1178,10 @@ std::vector<Row> run_scenario_sweep(bool quick) {
 // Paillier side carries the full query-path cost (SU-side encryption + SDC
 // blind + STP convert + SDC finish); the PIR side carries share-splitting,
 // ℓ replica scans and the XOR reconstruction — no public-key operation
-// anywhere. Latency is wall clock per request, one request at a time.
-// decisions_match asserts every verdict on both paths equals the PlainWatch
+// anywhere. Latency is wall clock per request, one request at a time; the
+// PIR side serves its request mix round after round until it has at least
+// 150 ms on the clock, since a few dozen ~50 µs requests are a window that
+// host noise alone can double. decisions_match asserts every verdict on both paths equals the PlainWatch
 // oracle — swapping the privacy mechanism must never flip a decision. The
 // within-run Paillier/PIR latency pair feeds the ≥10x PIR floor.
 
@@ -1167,7 +1204,8 @@ Row measure_pir(Transport t, std::size_t channels, std::size_t rows,
   // The Paillier side costs ~0.25–1 s per request at these grids; the PIR
   // side costs microseconds, so it can afford a larger averaging window.
   const std::size_t n_paillier = quick ? 1 : 8;
-  const std::size_t n_pir = quick ? 8 : 16;
+  const std::size_t pir_round = quick ? 8 : 16;
+  constexpr double kMinPirMs = 150.0;
   auto asks = [&](std::size_t n) {
     // Deterministic block walk with alternating strong/weak EIRP so both
     // grant and deny verdicts appear in every row's mix.
@@ -1178,17 +1216,26 @@ Row measure_pir(Transport t, std::size_t channels, std::size_t rows,
     return out;
   };
   const auto p = enc.serve(asks(n_paillier));
-  const auto q = pir.serve(asks(n_pir));
   bool match = true;
-  for (const auto* s : {&p, &q})
-    for (const auto& a : s->answers) match = match && a.right;
+  for (const auto& a : p.answers) match = match && a.right;
+  const auto pir_asks = asks(pir_round);
+  std::size_t n_pir = 0;
+  std::uint64_t pir_total_bytes = 0;
+  double pir_wall_ms = 0;
+  while (pir_wall_ms < kMinPirMs) {
+    const auto q = pir.serve(pir_asks);
+    for (const auto& a : q.answers) match = match && a.right;
+    n_pir += pir_round;
+    pir_wall_ms += q.wall_ms;
+    pir_total_bytes += q.bytes;
+  }
 
   const double paillier_ms = p.wall_ms / static_cast<double>(n_paillier);
-  const double pir_ms = q.wall_ms / static_cast<double>(n_pir);
+  const double pir_ms = pir_wall_ms / static_cast<double>(n_pir);
   const double paillier_bytes =
       static_cast<double>(p.bytes) / static_cast<double>(n_paillier);
   const double pir_bytes =
-      static_cast<double>(q.bytes) / static_cast<double>(n_pir);
+      static_cast<double>(pir_total_bytes) / static_cast<double>(n_pir);
   return Row()
       .add("transport", transport_name(t))
       .add("channels", channels)

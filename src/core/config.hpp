@@ -126,12 +126,11 @@ struct PisaConfig {
   PirConfig pir;
 
   /// Cross-request throughput engine (DESIGN.md §3.5). With
-  /// convert_batch_max > 0 the SDC stops sending one ConvertRequestMsg per
-  /// SU request: blinded Ṽ entries of concurrent requests are staged and
-  /// coalesced into a single ConvertBatchMsg of at most convert_batch_max
-  /// entries, so one SDC↔STP round-trip (and one parallel_for at the STP)
-  /// serves many SUs. 0 = the paper's per-request round-trips, wire
-  /// behaviour unchanged.
+  /// convert_batch_max > 0 the blinded Ṽ entries of concurrent requests are
+  /// staged and coalesced into a single ConvertBatchMsg of at most
+  /// convert_batch_max entries, so one SDC↔STP round-trip (and one
+  /// parallel_for at the STP) serves many SUs. 0 = the paper's per-request
+  /// round-trips: each request leaves at once as a one-item batch.
   std::size_t convert_batch_max = 0;
 
   /// Virtual-time linger before a non-full batch is flushed: the first

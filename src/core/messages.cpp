@@ -117,40 +117,62 @@ SuRequestMsg SuRequestMsg::decode(const std::vector<std::uint8_t>& bytes) {
   return m;
 }
 
-std::vector<std::uint8_t> ConvertRequestMsg::encode(std::size_t ct_width) const {
-  net::Encoder enc;
+void ConvertRequestMsg::encode_into(net::Encoder& enc,
+                                    std::size_t ct_width) const {
   enc.put_u64(request_id);
   enc.put_u32(su_id);
   put_ciphertexts(enc, v, ct_width);
   put_ciphertexts(enc, partials, ct_width);
-  return enc.take();
 }
 
-ConvertRequestMsg ConvertRequestMsg::decode(const std::vector<std::uint8_t>& bytes) {
-  net::Decoder dec{bytes};
+ConvertRequestMsg ConvertRequestMsg::decode_from(net::Decoder& dec) {
   ConvertRequestMsg m;
   m.request_id = dec.get_u64();
   m.su_id = dec.get_u32();
   m.v = get_ciphertexts(dec);
   m.partials = get_ciphertexts(dec);
+  if (m.v.empty()) throw net::DecodeError("ConvertRequestMsg: empty item");
   if (!m.partials.empty() && m.partials.size() != m.v.size())
     throw net::DecodeError("ConvertRequestMsg: partials/v size mismatch");
+  return m;
+}
+
+std::vector<std::uint8_t> ConvertRequestMsg::encode(std::size_t ct_width) const {
+  net::Encoder enc;
+  encode_into(enc, ct_width);
+  return enc.take();
+}
+
+ConvertRequestMsg ConvertRequestMsg::decode(const std::vector<std::uint8_t>& bytes) {
+  net::Decoder dec{bytes};
+  auto m = decode_from(dec);
   dec.expect_done();
+  return m;
+}
+
+void ConvertResponseMsg::encode_into(net::Encoder& enc,
+                                     std::size_t ct_width) const {
+  enc.put_u64(request_id);
+  put_ciphertexts(enc, x, ct_width);
+}
+
+ConvertResponseMsg ConvertResponseMsg::decode_from(net::Decoder& dec) {
+  ConvertResponseMsg m;
+  m.request_id = dec.get_u64();
+  m.x = get_ciphertexts(dec);
+  if (m.x.empty()) throw net::DecodeError("ConvertResponseMsg: empty item");
   return m;
 }
 
 std::vector<std::uint8_t> ConvertResponseMsg::encode(std::size_t ct_width) const {
   net::Encoder enc;
-  enc.put_u64(request_id);
-  put_ciphertexts(enc, x, ct_width);
+  encode_into(enc, ct_width);
   return enc.take();
 }
 
 ConvertResponseMsg ConvertResponseMsg::decode(const std::vector<std::uint8_t>& bytes) {
   net::Decoder dec{bytes};
-  ConvertResponseMsg m;
-  m.request_id = dec.get_u64();
-  m.x = get_ciphertexts(dec);
+  auto m = decode_from(dec);
   dec.expect_done();
   return m;
 }
@@ -159,12 +181,7 @@ std::vector<std::uint8_t> ConvertBatchMsg::encode(std::size_t ct_width) const {
   net::Encoder enc;
   enc.put_u64(batch_id);
   enc.put_u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& it : items) {
-    enc.put_u64(it.request_id);
-    enc.put_u32(it.su_id);
-    put_ciphertexts(enc, it.v, ct_width);
-    put_ciphertexts(enc, it.partials, ct_width);
-  }
+  for (const auto& it : items) it.encode_into(enc, ct_width);
   return enc.take();
 }
 
@@ -178,18 +195,8 @@ ConvertBatchMsg ConvertBatchMsg::decode(const std::vector<std::uint8_t>& bytes) 
   if (static_cast<std::uint64_t>(count) * 12 > dec.remaining())
     throw net::DecodeError("ConvertBatchMsg: item count exceeds input");
   m.items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Item it;
-    it.request_id = dec.get_u64();
-    it.su_id = dec.get_u32();
-    it.v = get_ciphertexts(dec);
-    it.partials = get_ciphertexts(dec);
-    if (it.v.empty())
-      throw net::DecodeError("ConvertBatchMsg: empty item");
-    if (!it.partials.empty() && it.partials.size() != it.v.size())
-      throw net::DecodeError("ConvertBatchMsg: partials/v size mismatch");
-    m.items.push_back(std::move(it));
-  }
+  for (std::uint32_t i = 0; i < count; ++i)
+    m.items.push_back(ConvertRequestMsg::decode_from(dec));
   dec.expect_done();
   return m;
 }
@@ -202,10 +209,8 @@ std::vector<std::uint8_t> ConvertBatchResponseMsg::encode(
   net::Encoder enc;
   enc.put_u64(batch_id);
   enc.put_u32(static_cast<std::uint32_t>(items.size()));
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    enc.put_u64(items[i].request_id);
-    put_ciphertexts(enc, items[i].x, ct_widths[i]);
-  }
+  for (std::size_t i = 0; i < items.size(); ++i)
+    items[i].encode_into(enc, ct_widths[i]);
   return enc.take();
 }
 
@@ -218,14 +223,8 @@ ConvertBatchResponseMsg ConvertBatchResponseMsg::decode(
   if (static_cast<std::uint64_t>(count) * 8 > dec.remaining())
     throw net::DecodeError("ConvertBatchResponseMsg: item count exceeds input");
   m.items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Item it;
-    it.request_id = dec.get_u64();
-    it.x = get_ciphertexts(dec);
-    if (it.x.empty())
-      throw net::DecodeError("ConvertBatchResponseMsg: empty item");
-    m.items.push_back(std::move(it));
-  }
+  for (std::uint32_t i = 0; i < count; ++i)
+    m.items.push_back(ConvertResponseMsg::decode_from(dec));
   dec.expect_done();
   return m;
 }

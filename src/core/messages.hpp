@@ -28,8 +28,6 @@ namespace pisa::core {
 inline constexpr const char* kMsgPuUpdate = "pu_update";
 inline constexpr const char* kMsgPuDelta = "pu_delta";
 inline constexpr const char* kMsgSuRequest = "su_request";
-inline constexpr const char* kMsgConvertRequest = "stp_convert_request";
-inline constexpr const char* kMsgConvertResponse = "stp_convert_response";
 inline constexpr const char* kMsgConvertBatch = "stp_convert_batch";
 inline constexpr const char* kMsgConvertBatchResponse =
     "stp_convert_batch_response";
@@ -103,45 +101,47 @@ struct SuRequestMsg {
   static SuRequestMsg decode(const std::vector<std::uint8_t>& bytes);
 };
 
-/// Figure 5 step 5: SDC forwards the blinded indicator matrix Ṽ to the STP
-/// for key conversion. In threshold-STP mode (PisaConfig::threshold_stp)
-/// `partials` carries the SDC's partial decryption of each Ṽ entry — the
-/// STP can only open entries the SDC co-decrypted.
+/// Figure 5 step 5: the blinded indicator matrix Ṽ of one SU request, for
+/// key conversion at the STP. In threshold-STP mode
+/// (PisaConfig::threshold_stp) `partials` carries the SDC's partial
+/// decryption of each Ṽ entry — the STP can only open entries the SDC
+/// co-decrypted. On the wire it is one item of a ConvertBatchMsg.
 struct ConvertRequestMsg {
   std::uint64_t request_id = 0;
   std::uint32_t su_id = 0;  // tells the STP which pk_j to convert to
   std::vector<crypto::PaillierCiphertext> v;
   std::vector<crypto::PaillierCiphertext> partials;  // empty = classic mode
 
+  /// The item codec: rejects an empty Ṽ and a partials/v size mismatch.
+  void encode_into(net::Encoder& enc, std::size_t ct_width) const;
+  static ConvertRequestMsg decode_from(net::Decoder& dec);
   std::vector<std::uint8_t> encode(std::size_t ct_width) const;
   static ConvertRequestMsg decode(const std::vector<std::uint8_t>& bytes);
 };
 
-/// Figure 5 step 8: STP returns X̃ under SU j's own key pk_j.
+/// Figure 5 step 8: X̃ of one request under SU j's own key pk_j; one item
+/// of a ConvertBatchResponseMsg on the wire.
 struct ConvertResponseMsg {
   std::uint64_t request_id = 0;
   std::vector<crypto::PaillierCiphertext> x;
 
+  /// The item codec: rejects an empty X̃.
+  void encode_into(net::Encoder& enc, std::size_t ct_width) const;
+  static ConvertResponseMsg decode_from(net::Decoder& dec);
   std::vector<std::uint8_t> encode(std::size_t ct_width) const;
   static ConvertResponseMsg decode(const std::vector<std::uint8_t>& bytes);
 };
 
-/// Batched conversion (DESIGN.md §3.5): the SDC coalesces the blinded Ṽ
-/// entries of several concurrent SU requests into one message so a single
-/// SDC↔STP round-trip — and one parallel_for at the STP — serves them all.
-/// Items keep their own (request_id, su_id) so the STP re-encrypts each
-/// request under the right pk_j; every v/partial entry is under pk_G, so
-/// one ciphertext width covers the whole batch.
+/// The SDC→STP conversion frame (DESIGN.md §3.5). With batching on, the
+/// SDC coalesces the blinded Ṽ entries of several concurrent SU requests
+/// into one message so a single SDC↔STP round-trip — and one parallel_for
+/// at the STP — serves them all; with convert_batch_max = 0 every request
+/// travels as a one-item batch. Items keep their own (request_id, su_id)
+/// so the STP re-encrypts each request under the right pk_j; every
+/// v/partial entry is under pk_G, so one ciphertext width covers the batch.
 struct ConvertBatchMsg {
-  struct Item {
-    std::uint64_t request_id = 0;
-    std::uint32_t su_id = 0;
-    std::vector<crypto::PaillierCiphertext> v;
-    std::vector<crypto::PaillierCiphertext> partials;  // empty = classic mode
-  };
-
   std::uint64_t batch_id = 0;
-  std::vector<Item> items;
+  std::vector<ConvertRequestMsg> items;
 
   std::size_t total_entries() const {
     std::size_t n = 0;
@@ -153,17 +153,12 @@ struct ConvertBatchMsg {
   static ConvertBatchMsg decode(const std::vector<std::uint8_t>& bytes);
 };
 
-/// Batched conversion reply: X̃ vectors per request, each under its own SU
-/// key pk_j — widths differ per item, so encode takes one width per item
+/// Conversion reply: X̃ vectors per request, each under its own SU key
+/// pk_j — widths differ per item, so encode takes one width per item
 /// (put_ciphertexts embeds the width with each vector).
 struct ConvertBatchResponseMsg {
-  struct Item {
-    std::uint64_t request_id = 0;
-    std::vector<crypto::PaillierCiphertext> x;
-  };
-
   std::uint64_t batch_id = 0;
-  std::vector<Item> items;
+  std::vector<ConvertResponseMsg> items;
 
   std::vector<std::uint8_t> encode(const std::vector<std::size_t>& ct_widths) const;
   static ConvertBatchResponseMsg decode(const std::vector<std::uint8_t>& bytes);

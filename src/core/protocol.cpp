@@ -245,12 +245,10 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     // Response arrivals, not now_us(): trailing watchdog/retransmission
     // timers fire long after the last response and must not count.
     stats->makespan_us = last_arrival - t_send;
-    stats->convert_msgs = 0;
-    for (std::size_t i = stp_log_before; i < stp_log.size(); ++i) {
-      const auto& rec = stp_log[i];
-      if (rec.type == kMsgConvertRequest || rec.type == kMsgConvertBatch)
-        ++stats->convert_msgs;
-    }
+    stats->convert_msgs = static_cast<std::size_t>(std::count_if(
+        stp_log.begin() + static_cast<std::ptrdiff_t>(stp_log_before),
+        stp_log.end(),
+        [](const auto& rec) { return rec.type == kMsgConvertBatch; }));
     stats->convert_bytes = net_.stats("sdc", "stp").bytes - sdc_stp_before;
     stats->convert_reply_bytes = net_.stats("stp", "sdc").bytes - stp_sdc_before;
     stats->request_bytes = su_link_bytes(true) - req_bytes_before;

@@ -126,11 +126,6 @@ const crypto::PaillierPublicKey& SdcServer::su_key(std::uint32_t su_id) const {
   return it->second;
 }
 
-crypto::PaillierCiphertext& SdcServer::budget_at(std::uint32_t group,
-                                                 std::uint32_t b) {
-  return state_.budget_at(group, b);
-}
-
 void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
   auto t0 = Clock::now();
   // §3.8: a fold changes Ñ at the PU's new block and (on a move) its old
@@ -152,7 +147,7 @@ void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
   // mode (no transport) cannot probe, so the filter simply stays empty.
   if (!touched.empty()) {
     const std::size_t groups = cfg_.channel_groups();
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
+    std::vector<Cell> cells;
     cells.reserve(touched.size() * groups);
     for (std::uint32_t b : touched) {
       state_.invalidate_block(b);
@@ -172,7 +167,7 @@ void SdcServer::handle_pu_delta(const PuDeltaMsg& delta) {
   auto t0 = Clock::now();
   // Capture the touched cells before the fold: apply_pu_delta validates and
   // may advance per-shard seq state, so a throw must leave the filter as-is.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
+  std::vector<Cell> cells;
   if (cfg_.denial_filter.enabled) {
     cells.reserve(delta.cells.size());
     for (const auto& cell : delta.cells) cells.emplace_back(cell.group, cell.block);
@@ -232,55 +227,17 @@ bool SdcServer::fast_deny_check(const SuRequestMsg& request) {
   return deny;
 }
 
-void SdcServer::send_budget_probe(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& cells) {
-  const std::size_t k = codec_.slots();
-  const std::size_t count = cells.size();
-
-  BudgetProbeMsg msg;
-  msg.probe_id = next_probe_id_++;
-  msg.v.resize(count);
-  if (threshold_share_) msg.partials.resize(count);
-
-  PendingProbe pend;
-  pend.cells = cells;
-  pend.epochs.reserve(count);
+void SdcServer::send_budget_probe(const std::vector<Cell>& cells) {
+  // The request's blinding without the F term: the STP learns only
+  // ε-masked signs — which the SDC unmasks — and nothing about magnitudes.
+  // The full path's block-major cell order makes the draw sequence (and the
+  // wire bytes) identical to the pre-§3.9 per-block probes.
+  auto blinded = blind(cells, nullptr, stream_);
+  BudgetProbeMsg msg{next_probe_id_++, std::move(blinded.v),
+                     std::move(blinded.partials)};
+  PendingProbe pend{cells, {}, std::move(blinded.epsilon)};
   for (const auto& [g, b] : cells)
     pend.epochs.push_back(cell_epoch_[SdcStateEngine::cell_key(g, b)]);
-  pend.epsilon.resize(count);
-
-  // Same blinding envelope as eq. (14) minus the F term: each probed cell
-  // ships ε·(α·Ñ − β̃) with fresh α, per-slot β_j ∈ (0, α) and a sign flip
-  // ε, so the STP learns only ε-masked signs — which the SDC unmasks — and
-  // nothing about magnitudes. Randomness is drawn sequentially before the
-  // parallel modexp section, like every other pipeline stage. The full
-  // path's block-major cell order makes the draw sequence (and the wire
-  // bytes) identical to the pre-§3.9 per-block probes.
-  std::vector<bn::BigUint> alphas(count), betas(count);
-  std::vector<bn::BigInt> beta_slots(k);
-  for (std::size_t i = 0; i < count; ++i) {
-    bn::BigUint alpha = bn::random_bits(stream_, cfg_.blind_bits);
-    alpha.set_bit(cfg_.blind_bits - 1);
-    for (std::size_t j = 0; j < k; ++j) {
-      beta_slots[j] = bn::BigInt{
-          bn::random_below(stream_, alpha - bn::BigUint{1}) + bn::BigUint{1}};
-    }
-    betas[i] = codec_.pack(beta_slots).magnitude();
-    alphas[i] = std::move(alpha);
-    pend.epsilon[i] = (stream_.next_u64() & 1) != 0 ? -1 : 1;
-  }
-  exec::parallel_for(exec_.get(), 0, count, [&](std::size_t i) {
-    auto v = group_pk_.scalar_mul(alphas[i],
-                                  budget_at(cells[i].first, cells[i].second));
-    v = group_pk_.sub_deterministic(v, betas[i]);
-    if (pend.epsilon[i] < 0) v = group_pk_.negate(v);
-    msg.v[i] = std::move(v);
-    if (threshold_share_) {
-      msg.partials[i] = {crypto::threshold_partial_decrypt(
-          group_pk_, *threshold_share_, msg.v[i])};
-    }
-  });
-
   probes_.emplace(msg.probe_id, std::move(pend));
   ++stats_.probes_sent;
   net_->send({self_name_, stp_name_, kMsgBudgetProbe,
@@ -332,42 +289,17 @@ void SdcServer::handle_probe_response(const BudgetProbeResponseMsg& resp) {
   }
 }
 
-ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
-  auto t0 = Clock::now();
-  std::size_t range = request.block_hi - request.block_lo;
-  if (request.block_hi > state_.budget().blocks() || range == 0)
-    throw std::invalid_argument("SdcServer: bad request block range");
-  if (request.f.size() != cfg_.channel_groups() * range)
-    throw std::invalid_argument("SdcServer: F matrix size mismatch");
-  if (pending_.contains(request.request_id))
-    throw std::invalid_argument("SdcServer: duplicate request id");
-  // A hostile or corrupt F̃ (zero, ≥ n², sharing a factor with n) fails the
-  // request here, before any randomness is drawn or state is touched —
-  // whichever sign ε it would have drawn.
-  if (!group_pk_.all_units(request.f))
-    throw std::invalid_argument("SdcServer: F entry is not a unit mod n^2");
-
-  const bn::BigUint x_scalar{
-      static_cast<std::uint64_t>(cfg_.watch.protection_scalar())};
-  const std::size_t count = request.f.size();
-
-  PendingRequest pend;
-  pend.request = request;
-  pend.epsilon.resize(count);
-
-  ConvertRequestMsg conv;
-  conv.request_id = request.request_id;
-  conv.su_id = request.su_id;
-  conv.v.resize(count);
-  if (threshold_share_) conv.partials.resize(count);
-
-  // The digest binds the license to the exact submitted ciphertexts; feed
-  // it sequentially in entry order before the parallel section.
-  crypto::Sha256 digest;
-  std::size_t ct_width = group_pk_.ciphertext_bytes();
-  for (const auto& f_ct : request.f) {
-    digest.update(f_ct.value.to_bytes_be(ct_width));
-  }
+SdcServer::Blinded SdcServer::blind(
+    const std::vector<Cell>& cells,
+    const std::vector<crypto::PaillierCiphertext>* f, bn::RandomSource& rng) {
+  const std::size_t count = cells.size();
+  const std::size_t k = codec_.slots();
+  const bn::BigUint x{
+      f ? static_cast<std::uint64_t>(cfg_.watch.protection_scalar()) : 0};
+  Blinded out;
+  out.v.resize(count);
+  if (threshold_share_) out.partials.resize(count);
+  out.epsilon.resize(count);
 
   // Blinding pre-pass: all randomness is drawn sequentially here, in the
   // same per-entry order the sequential pipeline consumed it, so protocol
@@ -380,53 +312,90 @@ ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
   // guard bits keep the slots from borrowing into one another. At
   // pack_slots = 1 the draw order (α, β, ε) matches the unpacked pipeline
   // stream for stream.
-  const std::size_t k = codec_.slots();
   std::vector<bn::BigUint> alphas(count);
   std::vector<bn::BigUint> betas(count);  // packed: Σ_j β_j·B^j
   std::vector<bn::BigInt> beta_slots(k);
   for (std::size_t i = 0; i < count; ++i) {
-    bn::BigUint alpha = bn::random_bits(stream_, cfg_.blind_bits);
+    bn::BigUint alpha = bn::random_bits(rng, cfg_.blind_bits);
     alpha.set_bit(cfg_.blind_bits - 1);
     for (std::size_t j = 0; j < k; ++j) {
       beta_slots[j] = bn::BigInt{
-          bn::random_below(stream_, alpha - bn::BigUint{1}) + bn::BigUint{1}};
+          bn::random_below(rng, alpha - bn::BigUint{1}) + bn::BigUint{1}};
     }
     betas[i] = codec_.pack(beta_slots).magnitude();
     alphas[i] = std::move(alpha);
-    pend.epsilon[i] = (stream_.next_u64() & 1) != 0 ? -1 : 1;
+    out.epsilon[i] = (rng.next_u64() & 1) != 0 ? -1 : 1;
   }
-  // finish_request draws from its own sub-stream, seeded here in arrival
-  // order: how the phases of different requests interleave (which, on
-  // sockets, follows packet timing) then moves no draw.
-  pend.finish_seed = stream_.next_u64();
 
-  // Each entry's one inverse — of F̃ for ε ≥ 0, of Ñ for ε < 0 — comes out
-  // of a single batch inversion ahead of the parallel section.
-  auto budget_of = [&](std::size_t idx) -> const crypto::PaillierCiphertext& {
-    return budget_at(static_cast<std::uint32_t>(idx / range),
-                     request.block_lo + static_cast<std::uint32_t>(idx % range));
-  };
-  std::vector<crypto::PaillierCiphertext> to_invert(count);
-  for (std::size_t idx = 0; idx < count; ++idx)
-    to_invert[idx] = pend.epsilon[idx] < 0 ? budget_of(idx) : request.f[idx];
+  // Each entry's one inverse — of Ñ for ε < 0, of F̃ for ε ≥ 0 — comes out
+  // of a single batch inversion ahead of the parallel section. Without an
+  // F term an ε ≥ 0 entry needs none: with x = 0 the second base drops out
+  // of the ladder, so Ñ stands in for it.
+  std::vector<const crypto::PaillierCiphertext*> budgets(count);
+  std::vector<crypto::PaillierCiphertext> to_invert;
+  for (std::size_t i = 0; i < count; ++i) {
+    budgets[i] = &state_.budget_at(cells[i].first, cells[i].second);
+    if (out.epsilon[i] < 0) to_invert.push_back(*budgets[i]);
+    else if (f) to_invert.push_back((*f)[i]);
+  }
   const auto inverses = group_pk_.negate_many(to_invert);
+  std::vector<const crypto::PaillierCiphertext*> inverse(count);
+  for (std::size_t i = 0, j = 0; i < count; ++i)
+    inverse[i] = out.epsilon[i] < 0 || f ? &inverses[j++] : budgets[i];
 
   // Heavy modexp section: every packed entry is independent, writes only
-  // its own slot of conv.v / conv.partials.
-  exec::parallel_for(exec_.get(), 0, count, [&](std::size_t idx) {
+  // its own slot of out.v / out.partials.
+  exec::parallel_for(exec_.get(), 0, count, [&](std::size_t i) {
     // Eqs. (11)+(12)+(14) fused: Ṽ = ε ⊗ [(α ⊗ (Ñ ⊖ F̃ ⊗ X)) ⊖ β̃] as one
     // double exponentiation Ñ^±α · F̃^∓αx · E_det(β)^∓1 (see blind_entry) —
     // same canonical ciphertext, one inverse instead of three. The packed
     // operands make this fold k channels per ladder: Ñ and F̃ carry k slots
     // and β̃ is the packed per-slot vector.
-    conv.v[idx] = group_pk_.blind_entry(budget_of(idx), request.f[idx],
-                                        x_scalar, alphas[idx], betas[idx],
-                                        pend.epsilon[idx], &inverses[idx]);
+    out.v[i] = group_pk_.blind_entry(*budgets[i], f ? (*f)[i] : *budgets[i],
+                                     x, alphas[i], betas[i], out.epsilon[i],
+                                     inverse[i]);
     if (threshold_share_) {
-      conv.partials[idx] = {crypto::threshold_partial_decrypt(
-          group_pk_, *threshold_share_, conv.v[idx])};
+      out.partials[i] = {crypto::threshold_partial_decrypt(
+          group_pk_, *threshold_share_, out.v[i])};
     }
   });
+  return out;
+}
+
+ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
+  auto t0 = Clock::now();
+  const std::uint32_t range = request.block_hi - request.block_lo;
+  if (request.block_hi > state_.budget().blocks() || range == 0)
+    throw std::invalid_argument("SdcServer: bad request block range");
+  if (request.f.size() != cfg_.channel_groups() * range)
+    throw std::invalid_argument("SdcServer: F matrix size mismatch");
+  if (pending_.contains(request.request_id))
+    throw std::invalid_argument("SdcServer: duplicate request id");
+  // A hostile or corrupt F̃ (zero, ≥ n², sharing a factor with n) fails the
+  // request here, before any randomness is drawn or state is touched —
+  // whichever sign ε it would have drawn.
+  if (!group_pk_.all_units(request.f))
+    throw std::invalid_argument("SdcServer: F entry is not a unit mod n^2");
+
+  // The digest binds the license to the exact submitted ciphertexts.
+  crypto::Sha256 digest;
+  std::size_t ct_width = group_pk_.ciphertext_bytes();
+  for (const auto& f_ct : request.f) {
+    digest.update(f_ct.value.to_bytes_be(ct_width));
+  }
+
+  std::vector<Cell> cells(request.f.size());
+  for (std::uint32_t idx = 0; idx < cells.size(); ++idx)
+    cells[idx] = {idx / range, request.block_lo + idx % range};
+  auto blinded = blind(cells, &request.f, stream_);
+
+  PendingRequest pend;
+  pend.request = request;
+  pend.epsilon = std::move(blinded.epsilon);
+  // finish_request draws from its own sub-stream, seeded here in arrival
+  // order: how the phases of different requests interleave (which, on
+  // sockets, follows packet timing) then moves no draw.
+  pend.finish_seed = stream_.next_u64();
 
   // License + signature (Figure 5 step 10). The digest binds the license to
   // the exact encrypted operation parameters the SU submitted.
@@ -440,7 +409,8 @@ ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
   pending_.emplace(request.request_id, std::move(pend));
   ++stats_.requests_started;
   stats_.phase1.add(ms_since(t0));
-  return conv;
+  return {request.request_id, request.su_id, std::move(blinded.v),
+          std::move(blinded.partials)};
 }
 
 SuResponseMsg SdcServer::finish_request(const ConvertResponseMsg& response) {
@@ -497,9 +467,7 @@ SuResponseMsg SdcServer::finish_request(const ConvertResponseMsg& response) {
 
 void SdcServer::stage_conversion(ConvertRequestMsg conv) {
   staged_entries_ += conv.v.size();
-  staged_.push_back(ConvertBatchMsg::Item{conv.request_id, conv.su_id,
-                                          std::move(conv.v),
-                                          std::move(conv.partials)});
+  staged_.push_back(std::move(conv));
   if (inflight_batch_) return;  // pipelined: rides the next flush
   if (staged_entries_ >= cfg_.convert_batch_max) {
     flush_batch();
@@ -520,7 +488,8 @@ void SdcServer::stage_conversion(ConvertRequestMsg conv) {
 
 void SdcServer::flush_batch() {
   // Take a prefix of at most convert_batch_max entries — but always at
-  // least one item, so a single oversized request still goes through.
+  // least one item, so a single oversized request still goes through (and
+  // at convert_batch_max = 0 every request leaves alone, at once).
   std::size_t take = 0, entries = 0;
   while (take < staged_.size()) {
     std::size_t sz = staged_[take].v.size();
@@ -534,10 +503,13 @@ void SdcServer::flush_batch() {
                      std::make_move_iterator(staged_.begin() + take));
   staged_.erase(staged_.begin(), staged_.begin() + take);
   staged_entries_ -= entries;
-  inflight_batch_ = batch.batch_id;
   ++stats_.batches_sent;
   net_->send({self_name_, stp_name_, kMsgConvertBatch,
               batch.encode(group_pk_.ciphertext_bytes())});
+  // Unbatched, a one-item batch never holds up another request: no
+  // in-flight slot, so no watchdog either.
+  if (cfg_.convert_batch_max == 0) return;
+  inflight_batch_ = batch.batch_id;
   // Loss watchdog: if the reply never arrives (transport gave up after its
   // retries), unblock the batcher and flush the waiting buffer instead of
   // wedging every later request behind a dead batch.
@@ -575,13 +547,20 @@ void SdcServer::attach(net::Transport& net, const std::string& name,
   // columns and SU share queries never mix into the Paillier handler below.
   if (pir_server_) pir_server_->attach(net, pir::replica_name(0));
   // Completing a request needs pk_j (eq. (16) operates under the SU's key).
-  // Keys arrive asynchronously from the STP directory, so conversions that
-  // beat their key are parked in awaiting_key_ and drained on arrival.
-  auto complete = [this, &net, name](const ConvertResponseMsg& response) {
-    auto reply_to = pending_.at(response.request_id).reply_to;
+  // Keys arrive asynchronously from the STP directory, so a conversion that
+  // beats its key parks in awaiting_key_ and comes back here on arrival.
+  auto complete = [this, &net, name](ConvertResponseMsg response) {
+    auto it = pending_.find(response.request_id);
+    if (it == pending_.end()) return;  // duplicate or late conversion
+    const std::uint32_t su_id = it->second.request.su_id;
+    if (!su_keys_.contains(su_id)) {
+      awaiting_key_[su_id].push_back(std::move(response));
+      return;
+    }
+    auto reply_to = it->second.reply_to;
     auto su_resp = finish_request(response);
-    std::size_t width = su_key(su_resp.license.su_id).ciphertext_bytes();
-    net.send({name, reply_to, kMsgSuResponse, su_resp.encode(width)});
+    net.send({name, reply_to, kMsgSuResponse,
+              su_resp.encode(su_key(su_id).ciphertext_bytes())});
   };
 
   net.register_endpoint(name, [this, &net, name, stp_name, complete](
@@ -611,28 +590,13 @@ void SdcServer::attach(net::Transport& net, const std::string& name,
       }
       auto conv = begin_request(request);
       pending_.at(request.request_id).reply_to = msg.from;
-      if (cfg_.convert_batch_max > 0) {
-        stage_conversion(std::move(conv));
-      } else {
-        net.send({name, stp_name, kMsgConvertRequest,
-                  conv.encode(group_pk_.ciphertext_bytes())});
-      }
+      stage_conversion(std::move(conv));
       // Prefetch the SU's key in parallel with the conversion round.
       if (!su_keys_.contains(request.su_id) &&
           !lookups_in_flight_.contains(request.su_id)) {
         lookups_in_flight_.insert(request.su_id);
         net.send({name, stp_name, kMsgKeyLookup,
                   KeyLookupMsg{request.su_id}.encode()});
-      }
-    } else if (msg.type == kMsgConvertResponse) {
-      auto response = ConvertResponseMsg::decode(msg.payload);
-      auto it = pending_.find(response.request_id);
-      if (it == pending_.end()) return;  // duplicate or late conversion
-      auto su_id = it->second.request.su_id;
-      if (su_keys_.contains(su_id)) {
-        complete(response);
-      } else {
-        awaiting_key_[su_id].push_back(std::move(response));
       }
     } else if (msg.type == kMsgConvertBatchResponse) {
       auto batch = ConvertBatchResponseMsg::decode(msg.payload);
@@ -642,22 +606,7 @@ void SdcServer::attach(net::Transport& net, const std::string& name,
       // check only governs the in-flight slot.
       if (inflight_batch_ && *inflight_batch_ == batch.batch_id)
         inflight_batch_.reset();
-      // Items complete in batch order — the same order their per-request
-      // ConvertResponseMsgs would have arrived in, which keeps the η draw
-      // order (and so every response byte) identical to unbatched mode.
-      for (auto& item : batch.items) {
-        ConvertResponseMsg response;
-        response.request_id = item.request_id;
-        response.x = std::move(item.x);
-        auto it = pending_.find(response.request_id);
-        if (it == pending_.end()) continue;  // duplicate or late
-        auto su_id = it->second.request.su_id;
-        if (su_keys_.contains(su_id)) {
-          complete(response);
-        } else {
-          awaiting_key_[su_id].push_back(std::move(response));
-        }
-      }
+      for (auto& response : batch.items) complete(std::move(response));
       // Pipelining: requests that arrived while this batch was at the STP
       // are already blinded and staged — flush them without waiting for a
       // new linger window.
@@ -672,12 +621,8 @@ void SdcServer::attach(net::Transport& net, const std::string& name,
                                  std::to_string(resp.su_id));
       register_su_key(resp.su_id,
                       crypto::parse_paillier_public_key(resp.public_key));
-      auto it = awaiting_key_.find(resp.su_id);
-      if (it != awaiting_key_.end()) {
-        auto parked = std::move(it->second);
-        awaiting_key_.erase(it);
-        for (const auto& response : parked) complete(response);
-      }
+      if (auto parked = awaiting_key_.extract(resp.su_id))
+        for (auto& response : parked.mapped()) complete(std::move(response));
     } else {
       throw std::runtime_error("SdcServer: unexpected message type " + msg.type);
     }

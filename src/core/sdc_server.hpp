@@ -147,7 +147,7 @@ class SdcServer {
     std::uint64_t pu_updates = 0;
     std::uint64_t requests_started = 0;
     std::uint64_t requests_finished = 0;
-    std::uint64_t batches_sent = 0;     // ConvertBatchMsgs (batching mode)
+    std::uint64_t batches_sent = 0;     // ConvertBatchMsgs (every mode)
     std::uint64_t batches_timed_out = 0;  // watchdog-abandoned batches
     // §3.8 denial prefilter: every screened request counts exactly one of
     // hits (confirmed-exhausted → one-round FastDenyMsg) or misses (fell
@@ -184,7 +184,23 @@ class SdcServer {
     std::string reply_to;   // network sender, empty for direct calls
   };
 
-  crypto::PaillierCiphertext& budget_at(std::uint32_t group, std::uint32_t b);
+  using Cell = std::pair<std::uint32_t, std::uint32_t>;  // (group, block)
+
+  /// Blinded budget cells, ready for the STP.
+  struct Blinded {
+    std::vector<crypto::PaillierCiphertext> v;
+    std::vector<crypto::PaillierCiphertext> partials;  // threshold mode only
+    std::vector<std::int8_t> epsilon;  // ±1 per packed ciphertext
+  };
+
+  /// The one SDC side of the Figure 5 exchange: draw α, β_j and ε per cell
+  /// from `rng` (in that order, cell by cell), then blind each cell to
+  /// ε·(α·(Ñ − X·F̃) − β̃) with eq. (14)'s fused kernel and attach the
+  /// threshold partial. `f` holds one F̃ entry per cell (begin_request);
+  /// null drops the F term (the §3.8 budget probe).
+  Blinded blind(const std::vector<Cell>& cells,
+                const std::vector<crypto::PaillierCiphertext>* f,
+                bn::RandomSource& rng);
   const crypto::PaillierPublicKey& su_key(std::uint32_t su_id) const;
 
   // --- §3.8 denial prefilter ---
@@ -193,24 +209,25 @@ class SdcServer {
   /// N ≤ 0 at one covered cell already forces I = N − X·F ≤ N ≤ 0 there
   /// (F̃ encrypts non-negative interference), i.e. a certain denial.
   bool fast_deny_check(const SuRequestMsg& request);
-  /// Blind the given (group, block) budget cells (ε·(α·Ñ − β̃), same
-  /// envelope as eq. (14) without the F term) and ask the STP for their
-  /// signs. The full path passes block-major cells (every group of each
-  /// touched block); the delta path passes exactly the folded cells.
-  void send_budget_probe(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& cells);
+  /// Blind the given (group, block) budget cells (ε·(α·Ñ − β̃): blind()
+  /// without the F term) and ask the STP for their signs. The full path
+  /// passes block-major cells (every group of each touched block); the
+  /// delta path passes exactly the folded cells.
+  void send_budget_probe(const std::vector<Cell>& cells);
   /// Fold a probe reply into the engine's exhausted sets, discarding cells
   /// whose epoch moved (a later fold re-invalidated them).
   void handle_probe_response(const BudgetProbeResponseMsg& resp);
 
-  // --- conversion batcher (cfg_.convert_batch_max > 0, DESIGN.md §3.5) ---
+  // --- conversion batcher (DESIGN.md §3.5) ---
   /// Stage one begun request's blinded Ṽ for the next batch; flushes when
-  /// the batch is full, otherwise arms the linger timer. While a batch is
-  /// in flight new arrivals only stage (their begin_request blinding already
-  /// ran — that is the phase pipelining) and ride the next flush.
+  /// the batch is full (at once with convert_batch_max = 0), otherwise arms
+  /// the linger timer. While a batch is in flight new arrivals only stage
+  /// (their begin_request blinding already ran — that is the phase
+  /// pipelining) and ride the next flush.
   void stage_conversion(ConvertRequestMsg conv);
   /// Send staged items (up to convert_batch_max entries, always >= 1 item)
-  /// as one ConvertBatchMsg and arm its loss watchdog.
+  /// as one ConvertBatchMsg; with batching on, mark it in flight and arm
+  /// its loss watchdog.
   void flush_batch();
   /// Watchdog deadline: explicit knob, else 1.5× the transport's full retry
   /// schedule (reliable mode), else 1 s of virtual time on the perfect bus.
@@ -254,7 +271,7 @@ class SdcServer {
   // so a stale reply can never resurrect outdated state — the filter stays
   // conservative (invalidated = never fast-denied) in the meantime.
   struct PendingProbe {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;  // (g, b)
+    std::vector<Cell> cells;
     std::vector<std::uint64_t> epochs;   // per cell, at send time
     std::vector<std::int8_t> epsilon;    // ±1 per probed ciphertext
   };
@@ -264,8 +281,8 @@ class SdcServer {
 
   // Conversion batcher state (network mode only; see attach()). staged_ is
   // the waiting buffer of the double-buffered queue, inflight_batch_ marks
-  // the batch currently at the STP.
-  std::vector<ConvertBatchMsg::Item> staged_;
+  // the batch currently at the STP (batching on only).
+  std::vector<ConvertRequestMsg> staged_;
   std::size_t staged_entries_ = 0;
   std::optional<std::uint64_t> inflight_batch_;
   std::uint64_t next_batch_id_ = 1;

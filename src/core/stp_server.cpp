@@ -5,7 +5,6 @@
 
 #include "crypto/chacha_rng.hpp"
 #include "crypto/key_codec.hpp"
-#include "crypto/packing.hpp"
 #include "crypto/sha256.hpp"
 #include "exec/thread_pool.hpp"
 
@@ -29,7 +28,7 @@ void put_u64(crypto::Sha256& h, std::uint64_t v) {
 }  // namespace
 
 StpServer::StpServer(const PisaConfig& cfg, bn::RandomSource& rng)
-    : cfg_(cfg), rng_(rng),
+    : cfg_(cfg), codec_(cfg.slot_bits(), cfg.pack_slots), rng_(rng),
       group_(crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds)),
       master_(draw_seed(rng)) {
   cfg_.validate();
@@ -177,77 +176,85 @@ void StpServer::stage_randomness(std::uint32_t su_id, std::size_t count,
   factors_inline_ += count - cached;
 }
 
+void StpServer::check_partials(std::size_t entries, std::size_t partials) const {
+  if (deal_ && partials != entries)
+    throw std::invalid_argument(
+        "StpServer: threshold mode requires one SDC partial per entry");
+}
+
+std::vector<bn::BigInt> StpServer::open_slots(
+    const crypto::PaillierCiphertext& v,
+    const crypto::PaillierCiphertext* partial) const {
+  // In threshold mode the STP cannot decrypt alone: it completes the SDC's
+  // partial decryption. One CRT decryption opens all pack_slots blinded
+  // slots at once.
+  if (!deal_) return codec_.unpack(group_.sk.decrypt_signed(v));
+  auto p2 = crypto::threshold_partial_decrypt(group_.pk, deal_->share2, v);
+  return codec_.unpack(
+      crypto::threshold_combine_signed(group_.pk, partial->value, p2));
+}
+
 void StpServer::convert_entries(std::vector<ConvertEntry>& entries) {
-  const crypto::SlotCodec codec{cfg_.slot_bits(), cfg_.pack_slots};
   exec::parallel_for(exec_.get(), 0, entries.size(), [&](std::size_t i) {
     auto& e = entries[i];
-    // Eq. (15): X = +1 if V > 0, −1 otherwise. In threshold mode the STP
-    // cannot decrypt alone: it completes the SDC's partial decryption.
-    // One CRT decryption opens all pack_slots blinded slots at once; the
-    // sign map runs per slot on the balanced digits and the verdicts are
-    // re-packed into a single ciphertext under pk_j.
-    bn::BigInt v;
-    if (deal_) {
-      auto p2 = crypto::threshold_partial_decrypt(group_.pk, deal_->share2, *e.v);
-      v = crypto::threshold_combine_signed(group_.pk, e.partial->value, p2);
-    } else {
-      v = group_.sk.decrypt_signed(*e.v);
-    }
-    auto slots = codec.unpack(v);
+    // Eq. (15): X = +1 if V > 0, −1 otherwise — per slot on the balanced
+    // digits, re-packed into a single ciphertext under pk_j.
+    auto slots = open_slots(*e.v, e.partial);
     for (auto& s : slots) s = (s.sign() > 0) ? bn::BigInt{1} : bn::BigInt{-1};
-    bn::BigInt x = codec.pack(slots);
+    bn::BigInt x = codec_.pack(slots);
     if (!e.cached) e.factor = make_factor(*e.pk, e.seed, e.index);
     *e.out = e.pk->rerandomize_with(
         e.pk->encrypt_deterministic(x.mod_euclid(e.pk->n())), e.factor);
   });
 }
 
-ConvertResponseMsg StpServer::convert(const ConvertRequestMsg& request) {
-  if (deal_ && request.partials.size() != request.v.size())
-    throw std::invalid_argument(
-        "StpServer: threshold mode requires one SDC partial per entry");
-
-  const std::size_t count = request.v.size();
-  ConvertResponseMsg resp;
-  resp.request_id = request.request_id;
-  resp.x.resize(count);
-  std::vector<ConvertEntry> entries(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    entries[i].v = &request.v[i];
-    if (deal_) entries[i].partial = &request.partials[i];
-    entries[i].out = &resp.x[i];
+std::vector<ConvertResponseMsg> StpServer::convert_items(
+    std::span<const ConvertRequestMsg> items) {
+  std::vector<ConvertResponseMsg> out(items.size());
+  std::vector<ConvertEntry> entries;
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    const auto& item = items[j];
+    check_partials(item.v.size(), item.partials.size());
+    out[j].request_id = item.request_id;
+    out[j].x.resize(item.v.size());
+    const std::size_t base = entries.size();
+    entries.resize(base + item.v.size());
+    for (std::size_t i = 0; i < item.v.size(); ++i) {
+      entries[base + i].v = &item.v[i];
+      if (deal_) entries[base + i].partial = &item.partials[i];
+      entries[base + i].out = &out[j].x[i];
+    }
+    // Each item takes its own SU's next indices, in item order, so batch
+    // composition never changes a request's output bytes.
+    stage_randomness(item.su_id, item.v.size(), entries, base);
   }
-  stage_randomness(request.su_id, count, entries, 0);
   convert_entries(entries);
-  ++conversions_;
-  entries_ += count * cfg_.pack_slots;
+  conversions_ += items.size();
+  entries_ += entries.size() * cfg_.pack_slots;
   after_conversion();
+  return out;
+}
+
+ConvertResponseMsg StpServer::convert(const ConvertRequestMsg& request) {
+  return std::move(convert_items({&request, 1}).front());
+}
+
+ConvertBatchResponseMsg StpServer::convert_batch(const ConvertBatchMsg& batch) {
+  ConvertBatchResponseMsg resp{batch.batch_id, convert_items(batch.items)};
+  ++batches_;
   return resp;
 }
 
 BudgetProbeResponseMsg StpServer::probe_signs(const BudgetProbeMsg& probe) {
-  if (deal_ && probe.partials.size() != probe.v.size())
-    throw std::invalid_argument(
-        "StpServer: threshold mode requires one SDC partial per probe entry");
-
+  check_partials(probe.v.size(), probe.partials.size());
   const std::size_t k = cfg_.pack_slots;
-  const crypto::SlotCodec codec{cfg_.slot_bits(), k};
   BudgetProbeResponseMsg resp;
   resp.probe_id = probe.probe_id;
   resp.signs.resize(probe.v.size() * k);
-  // Decrypt-and-sign only — no sign-to-±1 re-encryption, no SU key, no
+  // Open-and-sign only — no sign-to-±1 re-encryption, no SU key, no
   // randomizer factors, so probes never touch an SU's randomizer source.
   exec::parallel_for(exec_.get(), 0, probe.v.size(), [&](std::size_t i) {
-    bn::BigInt v;
-    if (deal_) {
-      auto p2 = crypto::threshold_partial_decrypt(group_.pk, deal_->share2,
-                                                  probe.v[i]);
-      v = crypto::threshold_combine_signed(group_.pk,
-                                           probe.partials[i].value, p2);
-    } else {
-      v = group_.sk.decrypt_signed(probe.v[i]);
-    }
-    auto slots = codec.unpack(v);
+    auto slots = open_slots(probe.v[i], deal_ ? &probe.partials[i] : nullptr);
     for (std::size_t j = 0; j < k; ++j)
       resp.signs[i * k + j] = slots[j].sign() > 0 ? 1 : 0;
   });
@@ -256,50 +263,13 @@ BudgetProbeResponseMsg StpServer::probe_signs(const BudgetProbeMsg& probe) {
   return resp;
 }
 
-ConvertBatchResponseMsg StpServer::convert_batch(const ConvertBatchMsg& batch) {
-  ConvertBatchResponseMsg resp;
-  resp.batch_id = batch.batch_id;
-  resp.items.resize(batch.items.size());
-  std::vector<ConvertEntry> entries(batch.total_entries());
-  std::size_t base = 0;
-  for (std::size_t j = 0; j < batch.items.size(); ++j) {
-    const auto& item = batch.items[j];
-    if (deal_ && item.partials.size() != item.v.size())
-      throw std::invalid_argument(
-          "StpServer: threshold mode requires one SDC partial per entry");
-    resp.items[j].request_id = item.request_id;
-    resp.items[j].x.resize(item.v.size());
-    for (std::size_t i = 0; i < item.v.size(); ++i) {
-      entries[base + i].v = &item.v[i];
-      if (deal_) entries[base + i].partial = &item.partials[i];
-      entries[base + i].out = &resp.items[j].x[i];
-    }
-    // Each item takes its own SU's next indices — the factors an
-    // item-by-item convert() would use — so batch composition never changes
-    // a request's output bytes.
-    stage_randomness(item.su_id, item.v.size(), entries, base);
-    base += item.v.size();
-  }
-  convert_entries(entries);
-  ++batches_;
-  conversions_ += batch.items.size();
-  entries_ += base * cfg_.pack_slots;
-  after_conversion();
-  return resp;
-}
-
 void StpServer::attach(net::Transport& net, const std::string& name) {
   net.register_endpoint(name, [this, &net, name](const net::Message& msg) {
     if (!seen_frames_.first_time(msg.from, msg.net_seq)) return;
-    if (msg.type == kMsgConvertRequest) {
-      auto request = ConvertRequestMsg::decode(msg.payload);
-      auto response = convert(request);
-      // X̃ is under pk_j, whose modulus may differ from pk_G's.
-      std::size_t width = su_key(request.su_id).ciphertext_bytes();
-      net.send({name, msg.from, kMsgConvertResponse, response.encode(width)});
-    } else if (msg.type == kMsgConvertBatch) {
+    if (msg.type == kMsgConvertBatch) {
       auto batch = ConvertBatchMsg::decode(msg.payload);
       auto response = convert_batch(batch);
+      // Each X̃ is under its own pk_j, whose modulus may differ from pk_G's.
       std::vector<std::size_t> widths;
       widths.reserve(batch.items.size());
       for (const auto& item : batch.items)

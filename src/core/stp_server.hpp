@@ -18,12 +18,14 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
+#include "crypto/packing.hpp"
 #include "crypto/paillier.hpp"
 #include "crypto/threshold_paillier.hpp"
 #include "net/bus.hpp"
@@ -50,14 +52,15 @@ class StpServer {
   /// The reference stays valid until `su_id` registers a different key.
   const crypto::PaillierPublicKey& su_key(std::uint32_t su_id) const;
 
-  /// The key-conversion service, callable directly (tests, benches) or via
-  /// the network handler.
+  /// The key-conversion service for one request, callable directly (tests,
+  /// benches): a one-item convert_batch.
   ConvertResponseMsg convert(const ConvertRequestMsg& request);
 
-  /// Batched conversion (DESIGN.md §3.5): one parallel_for over the flat
-  /// entry list of every item, randomness staged sequentially in (item,
-  /// entry) order — per-item outputs are byte-identical to item-by-item
-  /// convert() calls issued in the same order.
+  /// Conversion as it arrives on the wire (DESIGN.md §3.5): one
+  /// parallel_for over the flat entry list of every item, randomness staged
+  /// sequentially in (item, entry) order — per-item outputs are
+  /// byte-identical to item-by-item convert() calls issued in the same
+  /// order.
   ConvertBatchResponseMsg convert_batch(const ConvertBatchMsg& batch);
 
   /// §3.8 budget sign probe: decrypt each blinded ε·(α·Ñ − β̃) entry
@@ -183,15 +186,31 @@ class StpServer {
   /// its source where it is still the next missing index.
   void compute_and_store(std::vector<FactorTask>& tasks);
 
-  /// The conversion kernel: decrypt (threshold or direct), per-slot sign
-  /// map, re-encrypt under pk_j — one parallel_for over all flat entries.
+  /// Throws std::invalid_argument unless threshold mode brings one SDC
+  /// partial per entry.
+  void check_partials(std::size_t entries, std::size_t partials) const;
+
+  /// Open one blinded ciphertext (a Ṽ entry or a probe entry) to its
+  /// signed slots: decrypt under sk_G or, in threshold mode, complete the
+  /// SDC's `partial`.
+  std::vector<bn::BigInt> open_slots(const crypto::PaillierCiphertext& v,
+                                     const crypto::PaillierCiphertext* partial) const;
+
+  /// The conversion kernel: open, per-slot sign map, re-encrypt under
+  /// pk_j — one parallel_for over all flat entries.
   void convert_entries(std::vector<ConvertEntry>& entries);
+
+  /// convert() and convert_batch() alike: randomness staged sequentially in
+  /// (item, entry) order, then one convert_entries over every item.
+  std::vector<ConvertResponseMsg> convert_items(
+      std::span<const ConvertRequestMsg> items);
 
   void after_conversion() {
     if (conversion_hook_) conversion_hook_();
   }
 
   PisaConfig cfg_;
+  crypto::SlotCodec codec_;  // pack_slots entries per plaintext (§3.4)
   bn::RandomSource& rng_;
   crypto::PaillierKeyPair group_;
   /// Master secret of every source, drawn once right after key generation:

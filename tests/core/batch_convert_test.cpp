@@ -60,6 +60,8 @@ struct BurstResult {
   // draw (α, β, ε, η), every STP factor and every conversion bit lined up.
   std::vector<std::tuple<bool, bool, std::uint64_t, bn::BigUint>> outcomes;
   PisaSystem::MultiRequestStats stats;
+  std::uint64_t stp_batches = 0;      // ConvertBatchMsgs the STP served
+  std::uint64_t stp_conversions = 0;  // items across those batches
 };
 
 BurstResult run_burst(const PisaConfig& cfg, std::uint64_t seed = 0xBA7C4) {
@@ -81,6 +83,8 @@ BurstResult run_burst(const PisaConfig& cfg, std::uint64_t seed = 0xBA7C4) {
   for (const auto& out : outs)
     result.outcomes.emplace_back(out.completed(), out.granted,
                                  out.license.serial, out.signature);
+  result.stp_batches = system.stp().batches_served();
+  result.stp_conversions = system.stp().conversions_served();
   return result;
 }
 
@@ -98,6 +102,10 @@ TEST(BatchConvert, BatchedBurstIsByteIdenticalToUnbatched) {
   // The whole point: one conversion message instead of one per request.
   EXPECT_EQ(unbatched.stats.convert_msgs, kSus);
   EXPECT_EQ(batched.stats.convert_msgs, 1u);
+  // Unbatched, each request leaves as its own single-item kMsgConvertBatch:
+  // as many batches as requests, each carrying exactly one item.
+  EXPECT_EQ(unbatched.stp_batches, kSus);
+  EXPECT_EQ(unbatched.stp_conversions, kSus);
   // Coalescing trades per-message headers for one batch header plus
   // per-item ids — a few bytes either way. The win is round-trips, not
   // bytes; assert the overhead stays negligible next to the payload.
@@ -259,7 +267,7 @@ TEST_P(StpBatchBytes, ConvertBatchMatchesItemwiseConvert) {
   batch.batch_id = 9;
   const std::int64_t values[] = {5, -3, 1, -1, 40, -40, 7, 0, 2};
   for (std::uint32_t i = 0; i < 3; ++i) {
-    ConvertBatchMsg::Item item;
+    ConvertRequestMsg item;
     item.request_id = 100 + i;
     item.su_id = i + 1;
     for (std::uint32_t j = 0; j < 3; ++j)

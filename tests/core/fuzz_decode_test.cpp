@@ -156,7 +156,7 @@ TEST_F(FuzzFixture, ConvertBatchMessagesSurviveHostileBytes) {
   ConvertBatchMsg batch;
   batch.batch_id = 4;
   for (std::uint32_t i = 0; i < 2; ++i) {
-    ConvertBatchMsg::Item item;
+    ConvertRequestMsg item;
     item.request_id = 50 + i;
     item.su_id = i + 1;
     item.v = {ct(), ct()};

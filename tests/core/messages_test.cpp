@@ -86,7 +86,7 @@ TEST_F(MessagesFixture, ConvertBatchRoundTrip) {
   ConvertBatchMsg m;
   m.batch_id = 31337;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    ConvertBatchMsg::Item it;
+    ConvertRequestMsg it;
     it.request_id = 1000 + i;
     it.su_id = i + 1;
     for (std::uint32_t j = 0; j <= i; ++j) it.v.push_back(ct(10 * i + j));
@@ -107,7 +107,7 @@ TEST_F(MessagesFixture, ConvertBatchRoundTrip) {
 TEST_F(MessagesFixture, ConvertBatchCarriesThresholdPartials) {
   ConvertBatchMsg m;
   m.batch_id = 1;
-  ConvertBatchMsg::Item it;
+  ConvertRequestMsg it;
   it.request_id = 5;
   it.su_id = 2;
   it.v = {ct(1), ct(2)};

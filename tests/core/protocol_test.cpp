@@ -232,15 +232,15 @@ TEST_F(ProtocolFixture, PrivacyAuditSdcAndStpSeeOnlyCiphertext) {
   // The STP saw only blinded conversion requests and public-key directory
   // traffic — never a plaintext spectrum quantity.
   for (const auto& rec : system.network().audit_log("stp")) {
-    EXPECT_TRUE(rec.type == kMsgConvertRequest || rec.type == kMsgKeyRegister ||
+    EXPECT_TRUE(rec.type == kMsgConvertBatch || rec.type == kMsgKeyRegister ||
                 rec.type == kMsgKeyLookup)
         << rec.type;
   }
   // The SDC saw only ciphertext matrices and public keys (pu_update,
-  // su_request, stp_convert_response, key lookups).
+  // su_request, stp_convert_batch_response, key lookups).
   for (const auto& rec : system.network().audit_log("sdc")) {
     EXPECT_TRUE(rec.type == kMsgPuUpdate || rec.type == kMsgSuRequest ||
-                rec.type == kMsgConvertResponse ||
+                rec.type == kMsgConvertBatchResponse ||
                 rec.type == kMsgKeyLookupResponse)
         << rec.type;
   }

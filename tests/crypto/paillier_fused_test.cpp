@@ -88,6 +88,21 @@ TEST_F(PaillierFusedTest, BlindEntryMatchesUnfusedChain) {
 
       EXPECT_EQ(pk.blind_entry(budget, f, x, alpha, beta, epsilon), expect)
           << "epsilon=" << epsilon << " trial=" << trial;
+
+      // x = 0, the §3.8 budget probe: its original scalar_mul/sub/negate
+      // chain against the call SdcServer makes without an F term — the
+      // budget stands in for the unused F̃ base, and only ε < 0 passes a
+      // real inverse.
+      auto probe = pk.sub_deterministic(pk.scalar_mul(alpha, budget), beta);
+      if (epsilon < 0) probe = pk.negate(probe);
+      const auto budget_inv = pk.negate(budget);
+      EXPECT_EQ(pk.blind_entry(budget, budget, BigUint{0}, alpha, beta, epsilon,
+                               epsilon < 0 ? &budget_inv : &budget),
+                probe)
+          << "x=0 epsilon=" << epsilon << " trial=" << trial;
+      EXPECT_EQ(pk.blind_entry(budget, f, BigUint{0}, alpha, beta, epsilon),
+                probe)
+          << "x=0 (own inverse) epsilon=" << epsilon << " trial=" << trial;
     }
   }
 }
