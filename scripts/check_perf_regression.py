@@ -16,6 +16,13 @@ Guarded metrics (the protocol's hot paths):
   BENCH_bigint.json     BM_MontgomeryPow*, BM_ModInverse* and BM_Gcd*
                         ns_per_iter — the modexp kernel under all of the
                         above, and the binary gcd/inverse core.
+  BENCH_pir.json        BM_PirScan* and BM_PirDecide* ns_per_iter — one
+                        replica's XOR scan of a query batch and the SU's
+                        local decision (DESIGN.md §3.10). These ride the
+                        looser --tcp-threshold: ten --quick runs of one
+                        binary read up to 1.75x apart (fastest to slowest
+                        BM_PirDecide), so the guard is a cliff detector (a
+                        scan falling back to a sweep per share is over 10x).
   BENCH_system.json     su_request_total_ms and stp_convert_ms_per_entry
                         per scaling / pack_sweep row (matched on
                         paillier_bits, channels, blocks, num_threads,
@@ -98,6 +105,7 @@ import sys
 
 PAILLIER_PATTERNS = ("BM_Encryption/*", "BM_ScalarMul*", "BM_NegateBatch*")
 BIGINT_PATTERNS = ("BM_MontgomeryPow*", "BM_ModInverse*", "BM_Gcd*")
+PIR_PATTERNS = ("BM_PirScan*", "BM_PirDecide*")
 SYSTEM_SECTIONS = ("scaling", "pack_sweep")
 SYSTEM_KEY = ("paillier_bits", "channels", "blocks", "num_threads", "pack_slots")
 # Lower-is-better per-row metrics; rows from older snapshots may lack the
@@ -382,7 +390,9 @@ def main():
     ap.add_argument("--tcp-threshold", type=float, default=2.0,
                     help="threshold for the transport=tcp throughput rows "
                          "(wall clock over real sockets, so looser than the "
-                         "virtual-time rows)")
+                         "virtual-time rows) and the other wall-clock cliff "
+                         "detectors: the scenario and pir_sweep rows and the "
+                         "BENCH_pir.json microbenches")
     ap.add_argument("--fast-deny-factor", type=float, default=2.0,
                     help="fail when the prefilter-on requests_per_sec at a "
                          ">=80%% deny mix is below this multiple of the "
@@ -419,14 +429,16 @@ def main():
         checks.extend(c if threshold is None else (*c, threshold)
                       for c in found)
 
-    for label, patterns in (("paillier", PAILLIER_PATTERNS),
-                            ("bigint", BIGINT_PATTERNS)):
+    for label, patterns, threshold in (
+            ("paillier", PAILLIER_PATTERNS, args.threshold),
+            ("bigint", BIGINT_PATTERNS, args.threshold),
+            ("pir", PIR_PATTERNS, args.tcp_threshold)):
         baseline = load(f"{args.baseline_dir}/BENCH_{label}.json")
         guarded = [r for r in baseline.get("results", [])
                    if any(fnmatch.fnmatch(r["name"], p) for p in patterns)]
         guard(f"BENCH_{label}.json results", guarded, microbench_checks(
             label, patterns, baseline,
-            load(f"{args.current_dir}/BENCH_{label}.json")), args.threshold)
+            load(f"{args.current_dir}/BENCH_{label}.json")), threshold)
     base = load(f"{args.baseline_dir}/BENCH_system.json")
     cur = load(f"{args.current_dir}/BENCH_system.json")
     for section in SYSTEM_SECTIONS:

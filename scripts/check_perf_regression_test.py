@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Self-test for check_perf_regression.py: a run that loses a guarded
-section or renames a guarded key must fail, not pass silently.
+section or renames a guarded key must fail, not pass silently, and the PIR
+microbenches must sit behind the cliff threshold.
 
 Builds its inputs from the committed snapshots at the repo root (so the
 rows carry the real schema), runs the guard on an identical copy (must
 pass), then on copies with pir_sweep removed and with a key renamed (each
-must exit 2 and name the section). Run directly or through ctest:
+must exit 2 and name the section), and on BENCH_pir.json copies whose
+BM_PirScan rows are 1.5x slower (must pass: inside --tcp-threshold), 2.5x
+slower (must exit 1) and missing (must exit 2). Run directly or through
+ctest:
 
     python3 scripts/check_perf_regression_test.py
 """
@@ -29,17 +33,30 @@ def load(name):
         return json.load(f)
 
 
-def run_guard(baseline_dir, system):
-    """Runs the guard against `system` as the current BENCH_system.json."""
+MICRO = ("BENCH_paillier.json", "BENCH_bigint.json", "BENCH_pir.json")
+
+
+def run_guard(baseline_dir, system, pir=None):
+    """Runs the guard against `system` as the current BENCH_system.json and
+    `pir` (default: the committed one) as the current BENCH_pir.json."""
     with tempfile.TemporaryDirectory() as cur:
-        for name in ("BENCH_paillier.json", "BENCH_bigint.json"):
+        for name in MICRO:
             with open(os.path.join(cur, name), "w") as f:
-                json.dump(load(name), f)
+                json.dump(pir if pir and name == "BENCH_pir.json"
+                          else load(name), f)
         with open(os.path.join(cur, "BENCH_system.json"), "w") as f:
             json.dump(system, f)
         return subprocess.run(
             [sys.executable, GUARD, "--baseline-dir", baseline_dir,
              "--current-dir", cur], capture_output=True, text=True)
+
+
+def scale_pir_scan(factor):
+    pir = load("BENCH_pir.json")
+    for row in pir["results"]:
+        if row["name"].startswith("BM_PirScan"):
+            row["ns_per_iter"] *= factor
+    return pir
 
 
 def rename_key(system, section, old, new):
@@ -57,7 +74,7 @@ def main():
 
     failures = []
     with tempfile.TemporaryDirectory() as base:
-        for name in ("BENCH_paillier.json", "BENCH_bigint.json"):
+        for name in MICRO:
             with open(os.path.join(base, name), "w") as f:
                 json.dump(load(name), f)
         with open(os.path.join(base, "BENCH_system.json"), "w") as f:
@@ -83,11 +100,28 @@ def main():
                 failures.append(f"{what}: exit {r.returncode}, expected 2 "
                                 f"naming {section}:\n{r.stderr}")
 
+        noisy = run_guard(base, system, scale_pir_scan(1.5))
+        if noisy.returncode != 0:
+            failures.append("BM_PirScan 1.5x slower did not pass:\n" +
+                            noisy.stdout + noisy.stderr)
+        cliff = run_guard(base, system, scale_pir_scan(2.5))
+        if cliff.returncode != 1 or "BM_PirScan" not in cliff.stdout:
+            failures.append(f"BM_PirScan 2.5x slower: exit {cliff.returncode}, "
+                            f"expected 1:\n{cliff.stdout}")
+        no_pir = load("BENCH_pir.json")
+        no_pir["results"] = [r for r in no_pir["results"]
+                             if not r["name"].startswith("BM_Pir")]
+        missing = run_guard(base, system, no_pir)
+        if missing.returncode != 2 or "BENCH_pir.json" not in missing.stderr:
+            failures.append(f"BM_Pir rows removed: exit {missing.returncode}, "
+                            f"expected 2 naming BENCH_pir.json:\n"
+                            f"{missing.stderr}")
+
     for f in failures:
         print("FAIL:", f, file=sys.stderr)
     if failures:
         sys.exit(1)
-    print("check_perf_regression.py self-test passed (4 cases)")
+    print("check_perf_regression.py self-test passed (7 cases)")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "crypto/key_codec.hpp"
+#include "pir/pir_database.hpp"
 
 namespace pisa::core {
 
@@ -189,7 +190,7 @@ PirQuery ClientSession::submit_pir(std::uint32_t su_id, std::uint32_t block_lo,
   auto it = pir_clients_.find(su_id);
   if (it == pir_clients_.end())
     throw std::out_of_range("ClientSession: unknown PIR SU");
-  PirQuery q{next_request_id_++, su_id, block_lo, 0};
+  PirQuery q{next_request_id_++, su_id, block_lo, block_hi, 0};
   auto queries = it->second.make_queries(q.request_id, block_lo, block_hi);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     auto bytes = queries[i].encode();
@@ -214,6 +215,20 @@ SuDecision ClientSession::decide_pir(const PirQuery& query,
     out.failure = "got " + std::to_string(got.size()) + "/" +
                   std::to_string(cfg_.pir.replicas) + " PIR replies";
     return out;
+  }
+  // Replies that agree with each other but not with the request (too few
+  // rows, rows narrower than C budgets) are a delivery failure too.
+  const std::size_t want_rows = query.block_hi - query.block_lo;
+  const std::size_t want_bytes = pir::PirDatabase::stride(cfg_.watch.channels);
+  for (const auto& r : got) {
+    if (r.row_count() != want_rows || r.row_bytes != want_bytes) {
+      out.status = SuDecision::Status::kTransportFailed;
+      out.failure = "PIR reply of " + std::to_string(r.row_count()) +
+                    " rows × " + std::to_string(r.row_bytes) +
+                    " B, expected " + std::to_string(want_rows) + " × " +
+                    std::to_string(want_bytes) + " B";
+      return out;
+    }
   }
   try {
     out.granted = pir_clients_.at(query.su_id)

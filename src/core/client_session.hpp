@@ -96,6 +96,7 @@ struct PirQuery {
   std::uint64_t request_id = 0;
   std::uint32_t su_id = 0;
   std::uint32_t block_lo = 0;
+  std::uint32_t block_hi = 0;  ///< one past the last fetched block
   std::size_t bytes = 0;  ///< Σ encoded queries (SU → replicas)
 };
 
@@ -204,10 +205,12 @@ class ClientSession {
                       std::uint32_t block_hi);
 
   /// Wait up to `timeout_ms` for all ℓ replies, reconstruct and evaluate
-  /// `f` locally. Fewer replies (a replica crashed, gave up or timed out)
-  /// or replicas whose versions diverged are a typed kTransportFailed —
-  /// never a reconstruction from a partial or mixed reply set. F·X beyond
-  /// int64 throws std::overflow_error, exactly like the plaintext oracle.
+  /// `f` locally. Fewer replies (a replica crashed, gave up or timed out),
+  /// replicas whose versions diverged, or replies whose row count or row
+  /// width does not match the request are a typed kTransportFailed — never
+  /// a reconstruction from a partial, mixed or mis-shaped reply set. F·X
+  /// beyond int64 throws std::overflow_error, exactly like the plaintext
+  /// oracle.
   SuDecision decide_pir(const PirQuery& query, const watch::QMatrix& f,
                         double timeout_ms = 0);
 

@@ -45,16 +45,24 @@ class PirClient {
                                         std::uint32_t row_lo,
                                         std::uint32_t row_hi);
 
-  /// XOR the per-replica replies back into plaintext rows (rows[k] is row
-  /// row_lo+k of the database). Throws std::runtime_error when the replies
-  /// disagree on version, shape or request id — replicas that diverged must
-  /// not be silently mixed into one reconstruction.
+  /// XOR the per-replica replies back into plaintext rows, back to back in
+  /// one buffer: row k (row row_lo+k of the database) is bytes
+  /// [k·row_bytes, (k+1)·row_bytes). Throws std::runtime_error when the
+  /// replies disagree on version, shape or request id — replicas that
+  /// diverged must not be silently mixed into one reconstruction.
+  std::vector<std::uint8_t> reconstruct_flat(
+      const std::vector<PirReplyMsg>& replies) const;
+
+  /// reconstruct_flat() cut into one vector per row (rows[k] is row
+  /// row_lo+k of the database).
   std::vector<std::vector<std::uint8_t>> reconstruct(
       const std::vector<PirReplyMsg>& replies) const;
 
   /// The SU's whole local decision for one reply set: reconstruct the rows
-  /// [block_lo, …), decode their budgets and evaluate_rows() them against
-  /// `f`. Throws like reconstruct() and evaluate_rows().
+  /// [block_lo, …) and evaluate `f` against their budgets, read in place,
+  /// exactly as evaluate_rows(). Throws like reconstruct_flat() and
+  /// evaluate_rows(), and std::invalid_argument when the rows are narrower
+  /// than cfg.channels budgets.
   watch::Decision decide(const std::vector<PirReplyMsg>& replies,
                          const watch::WatchConfig& cfg,
                          const watch::QMatrix& f, std::uint32_t block_lo) const;

@@ -37,8 +37,8 @@ std::vector<std::uint8_t> PirQueryMsg::encode() const {
   enc.put_u32(su_id);
   enc.put_u64(request_id);
   enc.put_u32(db_rows);
-  enc.put_u32(static_cast<std::uint32_t>(shares.size()));
-  for (const auto& s : shares) enc.put_raw(s);
+  enc.put_u32(static_cast<std::uint32_t>(share_count()));
+  enc.put_raw(share_data);
   return enc.take();
 }
 
@@ -57,11 +57,8 @@ PirQueryMsg PirQueryMsg::decode(const std::vector<std::uint8_t>& bytes) {
   const std::size_t sb = share_bytes(m.db_rows);
   if (static_cast<std::uint64_t>(count) * sb > dec.remaining())
     throw net::DecodeError("PirQueryMsg: shares exceed remaining input");
-  m.shares.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto raw = dec.get_raw(sb);
-    m.shares.emplace_back(raw.begin(), raw.end());
-  }
+  auto raw = dec.get_raw(count * sb);
+  m.share_data.assign(raw.begin(), raw.end());
   // Unused tail bits of every share must be zero: the scan kernel trusts
   // them, and allowing garbage there would give a hostile sender a covert
   // channel through an otherwise shape-checked message.
@@ -69,8 +66,8 @@ PirQueryMsg PirQueryMsg::decode(const std::vector<std::uint8_t>& bytes) {
   if (tail_bits > 0) {
     const std::uint8_t mask =
         static_cast<std::uint8_t>(0xFFu << (8 - tail_bits));
-    for (const auto& s : m.shares)
-      if ((s.back() & mask) != 0)
+    for (std::uint32_t i = 0; i < count; ++i)
+      if ((m.share_data[(i + 1) * sb - 1] & mask) != 0)
         throw net::DecodeError("PirQueryMsg: nonzero tail bits in share");
   }
   dec.expect_done();
@@ -82,8 +79,8 @@ std::vector<std::uint8_t> PirReplyMsg::encode() const {
   enc.put_u64(request_id);
   enc.put_u64(db_version);
   enc.put_u32(row_bytes);
-  enc.put_u32(static_cast<std::uint32_t>(rows.size()));
-  for (const auto& r : rows) enc.put_raw(r);
+  enc.put_u32(static_cast<std::uint32_t>(row_count()));
+  enc.put_raw(row_data);
   return enc.take();
 }
 
@@ -101,11 +98,8 @@ PirReplyMsg PirReplyMsg::decode(const std::vector<std::uint8_t>& bytes) {
     throw net::DecodeError("PirReplyMsg: implausible row count");
   if (static_cast<std::uint64_t>(count) * m.row_bytes > dec.remaining())
     throw net::DecodeError("PirReplyMsg: rows exceed remaining input");
-  m.rows.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto raw = dec.get_raw(m.row_bytes);
-    m.rows.emplace_back(raw.begin(), raw.end());
-  }
+  auto raw = dec.get_raw(std::size_t{count} * m.row_bytes);
+  m.row_data.assign(raw.begin(), raw.end());
   dec.expect_done();
   return m;
 }

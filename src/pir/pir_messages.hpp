@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/codec.hpp"
@@ -50,7 +51,8 @@ struct PirUpdateMsg {
 
 /// One batch of XOR sub-query shares for one replica. Share `i` selects the
 /// rows this replica must XOR-fold for the client's i-th fetched row; every
-/// share is ⌈db_rows/8⌉ bytes with the unused tail bits zero.
+/// share is ⌈db_rows/8⌉ bytes with the unused tail bits zero. The shares sit
+/// back to back in one buffer, the layout the wire and the scan kernel use.
 struct PirQueryMsg {
   /// Upper bound on db_rows / share count a decode will accept; real grids
   /// are thousands of blocks, a mutated count must not allocate gigabytes.
@@ -60,18 +62,25 @@ struct PirQueryMsg {
   std::uint32_t su_id = 0;
   std::uint64_t request_id = 0;
   std::uint32_t db_rows = 0;  ///< the client's view of the row count
-  std::vector<std::vector<std::uint8_t>> shares;
+  std::vector<std::uint8_t> share_data;  ///< share_count() shares, in order
 
   static std::size_t share_bytes(std::uint32_t rows) { return (rows + 7) / 8; }
+  std::size_t share_count() const {
+    return db_rows == 0 ? 0 : share_data.size() / share_bytes(db_rows);
+  }
+  std::span<const std::uint8_t> share(std::size_t i) const {
+    const std::size_t sb = share_bytes(db_rows);
+    return std::span<const std::uint8_t>(share_data).subspan(i * sb, sb);
+  }
 
   std::vector<std::uint8_t> encode() const;
   static PirQueryMsg decode(const std::vector<std::uint8_t>& bytes);
 };
 
-/// A replica's answer: one XOR-folded row per share, in share order. All
-/// rows are exactly `row_bytes` (the database's 64-byte-padded row stride),
-/// so the reply's size depends only on the share count and the public grid
-/// shape — nothing about which rows were selected.
+/// A replica's answer: one XOR-folded row per share, in share order, back to
+/// back in one buffer. All rows are exactly `row_bytes` (the database's
+/// 64-byte-padded row stride), so the reply's size depends only on the share
+/// count and the public grid shape — nothing about which rows were selected.
 struct PirReplyMsg {
   static constexpr std::uint32_t kMaxRowBytes = 1u << 20;
   static constexpr std::uint32_t kMaxRowsPerReply = 1u << 16;
@@ -79,7 +88,15 @@ struct PirReplyMsg {
   std::uint64_t request_id = 0;
   std::uint64_t db_version = 0;  ///< updates applied; reconstruction guard
   std::uint32_t row_bytes = 0;
-  std::vector<std::vector<std::uint8_t>> rows;
+  std::vector<std::uint8_t> row_data;  ///< row_count() rows, in share order
+
+  std::size_t row_count() const {
+    return row_bytes == 0 ? 0 : row_data.size() / row_bytes;
+  }
+  std::span<const std::uint8_t> row(std::size_t k) const {
+    return std::span<const std::uint8_t>(row_data).subspan(k * row_bytes,
+                                                           row_bytes);
+  }
 
   std::vector<std::uint8_t> encode() const;
   static PirReplyMsg decode(const std::vector<std::uint8_t>& bytes);

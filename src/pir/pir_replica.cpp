@@ -68,7 +68,7 @@ PirReplyMsg PirReplica::answer(const PirQueryMsg& query,
   reply.request_id = query.request_id;
   reply.db_version = version_;
   reply.row_bytes = static_cast<std::uint32_t>(db_.row_bytes());
-  reply.rows = db_.scan_many(query.shares, pool);
+  reply.row_data = db_.scan(query.share_data, pool);
   return reply;
 }
 

@@ -138,12 +138,15 @@ TEST(PirDatabase, ScanManyMatchesSequentialAtEveryThreadCount) {
 }
 
 TEST(PirDatabase, ScanManyMatchesReferenceSweepOverShapes) {
-  // Row counts cover full and partial last row groups, channel counts one-
-  // and multi-slice rows with odd slice counts, share counts one share up
-  // to more than a paper-scale request.
+  // Row counts cover full and partial last row groups and chunks (the
+  // kernel folds 4-row groups, 16 groups = 64 rows to a chunk: one group
+  // ± 1, one chunk ± 1, two chunks plus a partial group), channel counts
+  // one- and multi-slice rows with odd slice counts, share counts one share
+  // up to more than a paper-scale request.
   bn::SplitMix64Random r{29};
   exec::ThreadPool pool{3};
-  for (std::size_t rows : {1, 5, 6, 7, 63, 64, 65, 600, 601}) {
+  for (std::size_t rows :
+       {1, 3, 4, 5, 6, 7, 63, 64, 65, 129, 130, 131, 600, 601}) {
     for (std::size_t channels : {1, 4, 8, 100, 101}) {
       auto db = random_database(channels, rows, r);
       for (std::size_t count : {1, 2, 6, 162, 300}) {
@@ -188,15 +191,15 @@ TEST(PirClient, SharesXorToUnitVectorsAndSurviveTheCodec) {
     EXPECT_EQ(queries[i].su_id, 7u);
     EXPECT_EQ(queries[i].request_id, 555u);
     EXPECT_EQ(queries[i].db_rows, 20u);
-    ASSERT_EQ(queries[i].shares.size(), 5u);
+    ASSERT_EQ(queries[i].share_count(), 5u);
     // Every share must round-trip the codec (tail bits provably zero).
     auto round = PirQueryMsg::decode(queries[i].encode());
-    EXPECT_EQ(round.shares, queries[i].shares);
+    EXPECT_EQ(round.share_data, queries[i].share_data);
   }
   for (std::size_t k = 0; k < 5; ++k) {
     std::vector<std::uint8_t> acc(sb, 0);
     for (std::size_t i = 0; i < 3; ++i)
-      for (std::size_t b = 0; b < sb; ++b) acc[b] ^= queries[i].shares[k][b];
+      for (std::size_t b = 0; b < sb; ++b) acc[b] ^= queries[i].share(k)[b];
     std::vector<std::uint8_t> unit(sb, 0);
     std::size_t row = 4 + k;
     unit[row >> 3] = static_cast<std::uint8_t>(1u << (row & 7));

@@ -5,8 +5,11 @@
 // of magnitude fewer wire bytes per query.
 #include <gtest/gtest.h>
 
+#include "core/client_session.hpp"
 #include "core/protocol.hpp"
 #include "crypto/chacha_rng.hpp"
+#include "crypto/paillier.hpp"
+#include "pir/pir_replica.hpp"
 #include "radio/pathloss.hpp"
 #include "watch/plain_watch.hpp"
 
@@ -206,6 +209,59 @@ TEST(PirProtocol, BurstRequestsAggregateAndMatchSequential) {
   EXPECT_GT(stats.request_bytes, 0u);
   EXPECT_GT(stats.response_bytes, 0u);
   EXPECT_EQ(stats.convert_msgs, 0u);  // no conversion round exists in PIR mode
+}
+
+TEST(PirProtocol, MisShapedRepliesAreATypedFailure) {
+  // Replicas that agree with each other but not with the request — one row
+  // short of the 162 asked for, or 64-byte rows where C = 100 needs 832 —
+  // must be a typed delivery failure, not an exception out of decide_pir,
+  // and the session must serve the next request.
+  PisaConfig cfg = pir_config(1);
+  cfg.watch.grid_rows = 20;
+  cfg.watch.grid_cols = 30;
+  cfg.watch.channels = 100;
+  crypto::ChaChaRng rng{std::uint64_t{23}};
+  net::SimulatedNetwork net;
+  ClientSession session{cfg, crypto::paillier_generate(512, rng, 8).pk, net,
+                        rng, nullptr};
+  session.add_su(100);
+
+  const auto e = watch::make_e_matrix(cfg.watch);
+  enum class Answer { kHonest, kShortRows, kNarrowRows } answer{};
+  std::vector<pir::PirReplica> replicas;
+  for (std::size_t i = 0; i < cfg.pir.replicas; ++i)
+    replicas.emplace_back(e, 1);
+  for (std::size_t i = 0; i < cfg.pir.replicas; ++i)
+    net.register_endpoint(pir::replica_name(i), [&, i](const net::Message& m) {
+      auto reply =
+          replicas[i].answer(pir::PirQueryMsg::decode(m.payload), nullptr);
+      if (answer == Answer::kShortRows)
+        reply.row_data.resize(reply.row_data.size() - reply.row_bytes);
+      if (answer == Answer::kNarrowRows) {
+        reply.row_data.resize(reply.row_count() * 64);
+        reply.row_bytes = 64;
+      }
+      net.send({m.to, m.from, pir::kMsgPirReply, reply.encode()});
+    });
+
+  const std::uint32_t lo = 210, hi = lo + 162;
+  watch::QMatrix f{cfg.watch.channels, 600};
+  for (std::uint32_t b = lo; b < hi; ++b)
+    f.at(ChannelId{b % 100}, BlockId{b}) = 1;  // non-zero on every fetched row
+  for (auto mode : {Answer::kShortRows, Answer::kNarrowRows, Answer::kHonest}) {
+    answer = mode;
+    const auto query = session.submit_pir(100, lo, hi);
+    net.run();
+    SuDecision d;
+    ASSERT_NO_THROW(d = session.decide_pir(query, f));
+    if (mode == Answer::kHonest) {
+      EXPECT_EQ(d.status, SuDecision::Status::kCompleted);
+      EXPECT_TRUE(d.granted);
+    } else {
+      EXPECT_EQ(d.status, SuDecision::Status::kTransportFailed);
+      EXPECT_FALSE(d.failure.empty());
+    }
+  }
 }
 
 TEST(PirConfigValidation, ReplicaCountBounds) {

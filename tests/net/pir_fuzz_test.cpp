@@ -97,7 +97,7 @@ TEST_F(PirFuzzFixture, PirQueryMsgSurvivesHostileBytes) {
     std::vector<std::uint8_t> s(PirQueryMsg::share_bytes(20));
     fuzz.fill(s);
     s.back() &= 0x0F;  // keep tail bits zero so the base frame is valid
-    m.shares.push_back(std::move(s));
+    m.share_data.insert(m.share_data.end(), s.begin(), s.end());
   }
   fuzz_decode<PirQueryMsg>(m.encode(), 200);
 }
@@ -136,7 +136,7 @@ TEST_F(PirFuzzFixture, PirQueryMsgRejectsTargetedMalformations) {
   EXPECT_THROW(PirQueryMsg::decode(frame(20, 1, 1, 0x80)), net::DecodeError);
   // The low (valid) bits of the same byte are fine.
   auto ok = PirQueryMsg::decode(frame(20, 1, 1, 0x0F));
-  EXPECT_EQ(ok.shares.size(), 1u);
+  EXPECT_EQ(ok.share_count(), 1u);
   EXPECT_EQ(ok.encode(), frame(20, 1, 1, 0x0F));
   // Byte-aligned databases have no tail: 0xFF in the last byte is legal.
   EXPECT_NO_THROW(PirQueryMsg::decode(frame(24, 1, 1, 0xFF)));
@@ -150,7 +150,7 @@ TEST_F(PirFuzzFixture, PirReplyMsgSurvivesHostileBytes) {
   for (int i = 0; i < 4; ++i) {
     std::vector<std::uint8_t> r(64);
     fuzz.fill(r);
-    m.rows.push_back(std::move(r));
+    m.row_data.insert(m.row_data.end(), r.begin(), r.end());
   }
   fuzz_decode<PirReplyMsg>(m.encode(), 200);
 }
