@@ -25,10 +25,10 @@
 //       batching and through the cross-request batching engine (§3.5,
 //       virtual-time req/s), plus the closed-loop burst over real epoll
 //       sockets (§3.7, transport="tcp", wall clock).
-//   shard_sweep  a PU-fold burst and rounds of prepared request bursts at
-//       num_shards ∈ {1, 2, 4, 8} (num_threads follows), WAL off and on
-//       (§3.6): fold throughput, serve-only req/s — the WAL-overhead guard
-//       input — and the engine's own crash-recovery time.
+//   durability_sweep  a PU-fold burst and rounds of prepared request bursts
+//       at num_threads ∈ {1, 2, 4, 8}, WAL off and on (§3.6): fold time,
+//       serve-only req/s — the WAL-overhead guard input — and the engine's
+//       own crash-recovery time.
 //   denial_sweep grant:deny mixes {80:20, 50:50, 20:80} with the encrypted
 //       cuckoo prefilter off and on, over both transports (§3.8).
 //   scenario_sweep the time-stepped mobility/churn/revocation schedule with
@@ -46,7 +46,7 @@
 //
 // `--quick` (the CI perf-smoke configuration) runs the n=1024 scaling rows,
 // the pack sweep, a two-point thread sweep, the {2, 8}-SU throughput sweep,
-// the 64-session TCP row, the full shard × durability grid with a shorter
+// the 64-session TCP row, the full lanes × durability grid with a shorter
 // fold burst, the denial grid with 10 requests per row, a 40-tick 2-SU
 // scenario pair and the sim PIR row at the small grid.
 #include <unistd.h>
@@ -682,11 +682,11 @@ std::vector<Row> run_throughput(bool quick) {
   return rows;
 }
 
-// ---- Shard × durability sweep (DESIGN.md §3.6) ---------------------------
+// ---- Durability sweep (DESIGN.md §3.6) -----------------------------------
 //
 // The same seeded workload — a PU-fold burst followed by rounds of SU
-// request bursts — at every shard count, durability off and on. The fold
-// burst is the path the WAL sits on (journal → retract → add per shard), so
+// request bursts — at every lane count, durability off and on. The fold
+// burst is the path the WAL sits on (journal → retract → add), so
 // pu_fold_ms carries the journaling cost. requests_per_sec is wall clock
 // over the serve path only: every request is encrypted off the clock
 // (MultiRequestStats::prep_wall_ms), so the column measures the SDC + STP
@@ -696,26 +696,25 @@ std::vector<Row> run_throughput(bool quick) {
 // round, interleaved, until each has at least 300 ms on the clock, since one
 // burst per side back to back left the 15% cap at the mercy of a few hundred
 // milliseconds of host noise (at 150 ms per side one slow round still moved
-// a pair by up to 14%). num_threads follows num_shards (one fold lane per
-// shard), so the serve path also gets that many lanes. The WAL columns are
-// read after the first round, so they do not depend on how many rounds the
-// clock took; recovery_ms is the engine's own timing of the snapshot-load +
-// WAL-replay rebuild after a crash at the end of the run.
+// a pair by up to 14%). num_threads sets the lanes of both the column fold
+// and the serve path. The WAL columns are read after the first round, so
+// they do not depend on how many rounds the clock took; recovery_ms is the
+// engine's own timing of the snapshot-load + WAL-replay rebuild after a
+// crash at the end of the run.
 
-class ShardRun {
+class DurabilityRun {
  public:
-  ShardRun(std::size_t num_shards, bool durable, bool quick, std::uint64_t seed)
+  DurabilityRun(std::size_t num_threads, bool durable, bool quick,
+                std::uint64_t seed)
       : durable_(durable), pu_updates_(quick ? 6 : 12), rng_{seed} {
     namespace fs = std::filesystem;
     cfg_ = bench_config(768, 8, 2, 3);  // 8 channel groups at pack_slots = 1:
-                                        // every shard count partitions them
-                                        // evenly
-    cfg_.num_shards = num_shards;
-    cfg_.num_threads = num_shards;
+                                        // every lane count splits them evenly
+    cfg_.num_threads = num_threads;
     if (durable) {
       dir_ = fs::temp_directory_path() /
-             ("pisa_bench_shard_" + std::to_string(::getpid()) + "_" +
-              std::to_string(num_shards));
+             ("pisa_bench_durability_" + std::to_string(::getpid()) + "_" +
+              std::to_string(num_threads));
       fs::remove_all(dir_);
       fs::create_directories(dir_);
       cfg_.durability.enabled = true;
@@ -734,7 +733,7 @@ class ShardRun {
     }
 
     // PU encryption happens client-side and off the clock; the timed
-    // section is exactly the sharded fold.
+    // section is exactly the fold.
     std::vector<core::PuUpdateMsg> updates;
     for (std::size_t i = 0; i < pu_updates_; ++i) {
       watch::PuTuning tuning{
@@ -749,10 +748,10 @@ class ShardRun {
     // One untimed warm-up request first: lazy pools, page faults and
     // first-use allocations land outside the measurement window.
     if (!system_->su_request(request(1)).completed())
-      report_failure("shard-sweep warm-up request failed");
+      report_failure("durability-sweep warm-up request failed");
   }
 
-  ~ShardRun() {
+  ~DurabilityRun() {
     if (durable_) std::filesystem::remove_all(dir_);
   }
 
@@ -767,7 +766,7 @@ class ShardRun {
     for (const auto& out :
          system_->su_request_many(burst, core::PrepMode::kFresh, &stats))
       if (!out.completed())
-        report_failure("shard-sweep request failed: " + out.failure);
+        report_failure("durability-sweep request failed: " + out.failure);
     wall_ms_ += stats.serve_wall_ms;
     if (rounds_++ == 0) {
       const auto& state = system_->sdc().state();
@@ -784,15 +783,12 @@ class ShardRun {
     const double recovery_ms =
         system_->restart_sdc().state().recovery_stats().recover_ms;
     return Row()
-        .add("num_shards", cfg_.num_shards)
+        .add("num_threads", cfg_.num_threads)
         .add("durability", durable_)
         .add("channels", cfg_.watch.channels)
         .add("blocks", cfg_.watch.grid_rows * cfg_.watch.grid_cols)
         .add("pu_updates", pu_updates_)
         .add("pu_fold_ms", fold_ms_ / static_cast<double>(pu_updates_))
-        .add("pu_fold_rows_per_sec_per_shard",
-             ratio(static_cast<double>(pu_updates_ * cfg_.watch.channels) * 1e3,
-                   fold_ms_ * static_cast<double>(cfg_.num_shards)))
         .add("rounds", rounds_)
         .add("requests_per_sec",
              ratio(static_cast<double>(kRoundRequests * rounds_) * 1e3,
@@ -821,19 +817,18 @@ class ShardRun {
   std::uint64_t wal_records_ = 0, wal_bytes_ = 0, snapshots_ = 0;
 };
 
-std::vector<Row> run_shard_sweep(bool quick) {
-  // All four shard counts run in --quick too (the fold burst shrinks
-  // instead): the committed snapshot carries the full N column and CI
-  // always has the on/off pair for the overhead guard.
-  std::printf("Shard x durability sweep at n=768, C=8, B=6 (serve-only "
-              "wall-clock req/s; num_threads = num_shards; recovery = crash + "
-              "rebuild):\n");
+std::vector<Row> run_durability_sweep(bool quick) {
+  // All four lane counts run in --quick too (the fold burst shrinks
+  // instead): the committed snapshot carries the full column and CI always
+  // has the on/off pair for the overhead guard.
+  std::printf("Durability sweep at n=768, C=8, B=6 (serve-only wall-clock "
+              "req/s; recovery = crash + rebuild):\n");
   constexpr double kMinServeMs = 300.0;
   std::vector<Row> rows;
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                         std::size_t{8}}) {
-    ShardRun off{n, false, quick, 0xD0C5EED};
-    ShardRun on{n, true, quick, 0xD0C5EED};
+    DurabilityRun off{n, false, quick, 0xD0C5EED};
+    DurabilityRun on{n, true, quick, 0xD0C5EED};
     // The side with less time on the clock serves next, so both sample the
     // same stretch of host speed.
     while (std::min(off.wall_ms(), on.wall_ms()) < kMinServeMs)
@@ -844,7 +839,7 @@ std::vector<Row> run_shard_sweep(bool quick) {
     }
     const Row& off_row = rows[rows.size() - 2];
     const Row& on_row = rows.back();
-    std::printf("    -> durability overhead at %zu shard%s: %+.1f%% req/s "
+    std::printf("    -> durability overhead at %zu lane%s: %+.1f%% req/s "
                 "(guard: <= 15%%), recovery %.1f ms\n",
                 n, n == 1 ? "" : "s",
                 (ratio(off_row.num("requests_per_sec"),
@@ -1049,7 +1044,6 @@ core::ScenarioResult run_scenario(bool use_delta, std::size_t num_sus,
                                   std::uint32_t ticks, std::uint64_t seed) {
   namespace fs = std::filesystem;
   auto cfg = bench_config(512, 3, 2, 6, 400.0, 16, 6);
-  cfg.num_shards = 3;
   cfg.denial_filter.enabled = true;
   fs::path dir = fs::temp_directory_path() /
                  ("pisa_bench_scenario_" + std::to_string(::getpid()) + "_" +
@@ -1308,7 +1302,7 @@ int main(int argc, char** argv) {
       {"thread_sweep", threads},
       {"pack_sweep", pack},
       {"throughput", run_throughput(quick)},
-      {"shard_sweep", run_shard_sweep(quick)},
+      {"durability_sweep", run_durability_sweep(quick)},
       {"denial_sweep", run_denial_sweep(quick)},
       {"scenario_sweep", run_scenario_sweep(quick)},
       {"pir_sweep", run_pir_sweep(quick)}};

@@ -41,7 +41,7 @@ Guarded metrics (the protocol's hot paths):
                         the looser --tcp-threshold (default 2.0).
 
 Three guards run within the *current* run only (no baseline). The
-shard_sweep rows pair durability off/on at each shard count, and WAL-on
+durability_sweep rows pair durability off/on at each num_threads, and WAL-on
 requests_per_sec must stay within `--wal-threshold` (default 1.15, i.e.
 <= 15% overhead) of the WAL-off row measured moments earlier on the same
 host — write-ahead durability is journal-on-the-fold, and must never tax
@@ -187,20 +187,20 @@ def throughput_checks(baseline, current, threshold, tcp_threshold):
 
 
 def durability_checks(current):
-    """WAL-on vs WAL-off requests_per_sec, paired per shard count.
+    """WAL-on vs WAL-off requests_per_sec, paired per num_threads.
 
     Compares within the current run only: the two rows ran back to back on
     the same host under the same load, so the ratio is the durability cost
     itself, not machine drift. The WAL-off row plays the 'baseline' column.
     """
-    rows = current.get("shard_sweep", [])
-    off = {r["num_shards"]: r["requests_per_sec"]
+    rows = current.get("durability_sweep", [])
+    off = {r["num_threads"]: r["requests_per_sec"]
            for r in rows if not r["durability"]}
-    on = {r["num_shards"]: r["requests_per_sec"]
+    on = {r["num_threads"]: r["requests_per_sec"]
           for r in rows if r["durability"]}
     for n in sorted(off):
         if n in on:
-            yield f"wal_overhead requests_per_sec shards={n}", off[n], on[n], True
+            yield f"wal_overhead requests_per_sec threads={n}", off[n], on[n], True
 
 
 def denial_checks(current, factor):
@@ -447,8 +447,8 @@ def main():
               args.threshold)
     guard("throughput", base.get("throughput"),
           throughput_checks(base, cur, args.threshold, args.tcp_threshold))
-    guard("shard_sweep", base.get("shard_sweep"), durability_checks(cur),
-          args.wal_threshold)
+    guard("durability_sweep", base.get("durability_sweep"),
+          durability_checks(cur), args.wal_threshold)
     guard("denial_sweep", base.get("denial_sweep"),
           denial_checks(cur, args.fast_deny_factor), 1.0)
     guard("scenario_sweep", base.get("scenario_sweep"),

@@ -5,8 +5,9 @@ microbenches must sit behind the cliff threshold.
 
 Builds its inputs from the committed snapshots at the repo root (so the
 rows carry the real schema), runs the guard on an identical copy (must
-pass), then on copies with pir_sweep removed and with a key renamed (each
-must exit 2 and name the section), and on BENCH_pir.json copies whose
+pass), then on copies with pir_sweep removed and with a key renamed, among
+them durability_sweep's num_threads, the key its WAL-off/on pairs match on
+(each must exit 2 and name the section), and on BENCH_pir.json copies whose
 BM_PirScan rows are 1.5x slower (must pass: inside --tcp-threshold), 2.5x
 slower (must exit 1) and missing (must exit 2). Run directly or through
 ctest:
@@ -66,11 +67,7 @@ def rename_key(system, section, old, new):
 
 
 def main():
-    # The committed snapshot predates the scenario rows' oracle_mismatches
-    # column, which the current-run guard requires.
     system = load("BENCH_system.json")
-    for row in system["scenario_sweep"]:
-        row.setdefault("oracle_mismatches", 0)
 
     failures = []
     with tempfile.TemporaryDirectory() as base:
@@ -91,10 +88,14 @@ def main():
                                     "su_request_total_ms", "request_total_ms")
         renamed_match = rename_key(copy.deepcopy(system), "throughput",
                                    "mode", "kind")
+        renamed_lanes = rename_key(copy.deepcopy(system), "durability_sweep",
+                                   "num_threads", "lanes")
         for what, current, section in (
                 ("pir_sweep removed", dropped, "pir_sweep"),
                 ("scaling key renamed", renamed_metric, "scaling"),
-                ("throughput key renamed", renamed_match, "throughput")):
+                ("throughput key renamed", renamed_match, "throughput"),
+                ("durability_sweep key renamed", renamed_lanes,
+                 "durability_sweep")):
             r = run_guard(base, current)
             if r.returncode != 2 or section not in r.stderr:
                 failures.append(f"{what}: exit {r.returncode}, expected 2 "
@@ -121,7 +122,7 @@ def main():
         print("FAIL:", f, file=sys.stderr)
     if failures:
         sys.exit(1)
-    print("check_perf_regression.py self-test passed (7 cases)")
+    print("check_perf_regression.py self-test passed (8 cases)")
 
 
 if __name__ == "__main__":

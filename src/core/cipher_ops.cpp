@@ -42,61 +42,6 @@ void sub_column(CipherMatrix& m, std::uint32_t block,
   });
 }
 
-namespace {
-
-std::size_t check_range(const CipherMatrix& m, std::uint32_t block,
-                        std::size_t column_size, std::size_t g_begin,
-                        std::size_t g_end) {
-  if (block >= m.blocks())
-    throw std::out_of_range("cipher_ops: block outside the matrix");
-  if (g_begin > g_end || g_end > m.channels())
-    throw std::out_of_range("cipher_ops: bad channel-group range");
-  if (column_size != g_end - g_begin)
-    throw std::invalid_argument(
-        "cipher_ops: column slice must match the channel-group range");
-  return g_end - g_begin;
-}
-
-}  // namespace
-
-void add_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end) {
-  std::size_t count = check_range(m, block, column.size(), g_begin, g_end);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(g_begin + i)},
-                      radio::BlockId{block});
-    cell = pk.add(cell, column[i]);
-  }
-}
-
-void sub_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end) {
-  std::size_t count = check_range(m, block, column.size(), g_begin, g_end);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(g_begin + i)},
-                      radio::BlockId{block});
-    cell = pk.sub(cell, column[i]);
-  }
-}
-
-CipherMatrix encrypt_matrix_deterministic(const watch::QMatrix& values,
-                                          const crypto::PaillierPublicKey& pk,
-                                          exec::ThreadPool* pool) {
-  CipherMatrix out{values.channels(), values.blocks()};
-  exec::parallel_for(pool, 0, out.size(), [&](std::size_t i) {
-    std::int64_t v = values[i];
-    if (v < 0)
-      throw std::invalid_argument(
-          "cipher_ops: deterministic encryption needs entries >= 0");
-    out[i] = pk.encrypt_deterministic(bn::BigUint{static_cast<std::uint64_t>(v)});
-  });
-  return out;
-}
-
 CipherMatrix encrypt_matrix_packed_deterministic(
     const watch::QMatrix& values, const crypto::PaillierPublicKey& pk,
     const crypto::SlotCodec& codec, std::int64_t tail_fill,

@@ -38,35 +38,13 @@ void sub_column(CipherMatrix& m, std::uint32_t block,
                 const crypto::PaillierPublicKey& pk,
                 exec::ThreadPool* pool = nullptr);
 
-/// Shard-slice variants (DESIGN.md §3.6): fold `column` — the slice a shard
-/// owns, indexed relative to g_begin — into rows [g_begin, g_end) only.
-/// Sequential on purpose: in the sharded engine each shard is already one
-/// lane of an outer parallel_for, so the inner loop must not re-enter the
-/// pool. Entry-for-entry these perform the same pk.add/pk.sub calls as the
-/// full-column kernels, so a column folded slice-by-slice across shards is
-/// byte-identical to one add_column over the whole matrix.
-void add_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end);
-void sub_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end);
-
-/// Deterministic entry-wise encryption of a public plaintext matrix
-/// (budget initialization from E; values must be >= 0).
-CipherMatrix encrypt_matrix_deterministic(const watch::QMatrix& values,
-                                          const crypto::PaillierPublicKey& pk,
-                                          exec::ThreadPool* pool = nullptr);
-
-/// Packed variant: folds the C channel rows of `values` into
-/// ⌈C / codec.slots()⌉ channel-group rows, codec.slots() entries per
-/// ciphertext (slot j of group g holds channel g·k + j). Unused slots of the
-/// last group are seeded with `tail_fill` — the SDC passes 1 so tail slots
-/// behave like always-satisfiable budget entries through eq. (14)/(15)
-/// instead of tripping the V > 0 check. With a 1-slot codec this is
-/// byte-identical to encrypt_matrix_deterministic.
+/// Deterministic encryption of a public plaintext matrix (budget
+/// initialization from E; values must be >= 0), packed: folds the C channel
+/// rows of `values` into ⌈C / codec.slots()⌉ channel-group rows,
+/// codec.slots() entries per ciphertext (slot j of group g holds channel
+/// g·k + j). Unused slots of the last group are seeded with `tail_fill` —
+/// the SDC passes 1 so tail slots behave like always-satisfiable budget
+/// entries through eq. (14)/(15) instead of tripping the V > 0 check.
 CipherMatrix encrypt_matrix_packed_deterministic(
     const watch::QMatrix& values, const crypto::PaillierPublicKey& pk,
     const crypto::SlotCodec& codec, std::int64_t tail_fill,

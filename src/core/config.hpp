@@ -28,14 +28,14 @@ struct ReliabilityConfig {
 /// Write-ahead durability for the SDC state engine (DESIGN.md §3.6).
 /// Disabled by default: the in-memory engine then behaves exactly like the
 /// pre-durability SdcServer, byte for byte. Enabled, every state mutation is
-/// journaled to a per-shard WAL before it is applied, shards periodically
-/// compact their log into a sealed snapshot, and a restarted SDC recovers
+/// journaled to the WAL before it is applied, the engine periodically
+/// compacts its log into a sealed snapshot, and a restarted SDC recovers
 /// byte-identical Ñ/W̃ state from the store directory.
 struct DurabilityConfig {
   bool enabled = false;
   std::string dir;  ///< store directory; required when enabled
 
-  /// Auto-compact a shard after this many WAL records (0 = only explicit
+  /// Auto-compact after this many WAL records (0 = only explicit
   /// checkpoint() calls compact).
   std::size_t snapshot_every = 256;
 
@@ -102,14 +102,6 @@ struct PisaConfig {
 
   /// Reliable transport over the simulated network (chaos/fault testing).
   ReliabilityConfig reliability;
-
-  /// SDC state-engine shards (DESIGN.md §3.6): the ⌈C/pack_slots⌉
-  /// channel-group rows of Ñ are split into this many contiguous balanced
-  /// slices, each with its own PU-column map, WAL and snapshot, folded in
-  /// parallel on the shared thread pool. 1 = today's single-lane engine,
-  /// byte-identical to the pre-sharding SdcServer. Values above the row
-  /// count are clamped.
-  std::size_t num_shards = 1;
 
   /// Write-ahead durability + crash recovery for the SDC state engine.
   DurabilityConfig durability;
@@ -184,8 +176,6 @@ struct PisaConfig {
       throw std::invalid_argument("PisaConfig: blind_bits too small to hide values");
     if (num_threads == 0)
       throw std::invalid_argument("PisaConfig: num_threads must be >= 1");
-    if (num_shards == 0)
-      throw std::invalid_argument("PisaConfig: num_shards must be >= 1");
     if (durability.enabled && durability.dir.empty())
       throw std::invalid_argument(
           "PisaConfig: durability.dir is required when durability is enabled");

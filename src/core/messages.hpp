@@ -64,7 +64,7 @@ struct PuUpdateMsg {
 /// carries Ẽ(new_w − old_w) for that packed slot group — the SDC folds it
 /// with a single ciphertext multiplication, so a moving PU costs O(diff)
 /// instead of a full ⌈C/k⌉-column refold per touched block. `delta_seq` is
-/// the PU's per-sender monotonic counter (starting at 1): shards persist the
+/// the PU's per-sender monotonic counter (starting at 1): the SDC persists the
 /// last applied seq so at-least-once delivery folds each delta exactly once.
 struct PuDeltaMsg {
   struct Cell {

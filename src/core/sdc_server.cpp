@@ -137,8 +137,8 @@ void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
     if (prev && *prev != update.block) touched.push_back(*prev);
   }
   // The engine validates the column shape, retracts this PU's previous
-  // contribution (if any), folds the new column — per-shard lanes with
-  // num_shards > 1 — and journals the slices first when durability is on.
+  // contribution (if any), folds the new column and journals it first when
+  // durability is on.
   state_.apply_pu_update(update);
   // Conservative invalidation: touched blocks leave the filter *now*, so
   // no request can be fast-denied on pre-fold budget state. Exhaustion
@@ -166,7 +166,7 @@ void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
 void SdcServer::handle_pu_delta(const PuDeltaMsg& delta) {
   auto t0 = Clock::now();
   // Capture the touched cells before the fold: apply_pu_delta validates and
-  // may advance per-shard seq state, so a throw must leave the filter as-is.
+  // may advance the seq state, so a throw must leave the filter as-is.
   std::vector<Cell> cells;
   if (cfg_.denial_filter.enabled) {
     cells.reserve(delta.cells.size());
@@ -220,7 +220,6 @@ bool SdcServer::fast_deny_check(const SuRequestMsg& request) {
   stats_.prefilter.add(ms_since(t0));
   if (deny) {
     ++stats_.prefilter_hits;
-    ++stats_.fast_denials;
   } else {
     ++stats_.prefilter_misses;
   }

@@ -103,16 +103,15 @@ class SdcServer {
   /// of the last group carry the constant 1.
   const CipherMatrix& encrypted_budget() const { return state_.budget(); }
 
-  /// The sharded durable state engine behind this server (DESIGN.md §3.6):
-  /// Ñ, the stored W̃ columns and the serial counter live there, sliced
-  /// across cfg.num_shards lanes and — with durability on — journaled to
-  /// per-shard WALs in cfg.durability.dir.
+  /// The durable state engine behind this server (DESIGN.md §3.6): Ñ, the
+  /// stored W̃ columns and the serial counter live there and — with
+  /// durability on — are journaled to the WAL in cfg.durability.dir.
   const SdcStateEngine& state() const { return state_; }
 
   /// TEST ONLY: mutable engine access, for planting §3.8 filter collisions.
   SdcStateEngine& test_state() { return state_; }
 
-  /// Force a compaction of every shard now (sealed snapshot + fresh WAL).
+  /// Force a compaction now (sealed snapshot + fresh WAL).
   /// No-op when durability is off.
   void checkpoint() { state_.checkpoint(); }
 
@@ -150,13 +149,12 @@ class SdcServer {
     std::uint64_t batches_sent = 0;     // ConvertBatchMsgs (every mode)
     std::uint64_t batches_timed_out = 0;  // watchdog-abandoned batches
     // §3.8 denial prefilter: every screened request counts exactly one of
-    // hits (confirmed-exhausted → one-round FastDenyMsg) or misses (fell
+    // hits (confirmed-exhausted → one-round FastDenyMsg sent) or misses (fell
     // through to the full pipeline); false_positives counts cuckoo hits the
     // exact set vetoed along the way (they proceed as misses).
     std::uint64_t prefilter_hits = 0;
     std::uint64_t prefilter_misses = 0;
     std::uint64_t prefilter_false_positives = 0;
-    std::uint64_t fast_denials = 0;  // == prefilter_hits; FastDenyMsgs sent
     std::uint64_t probes_sent = 0;   // BudgetProbeMsgs to the STP
     // §3.9 incremental path:
     std::uint64_t pu_deltas = 0;     // handle_pu_delta calls
@@ -246,7 +244,7 @@ class SdcServer {
   std::array<std::uint8_t, 32> filter_key_{};
   std::shared_ptr<exec::ThreadPool> exec_;
 
-  /// Ñ, W̃ columns and the serial counter — sharded, optionally durable.
+  /// Ñ, W̃ columns and the serial counter — optionally durable.
   /// Declared after group_pk_/e_matrix_: its constructor consumes both, and
   /// with durability on it recovers the whole state from disk right here.
   SdcStateEngine state_;

@@ -1,21 +1,18 @@
-// Sharded SDC state engine with write-ahead durability (DESIGN.md §3.6).
+// SDC state engine with write-ahead durability (DESIGN.md §3.6).
 //
 // Owns everything the SDC must not lose across a crash: the encrypted
 // interference budget Ñ (eq. (10)), the latest W̃ column per PU (needed to
 // retract a stale column on the next update) and the license serial
-// counter. The ⌈C/pack_slots⌉ channel-group rows are partitioned into
-// num_shards contiguous slices (core/shard_map): every PU update folds into
-// all shards, but each shard touches only its own row range, so the fold
-// runs one parallel lane per shard with no locks — and each shard journals
-// to its own WAL and compacts into its own snapshot (store/), so recovery
-// is an embarrassingly parallel per-shard replay.
+// counter. Every PU update folds one column into Ñ on the exec pool, and
+// with durability on every mutation is journaled to one WAL and compacted
+// into one snapshot (store/).
 //
 // Contracts the tests pin down:
-//   * num_shards = 1, durability off ⇒ byte-identical to the pre-engine
-//     SdcServer: same kernels, same call order, same ciphertext bytes.
-//   * Any shard count yields the same Ñ bytes as shard count 1 — column
-//     folds are entry-independent and Paillier addition lands on canonical
-//     residues, so slicing changes nothing.
+//   * durability off ⇒ byte-identical to the pre-engine SdcServer: same
+//     kernels, same call order, same ciphertext bytes, at any num_threads.
+//   * recompute() lands on the incrementally folded bytes — column folds
+//     are entry-independent and Paillier addition lands on canonical
+//     residues.
 //   * recover() (run by the constructor when durability is on) rebuilds
 //     byte-identical state from snapshot + WAL replay: journaling happens
 //     before the in-memory apply, a record present in the log is by
@@ -35,7 +32,6 @@
 #include "core/cipher_ops.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "core/shard_map.hpp"
 #include "crypto/cuckoo_filter.hpp"
 #include "crypto/packing.hpp"
 #include "crypto/paillier.hpp"
@@ -51,47 +47,44 @@ namespace pisa::core {
 class SdcStateEngine {
  public:
   /// WAL record types (store/wal payload tags).
-  static constexpr std::uint8_t kRecPuColumn = 1;  ///< one shard's column slice
+  static constexpr std::uint8_t kRecPuColumn = 1;  ///< one PU's W̃ column
   static constexpr std::uint8_t kRecSerial = 2;    ///< serial floor reservation
-  static constexpr std::uint8_t kRecExhaust = 3;   ///< shard-local exhausted set
-                                                   ///< for one block (§3.8)
-  static constexpr std::uint8_t kRecDelta = 4;     ///< shard-local delta cells
-                                                   ///< for one PU (§3.9)
+  static constexpr std::uint8_t kRecExhaust = 3;   ///< exhausted set for one
+                                                   ///< block (§3.8)
+  static constexpr std::uint8_t kRecDelta = 4;     ///< delta cells for one PU
+                                                   ///< (§3.9)
 
   /// Initializes Ñ from the public matrix E (deterministic encryption, tail
   /// slots seeded with 1 — see SdcServer) and, when durability is enabled,
-  /// immediately recovers from cfg.durability.dir: per shard, load the
-  /// sealed snapshot (if any), replay its epoch's WAL over it, drop any
-  /// torn tail and stale-epoch logs. Throws std::runtime_error when the
-  /// durable state was written under a different configuration (shape,
-  /// packing, shard count or group key).
+  /// immediately recovers from cfg.durability.dir: load the sealed
+  /// snapshot (if any), replay its epoch's WAL over it, drop any torn tail
+  /// and stale-epoch logs. Throws std::runtime_error when the durable state
+  /// was written under a different configuration (shape, packing or group
+  /// key).
   /// `filter_key` keys the §3.8 cuckoo prefilter fingerprints; it is only
   /// read when cfg.denial_filter.enabled (pass {} otherwise).
   SdcStateEngine(const PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
                  watch::QMatrix e_matrix,
                  const std::array<std::uint8_t, 32>& filter_key = {});
 
-  /// Shard lanes (nullptr = sequential). With one shard the inner column
-  /// kernels use the pool exactly like the unsharded server did; with more,
-  /// the pool runs one lane per shard and the inner kernels go sequential.
+  /// Pool for the column kernels of the fold and recompute (nullptr =
+  /// sequential).
   void set_thread_pool(std::shared_ptr<exec::ThreadPool> pool);
 
   const CipherMatrix& budget() const { return budget_; }
   crypto::PaillierCiphertext& budget_at(std::uint32_t group, std::uint32_t block);
-  const ShardMap& shard_map() const { return map_; }
 
-  /// Fold one PU column: journal the per-shard slices, retract the PU's
-  /// previous column, add the new one. Idempotent under re-delivery.
+  /// Fold one PU column: journal it, retract the PU's previous column, add
+  /// the new one. Idempotent under re-delivery.
   void apply_pu_update(const PuUpdateMsg& update);
 
   /// Fold an incremental PU delta (§3.9): each cell multiplies one budget
-  /// entry — O(cells) work instead of O(groups × touched blocks). Per-shard
-  /// delta sequence numbers turn at-least-once ordered delivery into
-  /// exactly-once application: a shard applies a delta iff its
-  /// `delta_seq` exceeds the last one it journaled for that PU, so a
-  /// crash-torn delta (applied by some shards, lost by others) heals on
-  /// re-delivery without double-folding anywhere. Throws on out-of-range
-  /// cell coordinates, duplicate cells, an empty cell list or a zero seq.
+  /// entry — O(cells) work instead of O(groups × touched blocks). Delta
+  /// sequence numbers turn at-least-once ordered delivery into exactly-once
+  /// application: a delta applies iff its `delta_seq` exceeds the last one
+  /// journaled for that PU. One WAL record carries the whole delta, so a
+  /// crash leaves it either applied or not. Throws on out-of-range cell
+  /// coordinates, duplicate cells, an empty cell list or a zero seq.
   void apply_pu_delta(const PuDeltaMsg& delta);
 
   /// Cell key for dirty/delta bookkeeping: (group, block) packed into one
@@ -110,20 +103,19 @@ class SdcStateEngine {
   std::uint64_t next_serial();
   std::uint64_t serial() const { return serial_; }
 
-  /// Compact every shard now: sealed snapshot of its current slice, fresh
-  /// WAL, old log removed. No-op when durability is off.
+  /// Compact now: sealed snapshot of the current state, fresh WAL, old log
+  /// removed. No-op when durability is off.
   void checkpoint();
 
-  std::size_t pu_count() const { return shards_.front().columns.size(); }
+  std::size_t pu_count() const { return columns_.size(); }
 
-  /// The block the engine currently holds a W̃ column for, per PU (every
-  /// shard stores all PU ids; shard 0 is authoritative for the lookup).
+  /// The block the engine currently holds a W̃ column for, per PU.
   std::optional<std::uint32_t> pu_block(std::uint32_t pu_id) const;
 
   // ── §3.8 denial prefilter ─────────────────────────────────────────────
   //
-  // Each shard keeps an exact exhausted map {block → sorted group set} for
-  // its own channel-group rows, mirrored into a keyed cuckoo filter. The
+  // The engine keeps an exact exhausted map {block → sorted group set},
+  // mirrored into one keyed cuckoo filter over the whole grid. The
   // request path asks the filter first (cheap, keyed-hash lookups); only a
   // cuckoo hit pays the exact-set probe, and only an exact-set confirmation
   // may deny — cuckoo false positives can never cause a false denial.
@@ -138,9 +130,9 @@ class SdcStateEngine {
   FilterProbe probe_exhausted(std::uint32_t group, std::uint32_t block) const;
 
   /// Replace the recorded exhausted group set for `block` (full-set
-  /// semantics; groups outside a shard's range are ignored by that shard).
-  /// Journals a kRecExhaust diff per shard whose set actually changed, so
-  /// WAL replay rebuilds the filter byte-identically.
+  /// semantics; groups outside [0, channel_groups) are ignored). Journals a
+  /// kRecExhaust record when the set actually changed, so WAL replay
+  /// rebuilds the filter byte-identically.
   void set_block_exhaustion(std::uint32_t block,
                             const std::vector<std::uint32_t>& groups);
 
@@ -158,11 +150,11 @@ class SdcStateEngine {
   /// Conservative invalidation: forget everything recorded about `block`.
   void invalidate_block(std::uint32_t block) { set_block_exhaustion(block, {}); }
 
-  /// Live (group, block) exhausted cells across all shards.
+  /// Live (group, block) exhausted cells.
   std::size_t exhausted_entries() const;
 
-  /// Serialized filter + exhausted-set state of every shard, in shard
-  /// order — the byte-identity oracle for the recovery tests.
+  /// Serialized filter + exhausted-set state, as the snapshot carries it —
+  /// the byte-identity oracle for the recovery tests.
   std::vector<std::uint8_t> filter_state_bytes() const;
 
   /// Exact exhausted sets only, no cuckoo table bytes — the cross-path
@@ -173,16 +165,16 @@ class SdcStateEngine {
   /// the delta path and a full-rebuild oracle.
   std::vector<std::uint8_t> exhausted_state_bytes() const;
 
-  /// TEST ONLY: plant (group, block) in the owning shard's cuckoo table
-  /// without touching the exact set — manufactures a false positive so the
-  /// fallback path can be exercised deterministically.
+  /// TEST ONLY: plant (group, block) in the cuckoo table without touching
+  /// the exact set — manufactures a false positive so the fallback path can
+  /// be exercised deterministically.
   void test_inject_filter_collision(std::uint32_t group, std::uint32_t block);
 
-  bool durable() const { return !shards_.front().store ? false : true; }
+  bool durable() const { return store_ != nullptr; }
 
   struct RecoveryStats {
     bool ran = false;            ///< durability was on and recover executed
-    bool from_snapshot = false;  ///< at least one shard loaded a snapshot
+    bool from_snapshot = false;  ///< a snapshot was loaded
     std::uint64_t wal_records_replayed = 0;
     std::uint64_t torn_tails_dropped = 0;
     std::uint64_t stale_logs_removed = 0;
@@ -190,95 +182,90 @@ class SdcStateEngine {
   };
   const RecoveryStats& recovery_stats() const { return recovery_; }
 
-  /// Live WAL records across all shards (since their last compaction).
+  /// Live WAL records (since the last compaction).
   std::uint64_t wal_records() const;
   std::uint64_t wal_bytes() const;
   std::uint64_t snapshots_written() const;
 
   // ── §3.9 dirty-pack tracking ──────────────────────────────────────────
   //
-  // Each shard records the (group, block) budget cells touched since its
+  // The engine records the (group, block) budget cells touched since the
   // last compaction — full-column folds mark every cell of the touched
-  // blocks in the shard's rows, delta folds mark only their cells. The set
-  // is what makes WAL volume and exhaustion re-probes diff-proportional,
-  // and the bench reads it to report delta cells per tick.
+  // blocks, delta folds mark only their cells. The set is what makes WAL
+  // volume and exhaustion re-probes diff-proportional, and the bench reads
+  // it to report delta cells per tick.
 
-  /// Dirty budget cells across all shards since their last compaction.
-  std::size_t dirty_cells() const;
-  /// One shard's dirty cell keys (cell_key order) — test introspection.
-  std::vector<std::uint64_t> dirty_cells(std::size_t shard) const;
+  /// Dirty budget cells since the last compaction.
+  std::size_t dirty_cells() const { return dirty_.size(); }
+  /// The dirty cell keys (cell_key order) — test introspection.
+  std::vector<std::uint64_t> dirty_keys() const {
+    return {dirty_.begin(), dirty_.end()};
+  }
   /// Total delta cells folded by apply_pu_delta since construction
   /// (live applies only; recovery replay does not count).
-  std::uint64_t delta_cells_folded() const;
+  std::uint64_t delta_cells_folded() const { return delta_cells_folded_; }
 
  private:
-  struct Shard {
-    /// Latest W̃ slice per PU, restricted to this shard's group rows.
-    std::map<std::uint32_t, PuUpdateMsg> columns;
-    std::unique_ptr<store::ShardStore> store;  ///< null when durability is off
-    /// §3.8: exact exhausted cells {block → sorted groups} for this shard's
-    /// rows, and the keyed cuckoo mirror (null when the filter is off).
-    std::map<std::uint32_t, std::set<std::uint32_t>> exhausted;
-    std::unique_ptr<crypto::CuckooFilter> filter;
-    /// §3.9: net accumulated delta ciphertext per (PU, cell) on top of the
-    /// PU's stored column — retracted alongside the column when a full
-    /// update or a fresh fold for the same cell arrives.
-    std::map<std::uint32_t, std::map<std::uint64_t, crypto::PaillierCiphertext>>
-        deltas;
-    /// Last delta_seq journaled-and-applied per PU by *this* shard.
-    std::map<std::uint32_t, std::uint64_t> delta_seqs;
-    /// Budget cells touched since the last compaction.
-    std::set<std::uint64_t> dirty;
-    std::uint64_t delta_cells_folded = 0;
-  };
-
   exec::ThreadPool* pool() const { return exec_.get(); }
-  /// Slice `update` to shard `s`'s rows, journal it, fold it. `pool` is the
-  /// inner-kernel pool — non-null only in the single-shard fast path.
-  void apply_slice(std::size_t s, const PuUpdateMsg& update,
-                   exec::ThreadPool* inner);
-  /// Fold one shard's delta slice (cells already restricted to its rows,
-  /// non-empty): seq-check, journal, multiply each cell into the budget and
-  /// into the PU's accumulated-delta map, mark dirty. `live` is false during
-  /// WAL replay: the record is already on disk and the dirty/fold counters
-  /// describe live traffic only.
-  void apply_delta_slice(std::size_t s, const PuDeltaMsg& slice, bool live);
-  /// Retract shard `s`'s accumulated delta cells for `pu_id` from the
-  /// budget and clear them (the seq guard survives).
-  void retract_deltas(std::size_t s, std::uint32_t pu_id);
-  /// Journal + apply a shard's new exhausted set for `block` when it
-  /// differs from the recorded one. `mine` must be sorted, deduped and
-  /// restricted to the shard's rows.
-  void replace_block_exhaustion(std::size_t s, std::uint32_t block,
-                                const std::vector<std::uint32_t>& mine);
-  /// Apply one shard's exhausted-set replacement for `block` (the journaled
+  /// Fold `column` into Ñ, retracting the PU's previous column and its
+  /// accumulated deltas. `live` marks the two columns' cells dirty; it is
+  /// false during WAL replay, as in apply_delta.
+  void fold_column(const PuUpdateMsg& column, bool live);
+  /// Fold one validated, non-empty delta: seq-check, journal, multiply each
+  /// cell into the budget and into the PU's accumulated-delta map, mark
+  /// dirty. `live` is false during WAL replay: the record is already on
+  /// disk and the dirty/fold counters describe live traffic only.
+  void apply_delta(const PuDeltaMsg& delta, bool live);
+  /// Retract the accumulated delta cells for `pu_id` from the budget and
+  /// clear them (the seq guard survives).
+  void retract_deltas(std::uint32_t pu_id);
+  /// Journal + apply a new exhausted set for `block` when it differs from
+  /// the recorded one. `groups` must be sorted, deduped and in range.
+  void replace_block_exhaustion(std::uint32_t block,
+                                const std::vector<std::uint32_t>& groups);
+  /// Apply an exhausted-set replacement for `block` (the journaled
   /// kRecExhaust operation): erase departed groups from the cuckoo table in
   /// ascending order, insert new ones in ascending order, store the set.
-  void apply_exhaust(std::size_t s, std::uint32_t block,
-                     const std::vector<std::uint32_t>& groups);
+  void apply_exhaust(std::uint32_t block, const std::vector<std::uint32_t>& groups);
   static std::uint64_t filter_item(std::uint32_t group, std::uint32_t block) {
     return cell_key(group, block);
   }
-  void maybe_compact(std::size_t s);
-  void compact_shard(std::size_t s);
-  std::vector<std::uint8_t> snapshot_payload(std::size_t s) const;
-  void restore_snapshot(std::size_t s, const std::vector<std::uint8_t>& payload);
-  void replay_record(std::size_t s, const store::WalRecord& rec);
+  void maybe_compact();
+  void compact();
+  std::vector<std::uint8_t> snapshot_payload() const;
+  void restore_snapshot(const std::vector<std::uint8_t>& payload);
+  void replay_record(const store::WalRecord& rec);
   void recover();
 
   PisaConfig cfg_;
   crypto::SlotCodec codec_;
   crypto::PaillierPublicKey pk_;
   watch::QMatrix e_matrix_;
-  ShardMap map_;
+  std::size_t groups_;
   std::size_t ct_width_;
   std::shared_ptr<exec::ThreadPool> exec_;
 
   bool filter_on_ = false;
   std::array<std::uint8_t, 32> filter_key_{};
 
-  CipherMatrix budget_;  // Ñ — shards write disjoint row ranges
-  std::vector<Shard> shards_;
+  CipherMatrix budget_;  // Ñ
+  /// Latest W̃ column per PU.
+  std::map<std::uint32_t, PuUpdateMsg> columns_;
+  std::unique_ptr<store::ShardStore> store_;  ///< null when durability is off
+  /// §3.8: exact exhausted cells {block → sorted groups} and their keyed
+  /// cuckoo mirror (null when the filter is off).
+  std::map<std::uint32_t, std::set<std::uint32_t>> exhausted_;
+  std::unique_ptr<crypto::CuckooFilter> filter_;
+  /// §3.9: net accumulated delta ciphertext per (PU, cell) on top of the
+  /// PU's stored column — retracted alongside the column when a full
+  /// update arrives.
+  std::map<std::uint32_t, std::map<std::uint64_t, crypto::PaillierCiphertext>>
+      deltas_;
+  /// Last delta_seq journaled-and-applied per PU.
+  std::map<std::uint32_t, std::uint64_t> delta_seqs_;
+  /// Budget cells touched since the last compaction.
+  std::set<std::uint64_t> dirty_;
+  std::uint64_t delta_cells_folded_ = 0;
   std::uint64_t serial_ = 0;
   std::uint64_t reserved_floor_ = 0;  // serials journaled as issued-or-skipped
   RecoveryStats recovery_;

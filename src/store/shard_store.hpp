@@ -1,4 +1,5 @@
-// Durable backing for one shard of the SDC state engine (DESIGN.md §3.6):
+// Durable backing for one state store — the SDC state engine, or a PIR
+// replica (DESIGN.md §3.6):
 // a sealed snapshot plus the write-ahead log of mutations since it.
 //
 // Crash-consistency protocol:

@@ -1,7 +1,7 @@
 // Sealed snapshot files (DESIGN.md §3.6).
 //
-// A snapshot is the periodic full serialization of one shard's state (its
-// Ñ budget rows, W̃ column slices and counters); the WAL only has to carry
+// A snapshot is the periodic full serialization of one store's state (the
+// SDC's Ñ budget, W̃ columns and counters); the WAL only has to carry
 // mutations since the last one. Files are written atomically — payload to a
 // temporary sibling, fsynced stream, then std::filesystem::rename — so a
 // crash during compaction leaves either the old snapshot or the new one,

@@ -1,8 +1,8 @@
 // Append-only write-ahead log of encrypted state mutations (DESIGN.md §3.6).
 //
-// Every shard of the SDC state engine journals its mutations here *before*
-// applying them in memory, so a crash between the append and the in-memory
-// fold loses nothing: recovery replays the log over the last snapshot and
+// The SDC state engine journals its mutations here *before* applying them
+// in memory, so a crash between the append and the in-memory fold loses
+// nothing: recovery replays the log over the last snapshot and
 // reconstructs byte-identical state. Records reuse the net/codec CRC-32
 // seal: a torn final record — the only corruption an interrupted append can
 // produce — fails its length or CRC check and is truncated away cleanly

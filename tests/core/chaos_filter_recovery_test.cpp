@@ -40,7 +40,6 @@ PisaConfig chaos_filter_config(const fs::path& dir,
   cfg.rsa_bits = 384;
   cfg.blind_bits = 48;
   cfg.mr_rounds = 8;
-  cfg.num_shards = 2;
   cfg.denial_filter.enabled = true;
   cfg.durability.enabled = true;
   cfg.durability.dir = dir.string();

@@ -37,7 +37,6 @@ PisaConfig chaos_pir_config(const fs::path& dir) {
   cfg.reliability.enabled = true;
   cfg.query_mode = QueryMode::kPir;
   cfg.pir.replicas = 2;
-  cfg.num_shards = 2;
   cfg.durability.enabled = true;
   cfg.durability.dir = dir.string();
   cfg.durability.snapshot_every = 4;  // force mid-sweep pir0 compactions

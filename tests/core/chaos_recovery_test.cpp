@@ -56,7 +56,6 @@ PisaConfig recovery_config(const fs::path& dir) {
   cfg.blind_bits = 48;
   cfg.mr_rounds = 8;
   cfg.reliability.enabled = true;
-  cfg.num_shards = 2;
   cfg.durability.enabled = true;
   cfg.durability.dir = dir.string();
   cfg.durability.snapshot_every = 6;  // compactions happen mid-sweep

@@ -1,11 +1,10 @@
 // §3.9 incremental delta-fold contracts at the state-engine level: a delta
 // stream lands on the same decrypted budget as the equivalent full-column
 // replacements (the ciphertext bytes legitimately differ — fresh randomness
-// per message — so equivalence is judged after decryption), across the shard
-// fast path, shard counts above the group count, and packs with a partial
-// tail. Plus the durability story: delta WAL records replay to the same
-// state after a crash, with the per-shard sequence guard keeping replays and
-// re-deliveries exactly-once. Malformed and stale deltas are rejected or
+// per message — so equivalence is judged after decryption), across both
+// pack layouts and packs with a partial tail. Plus the durability story:
+// delta WAL records replay to the same state after a crash, with the
+// sequence guard keeping replays and re-deliveries exactly-once. Malformed and stale deltas are rejected or
 // ignored without perturbing a single budget byte.
 #include "core/sdc_state.hpp"
 
@@ -27,8 +26,7 @@ namespace fs = std::filesystem;
 using radio::BlockId;
 using radio::ChannelId;
 
-PisaConfig delta_config(std::size_t pack_slots = 1, std::size_t channels = 4,
-                        std::size_t shards = 1) {
+PisaConfig delta_config(std::size_t pack_slots = 1, std::size_t channels = 4) {
   PisaConfig cfg;
   cfg.watch.grid_rows = 1;
   cfg.watch.grid_cols = 4;
@@ -38,7 +36,6 @@ PisaConfig delta_config(std::size_t pack_slots = 1, std::size_t channels = 4,
   cfg.blind_bits = 48;
   cfg.mr_rounds = 8;
   cfg.pack_slots = pack_slots;
-  cfg.num_shards = shards;
   return cfg;
 }
 
@@ -122,8 +119,8 @@ struct DeltaWorld {
 };
 
 // A PU retune plus a relocation expressed once as full-column replacements
-// and once as cell diffs must land on the same plaintext budget. Exercises
-// the single-shard fast path and both pack layouts.
+// and once as cell diffs must land on the same plaintext budget, in both
+// pack layouts.
 TEST(DeltaFold, MatchesColumnFoldAcrossPackLayouts) {
   for (std::size_t pack : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("pack_slots=" + std::to_string(pack));
@@ -179,30 +176,6 @@ TEST(DeltaFold, MatchesColumnFoldAcrossPackLayouts) {
   }
 }
 
-// Shard-count edge: more shards than channel groups (the map clamps), with a
-// delta whose cells span every group — the parallel per-shard slicing must
-// partition them exactly once.
-TEST(DeltaFold, MoreShardsThanGroups) {
-  DeltaWorld w{delta_config(1, 4, /*shards=*/9)};
-  SdcStateEngine by_column{w.cfg, w.kp.pk, w.e};
-  SdcStateEngine by_delta{w.cfg, w.kp.pk, w.e};
-
-  auto u1 = make_update(7, 0, {1, 2, 3, 4}, w.cfg, w.kp.pk, w.rng);
-  by_column.apply_pu_update(u1);
-  by_delta.apply_pu_update(u1);
-
-  auto u2 = make_update(7, 0, {2, 4, 6, 8}, w.cfg, w.kp.pk, w.rng);
-  by_column.apply_pu_update(u2);
-  by_delta.apply_pu_delta(make_delta(7, 1,
-                                     {{0, 0, {1}}, {1, 0, {2}},
-                                      {2, 0, {3}}, {3, 0, {4}}},
-                                     w.cfg, w.kp.pk, w.rng));
-
-  EXPECT_EQ(decrypt_budget(by_delta, w.kp.sk, w.cfg),
-            decrypt_budget(by_column, w.kp.sk, w.cfg));
-  EXPECT_EQ(by_delta.dirty_cells(), 4u);
-}
-
 // Partial-tail pack: 6 channels packed 4 per slot leave group 1 with two
 // real slots and two tail slots. A delta touching only that last partial
 // pack must fold cleanly and leave the tail-fill constants alone.
@@ -226,7 +199,7 @@ TEST(DeltaFold, DeltaTouchingOnlyLastPartialPack) {
 
   // The initial column fold dirtied both groups at block 2; the delta must
   // add nothing beyond the partial-pack cell it touched.
-  auto dirty = by_delta.dirty_cells(by_delta.shard_map().shard_of(1));
+  auto dirty = by_delta.dirty_keys();
   ASSERT_EQ(by_delta.dirty_cells(), dirty.size());
   EXPECT_EQ(dirty, (std::vector<std::uint64_t>{
                        SdcStateEngine::cell_key(0, 2),
@@ -238,7 +211,7 @@ TEST(DeltaFold, DeltaTouchingOnlyLastPartialPack) {
 // stored column and the deltas — the "resync" path the scenario engine
 // leans on after an SDC restart.
 TEST(DeltaFold, FullColumnRetractsAccumulatedDeltas) {
-  DeltaWorld w{delta_config(1, 4, /*shards=*/2)};
+  DeltaWorld w{delta_config()};
   SdcStateEngine by_column{w.cfg, w.kp.pk, w.e};
   SdcStateEngine by_delta{w.cfg, w.kp.pk, w.e};
 
@@ -261,7 +234,7 @@ TEST(DeltaFold, FullColumnRetractsAccumulatedDeltas) {
 // no-ops — budget bytes untouched — while malformed deltas throw before any
 // mutation.
 TEST(DeltaFold, StaleAndMalformedDeltas) {
-  DeltaWorld w{delta_config(1, 4, /*shards=*/2)};
+  DeltaWorld w{delta_config()};
   SdcStateEngine engine{w.cfg, w.kp.pk, w.e};
   engine.apply_pu_update(make_update(0, 1, {5, -3, 0, 7}, w.cfg, w.kp.pk,
                                      w.rng));
@@ -312,11 +285,11 @@ class DeltaDurabilityTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// Delta-then-crash: journaled kRecDelta slices replay to the same decrypted
+// Delta-then-crash: journaled kRecDelta records replay to the same decrypted
 // budget a surviving engine holds, the dirty set resets with compaction, and
-// the recovered per-shard sequence guard still rejects a replayed delivery.
+// the recovered sequence guard still rejects a replayed delivery.
 TEST_F(DeltaDurabilityTest, WalReplayMatchesSurvivor) {
-  auto cfg = delta_config(1, 4, /*shards=*/2);
+  auto cfg = delta_config();
   cfg.durability.enabled = true;
   cfg.durability.dir = dir_.string();
   cfg.durability.snapshot_every = 1000;  // explicit checkpoints only
@@ -326,7 +299,7 @@ TEST_F(DeltaDurabilityTest, WalReplayMatchesSurvivor) {
   auto d1 = make_delta(0, 1, {{0, 1, {2}}, {2, 1, {4}}}, cfg, w.kp.pk, w.rng);
   auto d2 = make_delta(0, 2, {{0, 3, {6}}}, cfg, w.kp.pk, w.rng);
 
-  SdcStateEngine survivor{delta_config(1, 4, 2), w.kp.pk, w.e};
+  SdcStateEngine survivor{delta_config(), w.kp.pk, w.e};
   survivor.apply_pu_update(u1);
   survivor.apply_pu_delta(d1);
   survivor.apply_pu_delta(d2);

@@ -127,7 +127,6 @@ TEST_F(DenialFilterFixture, ConfirmedExhaustionDeniesInOneRound) {
   EXPECT_TRUE(full.fast_denied);
 
   const auto& stats = system.sdc().stats();
-  EXPECT_EQ(stats.fast_denials, 2u);
   EXPECT_EQ(stats.prefilter_hits, 2u);
   EXPECT_EQ(stats.prefilter_misses, 1u);
   EXPECT_GT(stats.probes_sent, 0u);
@@ -174,9 +173,9 @@ TEST_F(DenialFilterFixture, DecisionsIdenticalToFilterOffOracle) {
   }
   EXPECT_GT(grants, 0u) << "sweep must exercise the grant path";
   EXPECT_GT(denies, 0u) << "sweep must exercise the deny path";
-  EXPECT_GT(system.sdc().stats().fast_denials, 0u)
+  EXPECT_GT(system.sdc().stats().prefilter_hits, 0u)
       << "sweep must exercise the fast path";
-  EXPECT_EQ(off_system.sdc().stats().fast_denials, 0u);
+  EXPECT_EQ(off_system.sdc().stats().prefilter_hits, 0u);
   EXPECT_EQ(off_system.sdc().stats().probes_sent, 0u);
 }
 
@@ -217,7 +216,7 @@ TEST_F(DenialFilterFixture, CuckooFalsePositiveFallsBackToFullPipeline) {
   EXPECT_FALSE(out.fast_denied);
   const auto& stats = system.sdc().stats();
   EXPECT_GE(stats.prefilter_false_positives, 1u);
-  EXPECT_EQ(stats.fast_denials, 0u);
+  EXPECT_EQ(stats.prefilter_hits, 0u);
   EXPECT_EQ(stats.prefilter_misses, 1u);
 }
 
@@ -330,7 +329,7 @@ TEST(DenialFilterPacked, PackedSlotsSweepMatchesOracle) {
   }
   EXPECT_GT(grants, 0u);
   EXPECT_GT(denies, 0u);
-  EXPECT_GT(system.sdc().stats().fast_denials, 0u);
+  EXPECT_GT(system.sdc().stats().prefilter_hits, 0u);
 }
 
 }  // namespace

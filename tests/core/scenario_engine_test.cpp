@@ -35,7 +35,6 @@ PisaConfig scenario_config(std::size_t pack_slots, const std::string& dir) {
   cfg.blind_bits = 16;
   cfg.mr_rounds = 6;
   cfg.pack_slots = pack_slots;
-  cfg.num_shards = 2;
   cfg.durability.enabled = true;
   cfg.durability.dir = dir;
   cfg.denial_filter.enabled = true;
@@ -139,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(PackLayouts, ScenarioEquivalence,
                            return "pack" + std::to_string(info.param);
                          });
 
-// Viewing schedules on a plain deployment (no shards, WAL or prefilter):
+// Viewing schedules on a plain deployment (no WAL or prefilter):
 // receivers retune and power-cycle, SUs drive and re-request, and every
 // decision must equal the plaintext WATCH oracle's.
 PisaConfig viewing_config() {

@@ -1,9 +1,9 @@
-// SdcStateEngine contracts (DESIGN.md §3.6): shard partitioning, the
-// byte-identity of every shard count with the single-lane engine, snapshot
-// round-trips across pack_slots × {plain, threshold} group keys, WAL-only
-// recovery, exactly-once folding under re-delivery, serial monotonicity
-// across restarts and the configuration fingerprint that rejects durable
-// state written under a different shape or key.
+// SdcStateEngine contracts (DESIGN.md §3.6): recompute() landing on the
+// incrementally folded bytes, snapshot round-trips across pack_slots ×
+// {plain, threshold} group keys × fold lanes, WAL-only recovery,
+// exactly-once folding under re-delivery, serial monotonicity across
+// restarts and the configuration fingerprint that rejects durable state
+// written under a different shape or key.
 #include "core/sdc_state.hpp"
 
 #include <gtest/gtest.h>
@@ -13,10 +13,11 @@
 #include <tuple>
 #include <vector>
 
-#include "core/shard_map.hpp"
 #include "core/stp_server.hpp"
 #include "crypto/chacha_rng.hpp"
 #include "crypto/packing.hpp"
+#include "exec/thread_pool.hpp"
+#include "store/snapshot.hpp"
 #include "watch/matrices.hpp"
 
 namespace pisa::core {
@@ -77,64 +78,26 @@ std::vector<PuUpdateMsg> sample_updates(const PisaConfig& cfg,
   return out;
 }
 
-TEST(ShardMapTest, BalancedContiguousCompletePartition) {
-  for (std::size_t groups : {1u, 2u, 5u, 7u, 16u}) {
-    for (std::size_t shards : {1u, 2u, 3u, 4u, 32u}) {
-      ShardMap map(groups, shards);
-      SCOPED_TRACE("groups=" + std::to_string(groups) +
-                   " shards=" + std::to_string(shards));
-      EXPECT_LE(map.shards(), groups) << "shards above the row count clamp";
-      EXPECT_GE(map.shards(), 1u);
-
-      std::size_t covered = 0, min_sz = groups, max_sz = 0;
-      for (std::size_t s = 0; s < map.shards(); ++s) {
-        EXPECT_EQ(map.begin(s), covered) << "contiguous, in order";
-        EXPECT_EQ(map.end(s), map.begin(s) + map.size(s));
-        covered = map.end(s);
-        min_sz = std::min(min_sz, map.size(s));
-        max_sz = std::max(max_sz, map.size(s));
-        for (std::size_t g = map.begin(s); g < map.end(s); ++g)
-          EXPECT_EQ(map.shard_of(g), s);
-      }
-      EXPECT_EQ(covered, groups) << "every group owned exactly once";
-      EXPECT_LE(max_sz - min_sz, 1u) << "balanced within one row";
-    }
-  }
-}
-
-// The tentpole byte-identity contract: any shard count folds to exactly the
-// same Ñ bytes as the single-lane engine, both incrementally and via
-// recompute().
-TEST(ShardEngine, EveryShardCountMatchesSingleShardBytes) {
+// recompute() is the paper's literal eq. (9)/(10) aggregation; it must land
+// on exactly the Ñ bytes the incremental folds produced.
+TEST(ShardEngine, RecomputeMatchesIncrementalBytes) {
   auto cfg = engine_config();
   crypto::ChaChaRng key_rng{std::uint64_t{11}};
   auto kp = crypto::paillier_generate(cfg.paillier_bits, key_rng, cfg.mr_rounds);
   auto e = watch::make_e_matrix(cfg.watch);
-  auto updates = sample_updates(cfg, kp.pk);
 
-  SdcStateEngine reference{cfg, kp.pk, e};
-  for (const auto& u : updates) reference.apply_pu_update(u);
-
-  for (std::size_t shards : {2u, 3u, 4u, 9u}) {
-    SCOPED_TRACE("num_shards=" + std::to_string(shards));
-    auto sharded_cfg = cfg;
-    sharded_cfg.num_shards = shards;
-    SdcStateEngine engine{sharded_cfg, kp.pk, e};
-    for (const auto& u : updates) engine.apply_pu_update(u);
-    EXPECT_EQ(engine.budget(), reference.budget());
-    EXPECT_EQ(engine.pu_count(), reference.pu_count());
-
-    engine.recompute();
-    EXPECT_EQ(engine.budget(), reference.budget())
-        << "recompute must land on the same bytes";
-  }
+  SdcStateEngine engine{cfg, kp.pk, e};
+  for (const auto& u : sample_updates(cfg, kp.pk)) engine.apply_pu_update(u);
+  const CipherMatrix incremental = engine.budget();
+  engine.recompute();
+  EXPECT_EQ(engine.budget(), incremental)
+      << "recompute must land on the same bytes";
 }
 
 TEST(ShardEngine, RedeliveredUpdateIsAModularNoop) {
   // Exactly-once application: re-folding an already-applied column retracts
   // and re-adds the identical ciphertexts, leaving every budget byte alone.
   auto cfg = engine_config();
-  cfg.num_shards = 2;
   crypto::ChaChaRng key_rng{std::uint64_t{12}};
   auto kp = crypto::paillier_generate(cfg.paillier_bits, key_rng, cfg.mr_rounds);
   auto e = watch::make_e_matrix(cfg.watch);
@@ -179,10 +142,8 @@ class DurableEngineTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  PisaConfig durable_config(std::size_t pack_slots = 1, bool threshold = false,
-                            std::size_t shards = 2) {
+  PisaConfig durable_config(std::size_t pack_slots = 1, bool threshold = false) {
     auto cfg = engine_config(pack_slots, threshold);
-    cfg.num_shards = shards;
     cfg.durability.enabled = true;
     cfg.durability.dir = dir_.string();
     cfg.durability.snapshot_every = 1000;  // explicit checkpoints only
@@ -193,18 +154,20 @@ class DurableEngineTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// Satellite #3: snapshot round-trip across pack_slots ∈ {1, 2, 4} and both
-// group-key flavours. recover() must rebuild byte-identical Ñ, and the
-// restored W̃ columns must be byte-identical too — proven by folding one
-// more retune (which retracts the stored column) into both engines and
-// still landing on equal bytes.
-class SnapshotRoundTrip
-    : public DurableEngineTest,
-      public ::testing::WithParamInterface<std::tuple<std::size_t, bool>> {};
+// Snapshot round-trip across pack_slots ∈ {1, 2, 4}, both group-key
+// flavours and one or four fold lanes. recover() must rebuild
+// byte-identical Ñ, and the restored W̃ columns must be byte-identical too —
+// proven by folding one more retune (which retracts the stored column) into
+// both engines and still landing on equal bytes.
+class SnapshotRoundTrip : public DurableEngineTest,
+                          public ::testing::WithParamInterface<
+                              std::tuple<std::size_t, bool, std::size_t>> {};
 
 TEST_P(SnapshotRoundTrip, RecoverRebuildsByteIdenticalState) {
-  const auto [pack_slots, threshold] = GetParam();
+  const auto [pack_slots, threshold, num_threads] = GetParam();
   auto cfg = durable_config(pack_slots, threshold);
+  cfg.num_threads = num_threads;
+  auto pool = std::make_shared<exec::ThreadPool>(num_threads);
   crypto::ChaChaRng rng{std::uint64_t{2025}};
   StpServer stp{cfg, rng};  // plain or threshold group keygen
   auto pk = stp.group_key();
@@ -214,6 +177,7 @@ TEST_P(SnapshotRoundTrip, RecoverRebuildsByteIdenticalState) {
   std::uint64_t last_serial = 0;
   {
     SdcStateEngine engine{cfg, pk, e};
+    engine.set_thread_pool(pool);
     ASSERT_TRUE(engine.durable());
     engine.apply_pu_update(updates[0]);
     engine.apply_pu_update(updates[1]);
@@ -229,6 +193,7 @@ TEST_P(SnapshotRoundTrip, RecoverRebuildsByteIdenticalState) {
   }
 
   SdcStateEngine recovered{cfg, pk, e};
+  recovered.set_thread_pool(pool);
   SdcStateEngine oracle{engine_config(pack_slots, threshold), pk, e};
   for (const auto& u : updates) oracle.apply_pu_update(u);
 
@@ -259,10 +224,13 @@ INSTANTIATE_TEST_SUITE_P(
     PackAndKeyFlavours, SnapshotRoundTrip,
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{4}),
-                       ::testing::Bool()),
+                       ::testing::Bool(),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
     [](const auto& info) {
+      const std::size_t lanes = std::get<2>(info.param);
       return "pack" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_threshold" : "_plain");
+             (std::get<1>(info.param) ? "_threshold" : "_plain") +
+             (lanes == 1 ? "" : "_" + std::to_string(lanes) + "lanes");
     });
 
 TEST_F(DurableEngineTest, WalOnlyRecoveryWithoutAnySnapshot) {
@@ -282,9 +250,8 @@ TEST_F(DurableEngineTest, WalOnlyRecoveryWithoutAnySnapshot) {
   for (const auto& u : updates) oracle.apply_pu_update(u);
   EXPECT_EQ(recovered.budget(), oracle.budget());
   EXPECT_FALSE(recovered.recovery_stats().from_snapshot);
-  EXPECT_EQ(recovered.recovery_stats().wal_records_replayed,
-            updates.size() * 2)  // one slice record per shard per update
-      << "every journaled slice replays exactly once";
+  EXPECT_EQ(recovered.recovery_stats().wal_records_replayed, updates.size())
+      << "every journaled column replays exactly once";
 }
 
 TEST_F(DurableEngineTest, AutoCompactionKeepsRecoveryEquivalent) {
@@ -324,11 +291,21 @@ TEST_F(DurableEngineTest, ConfigFingerprintMismatchThrows) {
       SdcStateEngine(repacked, kp.pk, watch::make_e_matrix(repacked.watch)),
       std::runtime_error);
 
-  // Different shard count: shard 0's snapshot names the old partition.
-  auto resharded = durable_config(/*pack_slots=*/2, false, /*shards=*/1);
-  EXPECT_THROW(
-      SdcStateEngine(resharded, kp.pk, watch::make_e_matrix(resharded.watch)),
-      std::runtime_error);
+  // A snapshot whose header names a store count other than 1 (a store
+  // split into several files) is refused, not read as the whole state.
+  {
+    const auto snap = dir_ / "shard_0.snap";
+    auto sealed = store::read_sealed_file(snap);
+    ASSERT_TRUE(sealed.has_value());
+    auto payload = sealed->payload;
+    ASSERT_EQ(payload[4], 1u);  // second little-endian u32: the store count
+    payload[4] = 2;
+    store::write_sealed_file(snap, sealed->epoch, payload);
+    EXPECT_THROW(SdcStateEngine(cfg, kp.pk, watch::make_e_matrix(cfg.watch)),
+                 std::runtime_error);
+    payload[4] = 1;
+    store::write_sealed_file(snap, sealed->epoch, payload);
+  }
 
   // Different group key: the fingerprint catches a key rotation.
   crypto::ChaChaRng other_rng{std::uint64_t{24}};

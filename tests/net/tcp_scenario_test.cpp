@@ -38,7 +38,6 @@ core::PisaConfig scenario_config(std::size_t pack_slots,
   cfg.blind_bits = 16;
   cfg.mr_rounds = 6;
   cfg.pack_slots = pack_slots;
-  cfg.num_shards = 2;
   cfg.durability.enabled = true;
   cfg.durability.dir = dir;
   cfg.denial_filter.enabled = true;
