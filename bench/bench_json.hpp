@@ -29,9 +29,13 @@
 #include <variant>
 #include <vector>
 
-// Snapshot attribution (bench/CMakeLists.txt injects these at configure
-// time): every snapshot records which source revision and compiler flags
-// produced it, so numbers stay comparable across PRs.
+// Snapshot attribution: every snapshot records which source revision and
+// compiler flags produced it, so numbers stay comparable across PRs. The
+// revision comes from the header bench/git_rev.cmake writes at build time,
+// the build type and flags from bench/CMakeLists.txt.
+#if __has_include("pisa_git_rev.h")
+#include "pisa_git_rev.h"
+#endif
 #ifndef PISA_GIT_REV
 #define PISA_GIT_REV "unknown"
 #endif

@@ -329,7 +329,8 @@ BENCHMARK(BM_PackedBlindEntry)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MakeRandomizer(benchmark::State& state) {
-  // One full |n|-bit modexp per factor — the RandomizerPool refill cost.
+  // One full |n|-bit modexp per factor — the cost of one RandomizerSource
+  // factor, cached ahead or computed inline.
   const auto& kp = keys(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(kp.pk.make_randomizer(rng()));

@@ -141,14 +141,13 @@ std::pair<std::uint32_t, std::uint32_t> ClientSession::disclosed(
 
 PreparedRequest ClientSession::prepare_request(
     std::uint32_t su_id, const watch::QMatrix& f,
-    std::optional<std::pair<std::uint32_t, std::uint32_t>> range,
-    PrepMode mode) {
+    std::optional<std::pair<std::uint32_t, std::uint32_t>> range) {
   PreparedRequest p;
   p.request_id = next_request_id_++;
   p.su_id = su_id;
   const auto [lo, hi] = disclosed(f, range);
   p.bytes = su(su_id)
-                .prepare_request(f, p.request_id, lo, hi, mode)
+                .prepare_request(f, p.request_id, lo, hi)
                 .encode(group_pk_.ciphertext_bytes());
   return p;
 }

@@ -186,8 +186,7 @@ class ClientSession {
   PreparedRequest prepare_request(
       std::uint32_t su_id, const watch::QMatrix& f,
       std::optional<std::pair<std::uint32_t, std::uint32_t>> range =
-          std::nullopt,
-      PrepMode mode = PrepMode::kFresh);
+          std::nullopt);
 
   /// Send a prepared request to the SDC (does not consume it).
   void submit(const PreparedRequest& req);

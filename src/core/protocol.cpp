@@ -113,13 +113,13 @@ void PisaSystem::drain() {
 
 PisaSystem::RequestOutcome PisaSystem::su_request(
     const watch::SuRequest& request,
-    std::optional<std::pair<std::uint32_t, std::uint32_t>> range, PrepMode mode) {
+    std::optional<std::pair<std::uint32_t, std::uint32_t>> range) {
   auto f = build_f(request);
   if (config().query_mode == QueryMode::kPir) {
     const auto [lo, hi] = ClientSession::disclosed(f, range);
     return su_request_pir(request.su_id, f, lo, hi);
   }
-  const auto p = session_.prepare_request(request.su_id, f, range, mode);
+  const auto p = session_.prepare_request(request.su_id, f, range);
   const auto name = ClientSession::su_name(request.su_id);
 
   auto su_sdc_before = net_.stats(name, "sdc").bytes;
@@ -174,8 +174,7 @@ PisaSystem::RequestOutcome PisaSystem::su_request_pir(std::uint32_t su_id,
 }
 
 std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
-    const std::vector<watch::SuRequest>& requests, PrepMode mode,
-    MultiRequestStats* stats) {
+    const std::vector<watch::SuRequest>& requests, MultiRequestStats* stats) {
   if (config().query_mode == QueryMode::kPir) {
     // No conversion round to coalesce and no modexp-heavy preparation: the
     // burst degenerates to sequential full-range queries.
@@ -201,8 +200,7 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
   std::vector<PreparedRequest> prepared;
   prepared.reserve(requests.size());
   for (const auto& r : requests)
-    prepared.push_back(
-        session_.prepare_request(r.su_id, build_f(r), std::nullopt, mode));
+    prepared.push_back(session_.prepare_request(r.su_id, build_f(r)));
   double prep_ms = wall_ms_since(t_prep);
 
   const auto& stp_log = net_.audit_log("stp");

@@ -78,12 +78,11 @@ class PisaSystem {
 
   /// Full request round trip (Figure 5). `range` narrows the disclosed
   /// block interval (the §VI-A privacy/time trade-off); nullopt = full
-  /// privacy. `mode` selects the preparation strategy (fresh / pooled /
-  /// hybrid, see SuClient).
+  /// privacy. The SU's precomputed factors, if any, are spent first (see
+  /// SuClient).
   RequestOutcome su_request(
       const watch::SuRequest& request,
-      std::optional<std::pair<std::uint32_t, std::uint32_t>> range = std::nullopt,
-      PrepMode mode = PrepMode::kFresh);
+      std::optional<std::pair<std::uint32_t, std::uint32_t>> range = std::nullopt);
 
   /// Aggregate accounting for one concurrent burst (su_request_many).
   struct MultiRequestStats {
@@ -107,7 +106,7 @@ class PisaSystem {
   /// the §3.5 determinism argument.
   std::vector<RequestOutcome> su_request_many(
       const std::vector<watch::SuRequest>& requests,
-      PrepMode mode = PrepMode::kFresh, MultiRequestStats* stats = nullptr);
+      MultiRequestStats* stats = nullptr);
 
   /// The F matrix the request encrypts — shared with PlainWatch's pipeline.
   /// It models every receiver where it is now (ClientSession::pu_sites).

@@ -12,9 +12,8 @@ namespace pisa::core {
 PuClient::PuClient(watch::PuSite site, const PisaConfig& cfg,
                    crypto::PaillierPublicKey group_pk, watch::QMatrix e_matrix,
                    bn::RandomSource& rng)
-    : pu_id_(site.pu_id), cfg_(cfg), group_pk_(std::move(group_pk)),
-      e_matrix_(std::move(e_matrix)), block_(site.block.index),
-      stream_(rng.next_u64()) {
+    : pu_id_(site.pu_id), cfg_(cfg), e_matrix_(std::move(e_matrix)),
+      block_(site.block.index), source_(std::move(group_pk), rng) {
   if (e_matrix_.channels() != cfg_.watch.channels ||
       e_matrix_.blocks() != cfg_.watch.make_area().num_blocks())
     throw std::invalid_argument("PuClient: E matrix must be C x B");
@@ -90,13 +89,16 @@ PuUpdateMsg PuClient::make_update(const watch::PuTuning& tuning) {
   // the per-entry layout.
   const crypto::SlotCodec codec{cfg_.slot_bits(), cfg_.pack_slots};
   const std::size_t k = codec.slots();
-  std::vector<bn::BigInt> packed(cfg_.channel_groups());
+  // Signed values encrypt as their centered lift mod n.
+  const auto& n = source_.public_key().n();
+  std::vector<bn::BigUint> packed(cfg_.channel_groups());
   for (std::size_t g = 0; g < packed.size(); ++g) {
     const std::size_t lo = g * k;
-    const std::size_t n = std::min(k, ws.size() - lo);
-    packed[g] = codec.pack(std::span<const bn::BigInt>{ws}.subspan(lo, n));
+    const std::size_t len = std::min(k, ws.size() - lo);
+    packed[g] = codec.pack(std::span<const bn::BigInt>{ws}.subspan(lo, len))
+                    .mod_euclid(n);
   }
-  msg.w_column = group_pk_.encrypt_signed_batch(packed, stream_, exec_.get());
+  msg.w_column = source_.encrypt(packed, exec_.get());
 
   footprint_ = std::move(next);
   return msg;
@@ -156,47 +158,35 @@ std::optional<PuDeltaMsg> PuClient::make_delta(const watch::PuTuning& tuning) {
     return (a.first >> 32) < (b.first >> 32);
   });
 
+  // A negative retraction lifts to its n − m residue, whose E_det is the
+  // closed-form inverse of E_det(m).
+  std::vector<bn::BigUint> lifted;
+  lifted.reserve(diff.size());
+  for (const auto& [key, d] : diff)
+    lifted.push_back(d.mod_euclid(source_.public_key().n()));
+  auto cts = source_.encrypt(lifted, exec_.get());
+
   PuDeltaMsg msg;
   msg.pu_id = pu_id_;
   msg.delta_seq = ++delta_seq_;
   msg.cells.reserve(diff.size());
-  for (auto& [key, d] : diff) {
-    PuDeltaMsg::Cell cell;
-    cell.group = static_cast<std::uint32_t>(key >> 32);
-    cell.block = static_cast<std::uint32_t>(key);
-    cell.delta = encrypt_delta(d);
-    msg.cells.push_back(std::move(cell));
-  }
+  for (std::size_t i = 0; i < diff.size(); ++i)
+    msg.cells.push_back({static_cast<std::uint32_t>(diff[i].first >> 32),
+                         static_cast<std::uint32_t>(diff[i].first),
+                         std::move(cts[i])});
 
   footprint_ = std::move(next);
   return msg;
 }
 
-crypto::PaillierCiphertext PuClient::encrypt_delta(const bn::BigInt& diff) {
-  // lift(diff) mod n turns a negative retraction into the n − m residue —
-  // encrypt_deterministic(n − m) *is* encrypt_deterministic_inverse(m), so
-  // one cache covers enter, leave and modify cells.
-  bn::BigUint m = diff.mod_euclid(group_pk_.n());
-  auto it = det_cache_.find(m);
-  if (it == det_cache_.end()) {
-    if (det_cache_.size() >= kDetCacheMax) det_cache_.clear();
-    it = det_cache_.emplace(m, group_pk_.encrypt_deterministic(m)).first;
-  }
-  bn::BigUint rn = (rpool_ && rpool_->available())
-                       ? rpool_->pop()
-                       : group_pk_.make_randomizer(stream_);
-  return group_pk_.rerandomize_with(it->second, rn);
-}
-
 void PuClient::precompute_randomizers(std::size_t count) {
-  rpool_.emplace(group_pk_, count);
-  rpool_->refill(stream_, exec_.get());
+  source_.precompute(count, exec_.get());
 }
 
 std::size_t PuClient::update_bytes() const {
   // PuUpdateMsg wire layout: pu_id u32 + block u32 + count u32 + width u32
   // + ⌈C/k⌉ ciphertexts at the fixed |n²| width.
-  return 16 + cfg_.channel_groups() * group_pk_.ciphertext_bytes();
+  return 16 + cfg_.channel_groups() * source_.public_key().ciphertext_bytes();
 }
 
 }  // namespace pisa::core

@@ -13,9 +13,10 @@
 // contribution changed, as encryptions of (new − old). A moving or
 // channel-hopping PU therefore ships 1–2 ciphertexts per event instead of a
 // full ⌈C/pack_slots⌉ column per touched block, and the SDC folds each with
-// one multiplication. A deterministic-part cache plus an optional
-// precomputed r^n pool make repeated w values along a trace one modular
-// multiplication per cell after the offline phase.
+// one multiplication. Both paths encrypt through one
+// crypto::RandomizerSource, so r^n factors precomputed in the offline phase
+// make a cell one modular multiplication, and a frame's bytes never depend
+// on how many were.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,8 @@
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "crypto/chacha_rng.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_source.hpp"
 #include "pir/pir_messages.hpp"
 #include "watch/config.hpp"
 #include "watch/matrices.hpp"
@@ -43,10 +44,10 @@ class PuClient {
  public:
   /// `e_matrix` is the full public E_S budget matrix (C×B): a mobile PU
   /// must be able to compute w = T − E at any block it visits. `rng` seeds
-  /// this client's private ChaCha stream once at construction; afterwards
-  /// every encryption draw comes off that stream, so how many ciphertexts
-  /// an update path needs (full column vs delta cells) cannot shift any
-  /// other entity's randomness.
+  /// this client's randomizer source once at construction; afterwards every
+  /// ciphertext takes the source's next index, so how many ciphertexts an
+  /// update path needs (full column vs delta cells) cannot shift any other
+  /// entity's randomness.
   PuClient(watch::PuSite site, const PisaConfig& cfg,
            crypto::PaillierPublicKey group_pk, watch::QMatrix e_matrix,
            bn::RandomSource& rng);
@@ -96,15 +97,13 @@ class PuClient {
   /// C = 100). Pure arithmetic — consumes no randomness.
   std::size_t update_bytes() const;
 
-  /// Offline phase for the delta path: precompute `count` r^n randomizer
-  /// factors so each later delta cell costs one modular multiplication
-  /// (paper §VI-A's pooled-preparation argument applied to the PU side).
+  /// Offline phase: compute the next r^n factors until `count` are cached,
+  /// so each later ciphertext costs one modular multiplication (paper
+  /// §VI-A's pooled-preparation argument applied to the PU side).
   void precompute_randomizers(std::size_t count);
-  std::size_t randomizers_available() const {
-    return rpool_ ? rpool_->available() : 0;
-  }
+  std::size_t randomizers_available() const { return source_.cached(); }
 
-  /// Execution lanes for column encryption (nullptr = sequential).
+  /// Execution lanes for encryption (nullptr = sequential).
   void set_thread_pool(std::shared_ptr<exec::ThreadPool> pool);
 
  private:
@@ -118,17 +117,9 @@ class PuClient {
   /// Desired footprint for `tuning` at the current block (empty when off).
   std::map<std::uint64_t, bn::BigInt> desired_footprint(
       const watch::PuTuning& tuning) const;
-  /// E(diff) = E_det(lift(diff)) · r^n — the deterministic part comes from
-  /// the value cache, r^n from the pool when one was precomputed.
-  crypto::PaillierCiphertext encrypt_delta(const bn::BigInt& diff);
-
-  /// Deterministic-part cache bound: traces revisit few distinct w values,
-  /// so a small cache captures them; past the bound it resets wholesale.
-  static constexpr std::size_t kDetCacheMax = 1024;
 
   std::uint32_t pu_id_;
   PisaConfig cfg_;
-  crypto::PaillierPublicKey group_pk_;
   watch::QMatrix e_matrix_;
   std::shared_ptr<exec::ThreadPool> exec_;
   std::uint32_t block_;
@@ -136,11 +127,8 @@ class PuClient {
   /// Packed plaintext contribution per nonzero (group, block) cell, as the
   /// SDC currently holds it for this PU.
   std::map<std::uint64_t, bn::BigInt> footprint_;
-  std::map<bn::BigUint, crypto::PaillierCiphertext> det_cache_;
-  std::optional<crypto::RandomizerPool> rpool_;
-  /// Private encryption stream, seeded once from the construction rng
-  /// (same isolation argument as SdcServer::stream_). Declared last.
-  crypto::ChaChaRng stream_;
+  /// r^n factors under pk_G, seeded once from the construction rng.
+  crypto::RandomizerSource source_;
 };
 
 }  // namespace pisa::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "crypto/chacha_rng.hpp"
 #include "crypto/key_codec.hpp"
 #include "crypto/sha256.hpp"
 #include "exec/thread_pool.hpp"
@@ -12,8 +11,8 @@ namespace pisa::core {
 
 namespace {
 
-std::array<std::uint8_t, 32> draw_seed(bn::RandomSource& rng) {
-  std::array<std::uint8_t, 32> seed{};
+crypto::RandomizerSource::Seed draw_seed(bn::RandomSource& rng) {
+  crypto::RandomizerSource::Seed seed{};
   rng.fill(seed);
   return seed;
 }
@@ -45,17 +44,18 @@ void StpServer::register_su_key(std::uint32_t su_id, crypto::PaillierPublicKey p
   std::lock_guard<std::mutex> lk(mu_);
   auto it = sources_.find(su_id);
   // Same key again (a replayed upload): its indices must never rewind.
-  if (it != sources_.end() && *it->second.pk == pk) return;
-  Source src;
-  src.key_number = it == sources_.end() ? 0 : it->second.key_number + 1;
+  if (it != sources_.end() && it->second.src->public_key() == pk) return;
+  const std::uint64_t key_number =
+      it == sources_.end() ? 0 : it->second.key_number + 1;
   crypto::Sha256 h;
   h.update(master_);
   put_u64(h, su_id);
-  put_u64(h, src.key_number);
+  put_u64(h, key_number);
   h.update(pk_digest);
-  src.seed = h.finalize();
-  src.pk = std::make_shared<const crypto::PaillierPublicKey>(std::move(pk));
-  sources_.insert_or_assign(su_id, std::move(src));
+  sources_.insert_or_assign(
+      su_id, Source{std::make_shared<crypto::RandomizerSource>(std::move(pk),
+                                                               h.finalize()),
+                    key_number});
 }
 
 const crypto::PaillierPublicKey& StpServer::su_key(std::uint32_t su_id) const {
@@ -63,38 +63,31 @@ const crypto::PaillierPublicKey& StpServer::su_key(std::uint32_t su_id) const {
   auto it = sources_.find(su_id);
   if (it == sources_.end())
     throw std::out_of_range("StpServer: unknown SU key " + std::to_string(su_id));
-  return *it->second.pk;
+  return it->second.src->public_key();
 }
 
 void StpServer::set_thread_pool(std::shared_ptr<exec::ThreadPool> pool) {
   exec_ = std::move(pool);
 }
 
-bn::BigUint StpServer::make_factor(const crypto::PaillierPublicKey& pk,
-                                   const Seed& seed, std::uint64_t index) {
-  crypto::ChaChaRng r_stream{seed, index};
-  return pk.make_randomizer(r_stream);
+void StpServer::add_tasks(const std::shared_ptr<crypto::RandomizerSource>& src,
+                          std::size_t count, std::size_t max_tasks,
+                          std::vector<FactorTask>& tasks) {
+  std::uint64_t index = src->next_missing();
+  for (std::size_t have = src->cached(); have < count && tasks.size() < max_tasks;
+       ++have)
+    tasks.push_back({src, index++, {}});
 }
 
 void StpServer::compute_and_store(std::vector<FactorTask>& tasks) {
-  if (tasks.empty()) return;
-  auto compute = [&](std::size_t i) {
-    tasks[i].factor = make_factor(*tasks[i].pk, tasks[i].seed, tasks[i].index);
-  };
-  if (tasks.size() == 1)
-    compute(0);
-  else
-    exec::parallel_for(exec_.get(), 0, tasks.size(), compute);
+  exec::parallel_for(exec_.get(), 0, tasks.size(), [&](std::size_t i) {
+    tasks[i].factor = tasks[i].src->factor(tasks[i].index);
+  });
   std::lock_guard<std::mutex> lk(mu_);
-  for (auto& t : tasks) {
-    // A conversion may have taken this index inline meanwhile, or the SU
-    // may have registered a new key: then the factor is no longer wanted.
-    auto it = sources_.find(t.su_id);
-    if (it == sources_.end() || it->second.pk != t.pk) continue;
-    auto& src = it->second;
-    if (t.index == src.next + src.ready.size())
-      src.ready.push_back(std::move(t.factor));
-  }
+  // A conversion may have taken an index inline meanwhile (the offer is
+  // dropped), or the SU may have registered a new key (the offer lands in
+  // the replaced source, which nothing reads again).
+  for (auto& t : tasks) t.src->offer(t.index, std::move(t.factor));
 }
 
 void StpServer::precompute_su_randomizers(std::uint32_t su_id, std::size_t count) {
@@ -104,9 +97,8 @@ void StpServer::precompute_su_randomizers(std::uint32_t su_id, std::size_t count
     auto it = sources_.find(su_id);
     if (it == sources_.end())
       throw std::out_of_range("StpServer: unknown SU key " + std::to_string(su_id));
-    const auto& src = it->second;
-    for (std::size_t have = src.ready.size(); have < count; ++have)
-      tasks.push_back({su_id, src.next + have, src.pk, src.seed, {}});
+    add_tasks(it->second.src, count, std::numeric_limits<std::size_t>::max(),
+              tasks);
   }
   compute_and_store(tasks);
 }
@@ -115,10 +107,8 @@ std::size_t StpServer::refill_randomizers(std::size_t max_factors) {
   std::vector<FactorTask> tasks;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [su_id, src] : sources_) {
-      for (std::size_t have = src.ready.size();
-           have < depth_ && tasks.size() < max_factors; ++have)
-        tasks.push_back({su_id, src.next + have, src.pk, src.seed, {}});
+    for (const auto& [su_id, source] : sources_) {
+      add_tasks(source.src, depth_, max_factors, tasks);
       if (tasks.size() >= max_factors) break;
     }
   }
@@ -134,46 +124,32 @@ std::size_t StpServer::randomizer_depth() const {
 std::size_t StpServer::pool_available(std::uint32_t su_id) const {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = sources_.find(su_id);
-  return it == sources_.end() ? 0 : it->second.ready.size();
+  return it == sources_.end() ? 0 : it->second.src->cached();
 }
 
 struct StpServer::ConvertEntry {
   const crypto::PaillierCiphertext* v = nullptr;
   const crypto::PaillierCiphertext* partial = nullptr;  // threshold mode only
-  std::shared_ptr<const crypto::PaillierPublicKey> pk;
-  Seed seed{};
-  std::uint64_t index = 0;
-  bool cached = false;  // factor already holds r^n for `index`
-  bn::BigUint factor;
+  Staged* staged = nullptr;
+  std::size_t i = 0;  ///< position in staged->taken
   crypto::PaillierCiphertext* out = nullptr;
 };
 
-void StpServer::stage_randomness(std::uint32_t su_id, std::size_t count,
-                                 std::vector<ConvertEntry>& entries,
-                                 std::size_t base) {
-  std::size_t cached = 0;
+StpServer::Staged StpServer::stage_randomness(std::uint32_t su_id,
+                                              std::size_t count) {
+  Staged s;
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = sources_.find(su_id);
     if (it == sources_.end())
       throw std::out_of_range("StpServer: unknown SU key " + std::to_string(su_id));
-    auto& src = it->second;
     depth_ = std::max(depth_, count);
-    for (std::size_t i = 0; i < count; ++i, ++src.next) {
-      auto& e = entries[base + i];
-      e.pk = src.pk;
-      e.seed = src.seed;
-      e.index = src.next;
-      if (!src.ready.empty()) {
-        e.factor = std::move(src.ready.front());
-        src.ready.pop_front();
-        e.cached = true;
-        ++cached;
-      }
-    }
+    s.src = it->second.src;
+    s.taken = it->second.src->take(count);
   }
-  factors_precomputed_ += cached;
-  factors_inline_ += count - cached;
+  factors_precomputed_ += s.taken.cached.size();
+  factors_inline_ += count - s.taken.cached.size();
+  return s;
 }
 
 void StpServer::check_partials(std::size_t entries, std::size_t partials) const {
@@ -202,31 +178,29 @@ void StpServer::convert_entries(std::vector<ConvertEntry>& entries) {
     auto slots = open_slots(*e.v, e.partial);
     for (auto& s : slots) s = (s.sign() > 0) ? bn::BigInt{1} : bn::BigInt{-1};
     bn::BigInt x = codec_.pack(slots);
-    if (!e.cached) e.factor = make_factor(*e.pk, e.seed, e.index);
-    *e.out = e.pk->rerandomize_with(
-        e.pk->encrypt_deterministic(x.mod_euclid(e.pk->n())), e.factor);
+    const auto& src = *e.staged->src;
+    const auto& pk = src.public_key();
+    *e.out = pk.rerandomize_with(pk.encrypt_deterministic(x.mod_euclid(pk.n())),
+                                 src.factor(e.staged->taken, e.i));
   });
 }
 
 std::vector<ConvertResponseMsg> StpServer::convert_items(
     std::span<const ConvertRequestMsg> items) {
   std::vector<ConvertResponseMsg> out(items.size());
+  std::vector<Staged> staged(items.size());
   std::vector<ConvertEntry> entries;
   for (std::size_t j = 0; j < items.size(); ++j) {
     const auto& item = items[j];
     check_partials(item.v.size(), item.partials.size());
     out[j].request_id = item.request_id;
     out[j].x.resize(item.v.size());
-    const std::size_t base = entries.size();
-    entries.resize(base + item.v.size());
-    for (std::size_t i = 0; i < item.v.size(); ++i) {
-      entries[base + i].v = &item.v[i];
-      if (deal_) entries[base + i].partial = &item.partials[i];
-      entries[base + i].out = &out[j].x[i];
-    }
     // Each item takes its own SU's next indices, in item order, so batch
     // composition never changes a request's output bytes.
-    stage_randomness(item.su_id, item.v.size(), entries, base);
+    staged[j] = stage_randomness(item.su_id, item.v.size());
+    for (std::size_t i = 0; i < item.v.size(); ++i)
+      entries.push_back({&item.v[i], deal_ ? &item.partials[i] : nullptr,
+                         &staged[j], i, &out[j].x[i]});
   }
   convert_entries(entries);
   conversions_ += items.size();
@@ -292,7 +266,7 @@ void StpServer::attach(net::Transport& net, const std::string& name) {
       {
         std::lock_guard<std::mutex> lk(mu_);
         auto it = sources_.find(lookup.su_id);
-        if (it != sources_.end()) pk = *it->second.pk;
+        if (it != sources_.end()) pk = it->second.src->public_key();
       }
       if (pk) {
         resp.found = true;

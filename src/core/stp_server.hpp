@@ -8,10 +8,8 @@
 // blinding applied by the SDC (eq. (14)) hides both magnitude and sign.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -27,6 +25,7 @@
 #include "core/messages.hpp"
 #include "crypto/packing.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_source.hpp"
 #include "crypto/threshold_paillier.hpp"
 #include "net/bus.hpp"
 #include "net/reliable_channel.hpp"
@@ -142,49 +141,44 @@ class StpServer {
   }
 
  private:
-  using Seed = std::array<std::uint8_t, 32>;
-
-  /// One SU key's randomizer source. `ready` holds the factors for indices
-  /// next, next + 1, …; a conversion pops the front or, when it is empty,
-  /// computes factor `next` inline.
+  /// One SU key's randomizer source. A new key gets a new source object,
+  /// so a refill computed for the old one lands where nothing reads it.
   struct Source {
-    /// A new key gets a new pointer, which tells a late refill its source
-    /// was replaced.
-    std::shared_ptr<const crypto::PaillierPublicKey> pk;
-    std::uint64_t key_number = 0;  ///< keys this SU registered before pk
-    Seed seed{};
-    std::uint64_t next = 0;
-    std::deque<bn::BigUint> ready;
+    std::shared_ptr<crypto::RandomizerSource> src;
+    std::uint64_t key_number = 0;  ///< keys this SU registered before src's
   };
 
-  /// A factor to compute outside the lock, then append to its source if
-  /// that source still wants exactly this index.
+  /// A factor to compute outside the lock, then offer to its source.
   struct FactorTask {
-    std::uint32_t su_id = 0;
+    std::shared_ptr<crypto::RandomizerSource> src;
     std::uint64_t index = 0;
-    std::shared_ptr<const crypto::PaillierPublicKey> pk;
-    Seed seed{};
     bn::BigUint factor;
   };
 
+  /// One conversion item's SU source and the indices it took from it.
+  struct Staged {
+    std::shared_ptr<const crypto::RandomizerSource> src;
+    crypto::RandomizerSource::Reservation taken;
+  };
+
   /// One Ṽ entry of a (possibly batched) conversion, flattened: where its
-  /// ciphertext lives, which SU key re-encrypts it, and its factor — taken
-  /// from the cache, or computed from (seed, index) in the parallel section.
+  /// ciphertext lives and which of its item's taken indices it uses.
   struct ConvertEntry;
 
-  static bn::BigUint make_factor(const crypto::PaillierPublicKey& pk,
-                                 const Seed& seed, std::uint64_t index);
+  /// Take the next `count` indices of SU `su_id`'s source, cached factors
+  /// first; raises the depth to `count`. Throws std::out_of_range for an
+  /// unknown SU.
+  Staged stage_randomness(std::uint32_t su_id, std::size_t count);
 
-  /// Reserve the next `count` indices of SU `su_id`'s source for
-  /// entries[base..base+count), in entry order, taking cached factors where
-  /// they exist; raises the depth to `count`. Throws std::out_of_range for
-  /// an unknown SU.
-  void stage_randomness(std::uint32_t su_id, std::size_t count,
-                        std::vector<ConvertEntry>& entries, std::size_t base);
-
-  /// Compute every task's factor (outside the lock), then append each to
-  /// its source where it is still the next missing index.
+  /// Compute every task's factor (outside the lock), then offer each to
+  /// its source.
   void compute_and_store(std::vector<FactorTask>& tasks);
+
+  /// Append tasks for `src`'s missing factors until `count` are cached,
+  /// stopping when `tasks` holds `max_tasks`. Call under mu_.
+  static void add_tasks(const std::shared_ptr<crypto::RandomizerSource>& src,
+                        std::size_t count, std::size_t max_tasks,
+                        std::vector<FactorTask>& tasks);
 
   /// Throws std::invalid_argument unless threshold mode brings one SDC
   /// partial per entry.
@@ -216,7 +210,7 @@ class StpServer {
   /// Master secret of every source, drawn once right after key generation:
   /// seed_j = SHA-256(master, su_id, key_number, SHA-256(pk_j)), so a
   /// re-registered key — even one the SU used before — never reuses an r.
-  Seed master_;
+  crypto::RandomizerSource::Seed master_;
   std::shared_ptr<exec::ThreadPool> exec_;
   mutable std::mutex mu_;  ///< guards sources_ and depth_
   std::map<std::uint32_t, Source> sources_;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "bigint/prime.hpp"
 #include "crypto/packing.hpp"
 #include "exec/thread_pool.hpp"
 
@@ -10,9 +9,9 @@ namespace pisa::core {
 
 SuClient::SuClient(std::uint32_t su_id, const PisaConfig& cfg,
                    crypto::PaillierPublicKey group_pk, bn::RandomSource& rng)
-    : su_id_(su_id), cfg_(cfg), group_pk_(std::move(group_pk)), rng_(rng),
+    : su_id_(su_id), cfg_(cfg),
       keys_(crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds)),
-      pool_(group_pk_, 0) {
+      source_(std::move(group_pk), rng) {
   cfg_.validate();
 }
 
@@ -21,14 +20,13 @@ void SuClient::set_thread_pool(std::shared_ptr<exec::ThreadPool> pool) {
 }
 
 void SuClient::precompute_randomizers(std::size_t count) {
-  pool_ = crypto::RandomizerPool{group_pk_, count};
-  pool_.refill(rng_, exec_.get());
+  source_.precompute(count, exec_.get());
 }
 
 SuRequestMsg SuClient::prepare_request(const watch::QMatrix& f,
                                        std::uint64_t request_id,
                                        std::uint32_t block_lo,
-                                       std::uint32_t block_hi, PrepMode mode) {
+                                       std::uint32_t block_hi) {
   if (f.channels() != cfg_.watch.channels ||
       f.blocks() != cfg_.watch.grid_rows * cfg_.watch.grid_cols)
     throw std::invalid_argument("SuClient: F matrix shape mismatch");
@@ -59,21 +57,11 @@ SuRequestMsg SuClient::prepare_request(const watch::QMatrix& f,
   const std::size_t k = codec.slots();
   const std::size_t groups = cfg_.channel_groups();
   const std::size_t count = groups * range;
-  msg.f.resize(count);
-
-  // Randomness pre-pass in entry order: pooled entries pop their r^n factor
-  // now, fresh entries sample r — exactly the interleaving the sequential
-  // loop produced, so requests are bit-identical at every thread count. In
-  // hybrid mode a pack is "zero" (pool-eligible) only when all of its slots
-  // are zero — with pack_slots = 1 that degenerates to the per-entry rule.
   std::vector<bn::BigUint> ms(count);
-  std::vector<bn::BigUint> factors(count);
-  std::vector<std::uint8_t> is_fresh(count, 0);
   std::vector<std::int64_t> slot_vals(k, 0);
   for (std::size_t idx = 0; idx < count; ++idx) {
     std::size_t g = idx / range;
     std::uint32_t b = block_lo + static_cast<std::uint32_t>(idx % range);
-    bool all_zero = true;
     for (std::size_t j = 0; j < k; ++j) {
       const std::size_t c = g * k + j;
       std::int64_t v =
@@ -82,35 +70,18 @@ SuRequestMsg SuClient::prepare_request(const watch::QMatrix& f,
                      radio::BlockId{b})
               : 0;
       if (v < 0) throw std::domain_error("SuClient: F entries must be >= 0");
-      if (v != 0) all_zero = false;
       slot_vals[j] = v;
     }
     ms[idx] = codec.pack_i64(slot_vals).magnitude();
-    bool pooled = mode == PrepMode::kPooled ||
-                  (mode == PrepMode::kHybrid && all_zero);
-    if (pooled) {
-      factors[idx] = pool_.pop();
-    } else {
-      factors[idx] = bn::random_coprime(rng_, group_pk_.n());
-      is_fresh[idx] = 1;
-    }
   }
-
-  // Modexp section: fresh entries pay the r^n exponentiation, pooled ones
-  // just multiply by their precomputed factor.
-  exec::parallel_for(exec_.get(), 0, count, [&](std::size_t idx) {
-    if (is_fresh[idx])
-      factors[idx] = group_pk_.mont_n2().pow(factors[idx], group_pk_.n());
-    msg.f[idx] = group_pk_.rerandomize_with(
-        group_pk_.encrypt_deterministic(ms[idx]), factors[idx]);
-  });
+  msg.f = source_.encrypt(ms, exec_.get());
   return msg;
 }
 
 SuRequestMsg SuClient::prepare_request(const watch::QMatrix& f,
-                                       std::uint64_t request_id, PrepMode mode) {
+                                       std::uint64_t request_id) {
   return prepare_request(f, request_id, 0,
-                         static_cast<std::uint32_t>(f.blocks()), mode);
+                         static_cast<std::uint32_t>(f.blocks()));
 }
 
 SuClient::Outcome SuClient::process_response(

@@ -2,24 +2,24 @@
 //
 // The SU owns its individual Paillier key pair (pk_j, sk_j); pk_j is
 // uploaded to the STP. Requests encrypt the F matrix (eq. (5)) under the
-// *group* key pk_G. Preparation has two modes:
-//   * fresh      — one full Paillier encryption per entry (paper: ≈221 s at
-//                  C×B = 100×600);
-//   * pooled     — deterministic encryption times a precomputed r^n factor,
-//                  one modular multiplication per entry (paper: ≈11 s after
-//                  offline precomputation, §VI-A).
+// *group* key pk_G, each packed entry as E_det(m) times the next r^n factor
+// of the SU's crypto::RandomizerSource. A factor computed before the
+// request (precompute_randomizers, the paper's ≈11 s pooled preparation,
+// §VI-A) costs one modular multiplication at request time; one computed
+// inline costs the modexp of a full encryption (≈221 s at C×B = 100×600).
+// Either way the request's bytes are the same.
 // The response is decrypted with sk_j; the request was granted iff the
 // recovered integer is a valid RSA signature over the license body.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_source.hpp"
 #include "crypto/rsa_signature.hpp"
 #include "watch/matrices.hpp"
 
@@ -28,14 +28,6 @@ class ThreadPool;
 }
 
 namespace pisa::core {
-
-/// Request-preparation strategy (§VI-A).
-enum class PrepMode {
-  kFresh,   ///< full Paillier encryption per entry (paper's 221 s figure)
-  kPooled,  ///< deterministic ct × precomputed r^n, all entries (≈11 s figure)
-  kHybrid,  ///< fresh for non-zero entries, pooled for the zero bulk — the
-            ///< paper's "a portion of the encrypted data is encryptions of 0"
-};
 
 class SuClient {
  public:
@@ -47,10 +39,10 @@ class SuClient {
     return keys_.pk;
   }
 
-  /// Precompute `count` r^n randomizer factors (the offline phase). Runs on
-  /// the thread pool when one is set.
+  /// The offline phase: compute the next r^n factors until `count` are
+  /// cached. Runs on the thread pool when one is set.
   void precompute_randomizers(std::size_t count);
-  std::size_t randomizers_available() const { return pool_.available(); }
+  std::size_t randomizers_available() const { return source_.cached(); }
 
   /// Execution lanes for request preparation (nullptr = sequential).
   void set_thread_pool(std::shared_ptr<exec::ThreadPool> pool);
@@ -59,14 +51,13 @@ class SuClient {
   /// [block_lo, block_hi) (full matrix = full location privacy; a narrower
   /// range trades privacy for time, §VI-A). Throws std::invalid_argument if
   /// a non-zero F entry falls outside the disclosed range — that would
-  /// silently drop interference the SDC must check.
+  /// silently drop interference the SDC must check. Takes one source index
+  /// per packed entry, in entry order.
   SuRequestMsg prepare_request(const watch::QMatrix& f, std::uint64_t request_id,
-                               std::uint32_t block_lo, std::uint32_t block_hi,
-                               PrepMode mode = PrepMode::kFresh);
+                               std::uint32_t block_lo, std::uint32_t block_hi);
 
   /// Convenience: full-range request.
-  SuRequestMsg prepare_request(const watch::QMatrix& f, std::uint64_t request_id,
-                               PrepMode mode = PrepMode::kFresh);
+  SuRequestMsg prepare_request(const watch::QMatrix& f, std::uint64_t request_id);
 
   struct Outcome {
     bool granted = false;
@@ -88,10 +79,10 @@ class SuClient {
  private:
   std::uint32_t su_id_;
   PisaConfig cfg_;
-  crypto::PaillierPublicKey group_pk_;
-  bn::RandomSource& rng_;
   crypto::PaillierKeyPair keys_;
-  crypto::RandomizerPool pool_;
+  /// r^n factors under pk_G; seeded from the construction rng right after
+  /// keygen, and the only randomness a request uses.
+  crypto::RandomizerSource source_;
   std::shared_ptr<exec::ThreadPool> exec_;
 };
 

@@ -100,8 +100,6 @@ void ChaChaRng::refill() {
   }
 }
 
-SubStreams::SubStreams(bn::RandomSource& parent) { parent.fill(master_); }
-
 void ChaChaRng::fill(std::span<std::uint8_t> out) {
   std::size_t i = 0;
   while (i < out.size()) {

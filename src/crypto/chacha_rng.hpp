@@ -45,20 +45,4 @@ class ChaChaRng final : public bn::RandomSource {
   std::size_t block_pos_ = 64;           // consumed bytes in block_
 };
 
-/// Factory for per-task deterministic sub-streams (the exec-layer
-/// reproducibility contract): construction draws one 32-byte master seed
-/// from `parent` — sequentially, on the calling thread — after which
-/// stream(i) is pure and safe to call from any thread. Handing stream(i) to
-/// the task computing output slot i makes batch results a function of the
-/// parent seed alone, bit-identical at every thread count.
-class SubStreams {
- public:
-  explicit SubStreams(bn::RandomSource& parent);
-
-  ChaChaRng stream(std::uint64_t index) const { return ChaChaRng{master_, index}; }
-
- private:
-  std::array<std::uint8_t, ChaChaRng::kSeedSize> master_{};
-};
-
 }  // namespace pisa::crypto

@@ -160,19 +160,6 @@ PaillierCiphertext PaillierPublicKey::rerandomize_with(
   return {mont_n2_->mul(c.value, rn_factor)};
 }
 
-std::vector<BigUint> PaillierPublicKey::make_randomizer_batch(
-    std::size_t count, bn::RandomSource& rng, exec::ThreadPool* pool) const {
-  // Sample every r sequentially in entry order (identical rng consumption
-  // to `count` make_randomizer calls), then spread the r^n modexps — the
-  // expensive part — over the pool.
-  std::vector<BigUint> out(count);
-  for (auto& r : out) r = bn::random_coprime(rng, n_);
-  exec::parallel_for(pool, 0, count, [&](std::size_t i) {
-    out[i] = mont_n2_->pow(out[i], n_);
-  });
-  return out;
-}
-
 std::vector<PaillierCiphertext> PaillierPublicKey::encrypt_batch(
     std::span<const bn::BigUint> ms, bn::RandomSource& rng,
     exec::ThreadPool* pool) const {
@@ -188,18 +175,6 @@ std::vector<PaillierCiphertext> PaillierPublicKey::encrypt_batch(
   return out;
 }
 
-std::vector<PaillierCiphertext> PaillierPublicKey::encrypt_signed_batch(
-    std::span<const bn::BigInt> ms, bn::RandomSource& rng,
-    exec::ThreadPool* pool) const {
-  std::vector<BigUint> lifted(ms.size());
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    if (ms[i].magnitude() > half_n_)
-      throw std::out_of_range("Paillier encrypt_signed_batch: |m| > n/2");
-    lifted[i] = ms[i].mod_euclid(n_);
-  }
-  return encrypt_batch(lifted, rng, pool);
-}
-
 std::vector<PaillierCiphertext> PaillierPublicKey::scalar_mul_batch(
     std::span<const bn::BigUint> ks, std::span<const PaillierCiphertext> cs,
     exec::ThreadPool* pool) const {
@@ -210,18 +185,6 @@ std::vector<PaillierCiphertext> PaillierPublicKey::scalar_mul_batch(
   std::vector<PaillierCiphertext> out(cs.size());
   exec::parallel_for(pool, 0, cs.size(), [&](std::size_t i) {
     out[i] = scalar_mul(ks.size() == 1 ? ks[0] : ks[i], cs[i]);
-  });
-  return out;
-}
-
-std::vector<PaillierCiphertext> PaillierPublicKey::rerandomize_batch(
-    std::span<const PaillierCiphertext> cs, bn::RandomSource& rng,
-    exec::ThreadPool* pool) const {
-  std::vector<BigUint> rs(cs.size());
-  for (auto& r : rs) r = bn::random_coprime(rng, n_);
-  std::vector<PaillierCiphertext> out(cs.size());
-  exec::parallel_for(pool, 0, cs.size(), [&](std::size_t i) {
-    out[i] = rerandomize_with(cs[i], mont_n2_->pow(rs[i], n_));
   });
   return out;
 }
@@ -334,29 +297,6 @@ PaillierKeyPair paillier_generate(std::size_t n_bits, bn::RandomSource& rng,
     PaillierPublicKey pk = sk.public_key();
     return {std::move(pk), std::move(sk)};
   }
-}
-
-RandomizerPool::RandomizerPool(PaillierPublicKey pk, std::size_t capacity)
-    : pk_(std::move(pk)), capacity_(capacity) {
-  pool_.reserve(capacity_);
-}
-
-void RandomizerPool::refill(bn::RandomSource& rng) {
-  while (pool_.size() < capacity_) pool_.push_back(pk_.make_randomizer(rng));
-}
-
-void RandomizerPool::refill(bn::RandomSource& rng, exec::ThreadPool* pool) {
-  if (pool_.size() >= capacity_) return;
-  auto factors = pk_.make_randomizer_batch(capacity_ - pool_.size(), rng, pool);
-  for (auto& f : factors) pool_.push_back(std::move(f));
-}
-
-BigUint RandomizerPool::pop() {
-  if (pool_.empty())
-    throw std::runtime_error("RandomizerPool: exhausted (call refill offline)");
-  BigUint r = std::move(pool_.back());
-  pool_.pop_back();
-  return r;
 }
 
 }  // namespace pisa::crypto

@@ -12,10 +12,9 @@
 //    ablation benchmark.
 //  * Signed plaintexts use the centered lift: residues above n/2 decode as
 //    negatives. All of PISA's interference algebra is signed.
-//  * RandomizerPool precomputes r^n factors so that a live request only
-//    costs one modular multiplication per entry — the paper's "pre-stored
-//    ciphertexts times r^n" trick (§VI-A) that turns 221 s of preparation
-//    into ≈11 s.
+//  * encrypt() is E_det(m) · r^n; crypto::RandomizerSource computes the r^n
+//    factors ahead of time (paper §VI-A), so a live encryption can cost one
+//    modular multiplication.
 #pragma once
 
 #include <cstddef>
@@ -95,7 +94,7 @@ class PaillierPublicKey {
 
   /// Fresh randomness on an existing ciphertext: c · r^n mod n². Same
   /// plaintext, unlinkable ciphertext. Costs one modexp (for r^n) plus one
-  /// multiplication; see RandomizerPool to move the modexp offline.
+  /// multiplication; see RandomizerSource to move the modexp offline.
   PaillierCiphertext rerandomize(const PaillierCiphertext& c, bn::RandomSource& rng) const;
 
   /// Rerandomize with a precomputed r^n factor (one modular multiplication).
@@ -159,25 +158,10 @@ class PaillierPublicKey {
       std::span<const bn::BigUint> ms, bn::RandomSource& rng,
       exec::ThreadPool* pool = nullptr) const;
 
-  /// Signed batch encryption via the centered lift.
-  std::vector<PaillierCiphertext> encrypt_signed_batch(
-      std::span<const bn::BigInt> ms, bn::RandomSource& rng,
-      exec::ThreadPool* pool = nullptr) const;
-
   /// out[i] = ks[i] ⊗ cs[i]; ks of size 1 broadcasts one scalar to every
   /// ciphertext (eq. (11)'s F̃ ⊗ X over a whole request).
   std::vector<PaillierCiphertext> scalar_mul_batch(
       std::span<const bn::BigUint> ks, std::span<const PaillierCiphertext> cs,
-      exec::ThreadPool* pool = nullptr) const;
-
-  /// out[i] = cs[i] · r_i^n, fresh r_i per entry.
-  std::vector<PaillierCiphertext> rerandomize_batch(
-      std::span<const PaillierCiphertext> cs, bn::RandomSource& rng,
-      exec::ThreadPool* pool = nullptr) const;
-
-  /// `count` fresh r^n factors (the RandomizerPool refill kernel).
-  std::vector<bn::BigUint> make_randomizer_batch(
-      std::size_t count, bn::RandomSource& rng,
       exec::ThreadPool* pool = nullptr) const;
 
   const bn::Montgomery& mont_n2() const { return *mont_n2_; }
@@ -250,32 +234,5 @@ struct PaillierKeyPair {
 /// Generate a key pair with an n of `n_bits` bits (two n_bits/2 primes).
 PaillierKeyPair paillier_generate(std::size_t n_bits, bn::RandomSource& rng,
                                   int mr_rounds = 32);
-
-/// Offline pool of precomputed r^n blinding factors (paper §VI-A: request
-/// re-preparation drops from ~221 s to ~11 s when the modexps are moved
-/// offline). pop() consumes one factor; refill() tops the pool back up.
-class RandomizerPool {
- public:
-  RandomizerPool(PaillierPublicKey pk, std::size_t capacity);
-
-  /// Precompute until `capacity` factors are available.
-  void refill(bn::RandomSource& rng);
-
-  /// Thread-aware refill: r values are sampled from `rng` sequentially (so
-  /// the pool contents do not depend on the thread count), the modexps run
-  /// on `pool`.
-  void refill(bn::RandomSource& rng, exec::ThreadPool* pool);
-
-  /// Take one factor. Throws std::runtime_error if the pool is empty.
-  bn::BigUint pop();
-
-  std::size_t available() const { return pool_.size(); }
-  const PaillierPublicKey& public_key() const { return pk_; }
-
- private:
-  PaillierPublicKey pk_;
-  std::size_t capacity_;
-  std::vector<bn::BigUint> pool_;
-};
 
 }  // namespace pisa::crypto

@@ -78,8 +78,7 @@ BurstResult run_burst(const PisaConfig& cfg, std::uint64_t seed = 0xBA7C4) {
   system.pu_update(0, watch::PuTuning{ChannelId{0}, 1e-6});
 
   BurstResult result;
-  auto outs =
-      system.su_request_many(burst_requests(cfg), PrepMode::kFresh, &result.stats);
+  auto outs = system.su_request_many(burst_requests(cfg), &result.stats);
   for (const auto& out : outs)
     result.outcomes.emplace_back(out.completed(), out.granted,
                                  out.license.serial, out.signature);

@@ -73,8 +73,8 @@ TEST_F(MultiSuFixture, BurstByteTotalsCountEachRequestOnce) {
   system.pu_update(0, watch::PuTuning{ChannelId{0}, 1e-6});
   const auto req = request(1, 7, 0.0001);
   PisaSystem::MultiRequestStats one, two;
-  system.su_request_many({req}, PrepMode::kFresh, &one);
-  system.su_request_many({req, req}, PrepMode::kFresh, &two);
+  system.su_request_many({req}, &one);
+  system.su_request_many({req, req}, &two);
   // Same F, same sizes: one SU's two requests are twice one request, not
   // its link counted once per request.
   EXPECT_EQ(two.request_bytes, 2 * one.request_bytes);

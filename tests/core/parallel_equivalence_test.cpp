@@ -72,7 +72,7 @@ RunTrace run_pipeline(std::size_t num_threads) {
   watch::SuRequest req{9, BlockId{4},
                        std::vector<double>(cfg.watch.channels, 0.001)};
   auto f = system.build_f(req);
-  auto msg = su.prepare_request(f, 1, PrepMode::kHybrid);
+  auto msg = su.prepare_request(f, 1);
   trace.request_f = msg.f;
 
   auto conv = system.sdc().begin_request(msg);

@@ -199,7 +199,7 @@ TEST(PirProtocol, BurstRequestsAggregateAndMatchSequential) {
     burst.push_back(watch::SuRequest{100 + (i % 2), BlockId{i},
                                      std::vector<double>(3, i % 2 ? 100.0 : 1e-4)});
   PisaSystem::MultiRequestStats stats;
-  auto outs = system.su_request_many(burst, PrepMode::kFresh, &stats);
+  auto outs = system.su_request_many(burst, &stats);
   ASSERT_EQ(outs.size(), burst.size());
   for (std::size_t i = 0; i < burst.size(); ++i) {
     ASSERT_TRUE(outs[i].completed()) << "request " << i;

@@ -136,12 +136,14 @@ TEST_F(ProtocolFixture, RandomScenarioEquivalenceSweep) {
 
 TEST_F(ProtocolFixture, PooledPreparationGivesSameDecision) {
   auto& su = system.add_su(100);
-  su.precompute_randomizers(2 * 6 + 4);
+  // The whole request (C × B = 2 × 6 entries) precomputed, plus a spare.
+  su.precompute_randomizers(2 * 6 + 1);
   system.pu_update(0, watch::PuTuning{ChannelId{0}, 1e-6});
   oracle.pu_update(0, watch::PuTuning{ChannelId{0}, 1e-6});
   auto req = request(100, 5, 100.0);
-  auto out = system.su_request(req, std::nullopt, PrepMode::kPooled);
+  auto out = system.su_request(req);
   EXPECT_EQ(out.granted, oracle.process_request(req).granted);
+  EXPECT_EQ(su.randomizers_available(), 1u) << "the request spent its 12";
 }
 
 TEST_F(ProtocolFixture, RangeRestrictedRequestMatchesFullRequest) {

@@ -259,34 +259,42 @@ TEST_F(SdcStpFixture, SuClientInputValidation) {
 }
 
 TEST_F(SdcStpFixture, PooledAndFreshRequestsDecryptIdentically) {
-  su.precompute_randomizers(cfg.watch.channels * 4);
   watch::QMatrix f{cfg.watch.channels, 4, 0};
   f.at(ChannelId{0}, BlockId{1}) = 42;
-  auto fresh = su.prepare_request(f, 10, PrepMode::kFresh);
-  auto pooled = su.prepare_request(f, 11, 0, 4, PrepMode::kPooled);
+  // Fresh: nothing cached, every factor computed inline. Pooled: the whole
+  // request precomputed first, then spent.
+  auto fresh = su.prepare_request(f, 10);
+  su.precompute_randomizers(f.size());
+  EXPECT_EQ(su.randomizers_available(), f.size());
+  auto pooled = su.prepare_request(f, 11, 0, 4);
+  EXPECT_EQ(su.randomizers_available(), 0u) << "the request spent the cache";
   ASSERT_EQ(fresh.f.size(), pooled.f.size());
   for (std::size_t i = 0; i < fresh.f.size(); ++i) {
-    EXPECT_NE(fresh.f[i], pooled.f[i]) << "distinct randomness";
+    EXPECT_NE(fresh.f[i], pooled.f[i]) << "each entry takes a new index";
     EXPECT_EQ(stp.peek_decrypt_signed(fresh.f[i]),
               stp.peek_decrypt_signed(pooled.f[i]));
   }
-  EXPECT_THROW(su.prepare_request(f, 12, 0, 4, PrepMode::kPooled), std::runtime_error)
-      << "pool exhausted";
+  // An empty cache is not an error: the next request computes inline.
+  auto again = su.prepare_request(f, 12, 0, 4);
+  EXPECT_EQ(stp.peek_decrypt_signed(again.f[1]), bn::BigInt{42});
 }
 
-TEST_F(SdcStpFixture, HybridPrepSpendsPoolOnlyOnZeros) {
+TEST_F(SdcStpFixture, ZeroCountPrecomputeServesTheFirstEntries) {
   watch::QMatrix f{cfg.watch.channels, 4, 0};
   f.at(ChannelId{0}, BlockId{0}) = 5;
   f.at(ChannelId{1}, BlockId{2}) = 9;
-  su.precompute_randomizers(f.size());
-  auto msg = su.prepare_request(f, 20, 0, 4, PrepMode::kHybrid);
-  // 8 entries, 2 non-zero: exactly 6 pool factors consumed.
-  EXPECT_EQ(su.randomizers_available(), f.size() - 6);
-  // Decision equivalence with the fresh path.
+  // 8 entries, 6 of them zero: precompute six factors — the cost of
+  // caching the zero bulk — and the request spends all six, on its first
+  // six entries in index order, computing the last two inline.
+  su.precompute_randomizers(6);
+  auto msg = su.prepare_request(f, 20, 0, 4);
+  EXPECT_EQ(su.randomizers_available(), 0u);
+  ASSERT_EQ(msg.f.size(), f.size());
+  // Decision equivalence with a request whose factors are all inline.
   auto conv = sdc.begin_request(msg);
   auto resp = sdc.finish_request(stp.convert(conv));
-  bool hybrid_granted = su.process_response(resp, sdc.license_key()).granted;
-  EXPECT_EQ(hybrid_granted, decide(f));
+  bool warm_granted = su.process_response(resp, sdc.license_key()).granted;
+  EXPECT_EQ(warm_granted, decide(f));
 }
 
 TEST_F(SdcStpFixture, StpPooledConversionMatchesFresh) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <vector>
 
@@ -86,18 +87,16 @@ TEST(ChaChaRng, OsEntropyProducesDistinctStreams) {
   EXPECT_NE(ba, bb);
 }
 
-TEST(ChaChaSubStreams, StreamsAreDeterministicAndIndependent) {
-  ChaChaRng parent_a{std::uint64_t{42}};
-  ChaChaRng parent_b{std::uint64_t{42}};
-  SubStreams subs_a{parent_a};
-  SubStreams subs_b{parent_b};
+TEST(ChaChaRng, StreamIdsAreDeterministicAndIndependent) {
+  std::array<std::uint8_t, ChaChaRng::kSeedSize> seed{};
+  ChaChaRng{std::uint64_t{42}}.fill(seed);
 
-  // Same parent state => the same sub-stream family, regardless of when or
-  // in what order the streams are instantiated.
-  auto s0 = subs_a.stream(0);
-  auto s7 = subs_a.stream(7);
-  auto s7_again = subs_b.stream(7);
-  auto s0_again = subs_b.stream(0);
+  // The same (seed, id) is the same stream, regardless of when or in what
+  // order the streams are instantiated.
+  ChaChaRng s0{seed, 0};
+  ChaChaRng s7{seed, 7};
+  ChaChaRng s7_again{seed, 7};
+  ChaChaRng s0_again{seed, 0};
   std::vector<std::uint8_t> x(64), y(64);
   s7.fill(x);
   s7_again.fill(y);
@@ -105,25 +104,23 @@ TEST(ChaChaSubStreams, StreamsAreDeterministicAndIndependent) {
   s0.fill(x);
   s0_again.fill(y);
   EXPECT_EQ(x, y);
+  // Stream 0 is the plain single-stream generator.
+  ChaChaRng plain{seed};
+  plain.fill(y);
+  EXPECT_EQ(x, y);
 
-  // Distinct indices give distinct output.
-  auto u = subs_a.stream(1);
-  auto v = subs_a.stream(2);
+  // Distinct ids give distinct output.
+  ChaChaRng u{seed, 1};
+  ChaChaRng v{seed, 2};
   u.fill(x);
   v.fill(y);
   EXPECT_NE(x, y);
-}
-
-TEST(ChaChaSubStreams, FactoryConsumesParentOnceAtConstruction) {
-  ChaChaRng parent{std::uint64_t{9}};
-  SubStreams subs{parent};
-  auto mark = parent.next_u64();
-  // Drawing streams later must not consume more parent randomness.
-  (void)subs.stream(0);
-  (void)subs.stream(1000);
-  ChaChaRng parent2{std::uint64_t{9}};
-  SubStreams subs2{parent2};
-  EXPECT_EQ(parent2.next_u64(), mark);
+  // The id spans both nonce words.
+  ChaChaRng lo{seed, 1};
+  ChaChaRng hi{seed, std::uint64_t{1} << 32};
+  lo.fill(x);
+  hi.fill(y);
+  EXPECT_NE(x, y);
 }
 
 }  // namespace

@@ -64,30 +64,6 @@ TEST_F(PaillierBatchTest, EncryptBatchIsThreadCountInvariant) {
   }
 }
 
-TEST_F(PaillierBatchTest, EncryptSignedBatchMatchesPerEntryLoop) {
-  ChaChaRng vrng{std::uint64_t{3}};
-  std::vector<bn::BigInt> ms;
-  for (int i = 0; i < 15; ++i) {
-    bn::BigInt v{bn::random_bits(vrng, 40)};
-    ms.push_back(i % 2 == 0 ? v : -v);
-  }
-  ChaChaRng rng_a{std::uint64_t{11}};
-  ChaChaRng rng_b{std::uint64_t{11}};
-
-  std::vector<PaillierCiphertext> expected;
-  for (const auto& m : ms) expected.push_back(kp().pk.encrypt_signed(m, rng_a));
-  exec::ThreadPool pool{3};
-  auto got = kp().pk.encrypt_signed_batch(ms, rng_b, &pool);
-
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], expected[i]) << "entry " << i;
-  // Round-trip through the batch decryptor too.
-  auto back = kp().sk.decrypt_signed_batch(got, &pool);
-  ASSERT_EQ(back.size(), ms.size());
-  for (std::size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(back[i], ms[i]);
-}
-
 TEST_F(PaillierBatchTest, ScalarMulBatchMatchesPerEntryAndBroadcasts) {
   auto ms = plains(12, 4);
   ChaChaRng rng{std::uint64_t{13}};
@@ -122,50 +98,6 @@ TEST_F(PaillierBatchTest, DecryptBatchMatchesPerEntry) {
     for (std::size_t i = 0; i < got.size(); ++i)
       EXPECT_EQ(got[i], ms[i]) << "threads=" << nt << " entry " << i;
   }
-}
-
-TEST_F(PaillierBatchTest, RerandomizeBatchMatchesPerEntryLoop) {
-  auto ms = plains(9, 6);
-  ChaChaRng rng{std::uint64_t{19}};
-  auto cts = kp().pk.encrypt_batch(ms, rng, nullptr);
-
-  ChaChaRng rng_a{std::uint64_t{23}};
-  ChaChaRng rng_b{std::uint64_t{23}};
-  std::vector<PaillierCiphertext> expected;
-  for (const auto& c : cts) expected.push_back(kp().pk.rerandomize(c, rng_a));
-  exec::ThreadPool pool{2};
-  auto got = kp().pk.rerandomize_batch(cts, rng_b, &pool);
-
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], expected[i]) << "entry " << i;
-}
-
-TEST_F(PaillierBatchTest, MakeRandomizerBatchMatchesPerEntryLoop) {
-  ChaChaRng rng_a{std::uint64_t{29}};
-  ChaChaRng rng_b{std::uint64_t{29}};
-  std::vector<bn::BigUint> expected;
-  for (int i = 0; i < 8; ++i)
-    expected.push_back(kp().pk.make_randomizer(rng_a));
-  exec::ThreadPool pool{4};
-  auto got = kp().pk.make_randomizer_batch(8, rng_b, &pool);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], expected[i]) << "entry " << i;
-}
-
-TEST_F(PaillierBatchTest, RandomizerPoolRefillIsThreadCountInvariant) {
-  RandomizerPool ref_pool{kp().pk, 6};
-  ChaChaRng rng_ref{std::uint64_t{31}};
-  ref_pool.refill(rng_ref);
-  std::vector<bn::BigUint> reference;
-  for (int i = 0; i < 6; ++i) reference.push_back(ref_pool.pop());
-
-  exec::ThreadPool pool{4};
-  RandomizerPool par_pool{kp().pk, 6};
-  ChaChaRng rng{std::uint64_t{31}};
-  par_pool.refill(rng, &pool);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(par_pool.pop(), reference[i]);
 }
 
 TEST(FixedBaseTableTest, PowMatchesMontgomeryPow) {

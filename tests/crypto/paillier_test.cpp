@@ -119,22 +119,6 @@ TEST_F(PaillierFixture, RerandomizePreservesPlaintext) {
   EXPECT_EQ(kp.sk.decrypt(r1).to_u64(), 777u);
 }
 
-TEST_F(PaillierFixture, RandomizerPoolRerandomizesCheaply) {
-  RandomizerPool pool{kp.pk, 4};
-  EXPECT_EQ(pool.available(), 0u);
-  pool.refill(rng);
-  EXPECT_EQ(pool.available(), 4u);
-  auto ct = kp.pk.encrypt_deterministic(BigUint{31337});
-  auto fresh = kp.pk.rerandomize_with(ct, pool.pop());
-  EXPECT_EQ(pool.available(), 3u);
-  EXPECT_NE(fresh, ct);
-  EXPECT_EQ(kp.sk.decrypt(fresh).to_u64(), 31337u);
-  pool.pop();
-  pool.pop();
-  pool.pop();
-  EXPECT_THROW(pool.pop(), std::runtime_error);
-}
-
 TEST_F(PaillierFixture, DeterministicEncryptIsAdditive) {
   // (1+n)^m has no randomness; still decrypts correctly.
   auto ct = kp.pk.encrypt_deterministic(BigUint{123456});
