@@ -6,42 +6,6 @@
 
 namespace pisa::core {
 
-namespace {
-
-std::size_t check_column(const CipherMatrix& m, std::uint32_t block,
-                         std::size_t column_size) {
-  if (block >= m.blocks())
-    throw std::out_of_range("cipher_ops: block outside the matrix");
-  if (column_size != m.channels())
-    throw std::invalid_argument(
-        "cipher_ops: column must have one entry per channel(-group) row");
-  return m.channels();
-}
-
-}  // namespace
-
-void add_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk, exec::ThreadPool* pool) {
-  std::size_t channels = check_column(m, block, column.size());
-  exec::parallel_for(pool, 0, channels, [&](std::size_t c) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(c)},
-                      radio::BlockId{block});
-    cell = pk.add(cell, column[c]);
-  });
-}
-
-void sub_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk, exec::ThreadPool* pool) {
-  std::size_t channels = check_column(m, block, column.size());
-  exec::parallel_for(pool, 0, channels, [&](std::size_t c) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(c)},
-                      radio::BlockId{block});
-    cell = pk.sub(cell, column[c]);
-  });
-}
-
 CipherMatrix encrypt_matrix_packed_deterministic(
     const watch::QMatrix& values, const crypto::PaillierPublicKey& pk,
     const crypto::SlotCodec& codec, std::int64_t tail_fill,

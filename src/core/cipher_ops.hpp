@@ -1,17 +1,15 @@
-// Batch homomorphic operations over ciphertext matrices (the SDC's Ñ
-// budget, eq. (9)/(10)). Every entry of a column/matrix op is independent,
-// so these are the natural parallel_for kernels the SdcServer routes
-// through; a null pool degrades to the original sequential loops.
+// The SDC's Ñ budget matrix (eq. (9)/(10)) and its deterministic
+// initialization from the public matrix E. Every entry is independent, so
+// the encryption runs as one parallel_for; a null pool degrades to the
+// sequential loop.
 //
-// With slot packing (crypto::SlotCodec, DESIGN.md §3.4) the matrices shrink
+// With slot packing (crypto::SlotCodec, DESIGN.md §3.4) the matrix shrinks
 // from C×B to ⌈C/k⌉×B: each "channel" row is a channel *group* of k packed
-// slots, and the column kernels below fold k protocol entries per
-// homomorphic multiplication without change — packed addition is ordinary
-// ciphertext addition.
+// slots, and a homomorphic multiplication folds k protocol entries without
+// change — packed addition is ordinary ciphertext addition.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "crypto/packing.hpp"
 #include "crypto/paillier.hpp"
@@ -25,18 +23,6 @@ class ThreadPool;
 namespace pisa::core {
 
 using CipherMatrix = radio::CbMatrix<crypto::PaillierCiphertext>;
-
-/// m(c, block) ⊕= column[c] for every channel c (one PU update column).
-void add_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk,
-                exec::ThreadPool* pool = nullptr);
-
-/// m(c, block) ⊖= column[c] for every channel c (retracting a stale column).
-void sub_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk,
-                exec::ThreadPool* pool = nullptr);
 
 /// Deterministic encryption of a public plaintext matrix (budget
 /// initialization from E; values must be >= 0), packed: folds the C channel

@@ -19,6 +19,19 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// Indices of `cells` grouped by block, blocks in first-appearance order.
+std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> by_block(
+    const std::vector<SdcStateEngine::Cell>& cells) {
+  std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> out;
+  std::map<std::uint32_t, std::size_t> slot;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    auto [it, fresh] = slot.try_emplace(cells[i].second, out.size());
+    if (fresh) out.emplace_back(cells[i].second, std::vector<std::size_t>{});
+    out[it->second].second.push_back(i);
+  }
+  return out;
+}
+
 /// The SDC's license-signing identity. Ephemeral without durability
 /// (today's behaviour: fresh keypair per construction). With durability on,
 /// the keypair persists as a sealed file in the store directory, so a
@@ -128,36 +141,9 @@ const crypto::PaillierPublicKey& SdcServer::su_key(std::uint32_t su_id) const {
 
 void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
   auto t0 = Clock::now();
-  // §3.8: a fold changes Ñ at the PU's new block and (on a move) its old
-  // one. Capture both before the apply overwrites the stored column.
-  std::vector<std::uint32_t> touched;
-  if (cfg_.denial_filter.enabled) {
-    touched.push_back(update.block);
-    auto prev = state_.pu_block(update.pu_id);
-    if (prev && *prev != update.block) touched.push_back(*prev);
-  }
-  // The engine validates the column shape, retracts this PU's previous
-  // contribution (if any), folds the new column and journals it first when
-  // durability is on.
-  state_.apply_pu_update(update);
-  // Conservative invalidation: touched blocks leave the filter *now*, so
-  // no request can be fast-denied on pre-fold budget state. Exhaustion
-  // only returns once the STP confirms the post-fold signs; until then the
-  // full pipeline serves those blocks — slower, never wrong. Direct-call
-  // mode (no transport) cannot probe, so the filter simply stays empty.
-  if (!touched.empty()) {
-    const std::size_t groups = cfg_.channel_groups();
-    std::vector<Cell> cells;
-    cells.reserve(touched.size() * groups);
-    for (std::uint32_t b : touched) {
-      state_.invalidate_block(b);
-      for (std::uint32_t g = 0; g < groups; ++g) {
-        ++cell_epoch_[SdcStateEngine::cell_key(g, b)];
-        cells.emplace_back(g, b);
-      }
-    }
-    if (net_ != nullptr) send_budget_probe(cells);
-  }
+  // The engine validates the column shape, journals it first when
+  // durability is on and replaces this PU's whole contribution.
+  reprobe(state_.apply_pu_update(update));
   ++stats_.pu_updates;
   ++updates_folded_;
   stats_.update.add(ms_since(t0));
@@ -165,35 +151,30 @@ void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
 
 void SdcServer::handle_pu_delta(const PuDeltaMsg& delta) {
   auto t0 = Clock::now();
-  // Capture the touched cells before the fold: apply_pu_delta validates and
-  // may advance the seq state, so a throw must leave the filter as-is.
-  std::vector<Cell> cells;
-  if (cfg_.denial_filter.enabled) {
-    cells.reserve(delta.cells.size());
-    for (const auto& cell : delta.cells) cells.emplace_back(cell.group, cell.block);
-  }
-  state_.apply_pu_delta(delta);
-  if (!cells.empty()) {
-    // Cell-granular conservative invalidation: only the folded cells lose
-    // their recorded exhaustion (update_block_exhaustion with an empty
-    // evidence set); untouched groups of the same block keep theirs — their
-    // budget entries did not move. Blocks are processed in first-appearance
-    // order, matching the probe's cell order.
-    std::vector<std::uint32_t> order;
-    std::map<std::uint32_t, std::vector<std::uint32_t>> by_block;
-    for (const auto& [g, b] : cells) {
-      auto [it, fresh] = by_block.try_emplace(b);
-      if (fresh) order.push_back(b);
-      it->second.push_back(g);
-      ++cell_epoch_[SdcStateEngine::cell_key(g, b)];
-    }
-    for (std::uint32_t b : order) state_.update_block_exhaustion(b, by_block[b], {});
-    if (net_ != nullptr) send_budget_probe(cells);
-  }
+  reprobe(state_.apply_pu_delta(delta));
   ++stats_.pu_deltas;
   ++updates_folded_;
   stats_.delta_cells += delta.cells.size();
   stats_.delta.add(ms_since(t0));
+}
+
+void SdcServer::reprobe(const std::vector<Cell>& cells) {
+  if (!cfg_.denial_filter.enabled || cells.empty()) return;
+  // Conservative invalidation: the folded cells leave the filter *now*, so
+  // no request can be fast-denied on pre-fold budget state; every other
+  // cell keeps its recorded state — its budget entry did not move.
+  // Exhaustion only returns once the STP confirms the post-fold signs;
+  // until then the full pipeline serves those cells — slower, never wrong.
+  // Direct-call mode (no transport) cannot probe, so the filter simply
+  // stays empty.
+  for (const auto& [g, b] : cells)
+    ++cell_epoch_[SdcStateEngine::cell_key(g, b)];
+  for (const auto& [block, idxs] : by_block(cells)) {
+    std::vector<std::uint32_t> groups;
+    for (std::size_t i : idxs) groups.push_back(cells[i].first);
+    state_.update_block_exhaustion(block, groups, {});
+  }
+  if (net_ != nullptr) send_budget_probe(cells);
 }
 
 void SdcServer::recompute_budget() {
@@ -229,8 +210,6 @@ bool SdcServer::fast_deny_check(const SuRequestMsg& request) {
 void SdcServer::send_budget_probe(const std::vector<Cell>& cells) {
   // The request's blinding without the F term: the STP learns only
   // ε-masked signs — which the SDC unmasks — and nothing about magnitudes.
-  // The full path's block-major cell order makes the draw sequence (and the
-  // wire bytes) identical to the pre-§3.9 per-block probes.
   auto blinded = blind(cells, nullptr, stream_);
   BudgetProbeMsg msg{next_probe_id_++, std::move(blinded.v),
                      std::move(blinded.partials)};
@@ -254,20 +233,12 @@ void SdcServer::handle_probe_response(const BudgetProbeResponseMsg& resp) {
   // invalidated (full pipeline, never a wrong answer).
   if (resp.signs.size() != pend.cells.size() * k) return;
 
-  // Group the probed cells by block, preserving first-appearance order,
-  // then install per-block evidence: a cell whose epoch moved since the
-  // probe left drops out of `probed` entirely (a fresher probe is in
-  // flight and will carry the truth for it).
-  std::vector<std::uint32_t> order;
-  std::map<std::uint32_t, std::vector<std::size_t>> by_block;
-  for (std::size_t i = 0; i < pend.cells.size(); ++i) {
-    auto [slot, fresh] = by_block.try_emplace(pend.cells[i].second);
-    if (fresh) order.push_back(pend.cells[i].second);
-    slot->second.push_back(i);
-  }
-  for (std::uint32_t block : order) {
+  // Install per-block evidence: a cell whose epoch moved since the probe
+  // left drops out of `probed` entirely (a fresher probe is in flight and
+  // will carry the truth for it).
+  for (const auto& [block, idxs] : by_block(pend.cells)) {
     std::vector<std::uint32_t> probed, exhausted;
-    for (std::size_t idx : by_block[block]) {
+    for (std::size_t idx : idxs) {
       const std::uint32_t g = pend.cells[idx].first;
       if (cell_epoch_[SdcStateEngine::cell_key(g, block)] != pend.epochs[idx])
         continue;

@@ -67,17 +67,18 @@ class SdcServer {
   void set_threshold_share(crypto::ThresholdKeyShare share);
 
   /// Figure 4 step 4: fold a PU's W̃ column into Ñ. Incremental: retract the
-  /// PU's previous column homomorphically, then add the new one.
+  /// PU's whole previous contribution (its last column and any deltas since)
+  /// homomorphically, then add the new column; re-probe every cell the fold
+  /// touched.
   void handle_pu_update(const PuUpdateMsg& update);
 
   /// §3.9 delta fold: multiply each carried cell into Ñ — O(cells) work —
-  /// then conservatively invalidate exactly those cells' filter state and
-  /// re-probe them (the full path re-probes whole blocks). Same
-  /// external-decision semantics as replaying the PU's full column.
+  /// then re-probe exactly those cells. Same external-decision semantics as
+  /// replaying the PU's full column.
   void handle_pu_delta(const PuDeltaMsg& delta);
 
-  /// Ablation path: rebuild Ñ from Ẽ and every stored W̃ column (the paper's
-  /// literal "aggregate all PU inputs" formulation, eq. (9)/(10)).
+  /// Ablation path: rebuild Ñ from Ẽ and every PU's contribution (the
+  /// paper's literal "aggregate all PU inputs" formulation, eq. (9)/(10)).
   void recompute_budget();
 
   /// Figure 5 steps 3–5: compute R̃, Ĩ, blind into Ṽ, remember ε, return the
@@ -104,7 +105,7 @@ class SdcServer {
   const CipherMatrix& encrypted_budget() const { return state_.budget(); }
 
   /// The durable state engine behind this server (DESIGN.md §3.6): Ñ, the
-  /// stored W̃ columns and the serial counter live there and — with
+  /// PU contributions and the serial counter live there and — with
   /// durability on — are journaled to the WAL in cfg.durability.dir.
   const SdcStateEngine& state() const { return state_; }
 
@@ -182,7 +183,7 @@ class SdcServer {
     std::string reply_to;   // network sender, empty for direct calls
   };
 
-  using Cell = std::pair<std::uint32_t, std::uint32_t>;  // (group, block)
+  using Cell = SdcStateEngine::Cell;  // (group, block)
 
   /// Blinded budget cells, ready for the STP.
   struct Blinded {
@@ -207,10 +208,12 @@ class SdcServer {
   /// N ≤ 0 at one covered cell already forces I = N − X·F ≤ N ≤ 0 there
   /// (F̃ encrypts non-negative interference), i.e. a certain denial.
   bool fast_deny_check(const SuRequestMsg& request);
+  /// After a fold: bump the epochs of the cells it touched, drop their
+  /// recorded exhaustion and probe them (one round, in the fold's cell
+  /// order). No-op with the filter off.
+  void reprobe(const std::vector<Cell>& cells);
   /// Blind the given (group, block) budget cells (ε·(α·Ñ − β̃): blind()
-  /// without the F term) and ask the STP for their signs. The full path
-  /// passes block-major cells (every group of each touched block); the
-  /// delta path passes exactly the folded cells.
+  /// without the F term) and ask the STP for their signs.
   void send_budget_probe(const std::vector<Cell>& cells);
   /// Fold a probe reply into the engine's exhausted sets, discarding cells
   /// whose epoch moved (a later fold re-invalidated them).
@@ -227,8 +230,8 @@ class SdcServer {
   /// as one ConvertBatchMsg; with batching on, mark it in flight and arm
   /// its loss watchdog.
   void flush_batch();
-  /// Watchdog deadline: explicit knob, else 1.5× the transport's full retry
-  /// schedule (reliable mode), else 1 s of virtual time on the perfect bus.
+  /// Watchdog deadline: 1.5× the transport's full retry schedule plus the
+  /// linger (reliable mode), else 1 s of virtual time on the perfect bus.
   double watchdog_delay_us() const;
 
   PisaConfig cfg_;
@@ -244,7 +247,7 @@ class SdcServer {
   std::array<std::uint8_t, 32> filter_key_{};
   std::shared_ptr<exec::ThreadPool> exec_;
 
-  /// Ñ, W̃ columns and the serial counter — optionally durable.
+  /// Ñ, the PU contributions and the serial counter — optionally durable.
   /// Declared after group_pk_/e_matrix_: its constructor consumes both, and
   /// with durability on it recovers the whole state from disk right here.
   SdcStateEngine state_;
@@ -262,9 +265,8 @@ class SdcServer {
   Stats stats_;
   std::atomic<std::uint64_t> updates_folded_{0};
 
-  // §3.8/§3.9 probe bookkeeping. A cell's epoch advances on every
-  // invalidation (full folds bump every cell of the touched blocks, delta
-  // folds only the carried cells); a probe reply only installs exhaustion
+  // §3.8/§3.9 probe bookkeeping. A cell's epoch advances every time a fold
+  // touches it (reprobe); a probe reply only installs exhaustion
   // evidence for cells whose epoch still matches its send-time snapshot,
   // so a stale reply can never resurrect outdated state — the filter stays
   // conservative (invalidated = never fast-denied) in the meantime.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "crypto/key_codec.hpp"
+#include "exec/thread_pool.hpp"
 #include "net/codec.hpp"
 
 namespace pisa::core {
@@ -17,6 +18,21 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+/// Snapshot payload layout, the second header word. Layout 1 stored each
+/// PU's column and its deltas in two sections; layout 2 stores one cell map
+/// per PU. A snapshot of another layout is refused, never misparsed.
+constexpr std::uint32_t kSnapshotLayout = 2;
+
+/// A full column as fold cells: group g at the column's block.
+std::vector<PuDeltaMsg::Cell> column_cells(const PuUpdateMsg& column) {
+  std::vector<PuDeltaMsg::Cell> cells;
+  cells.reserve(column.w_column.size());
+  for (std::size_t g = 0; g < column.w_column.size(); ++g)
+    cells.push_back(
+        {static_cast<std::uint32_t>(g), column.block, column.w_column[g]});
+  return cells;
 }
 
 /// The exact exhausted map {block → sorted groups}, as the filter-state
@@ -74,7 +90,12 @@ crypto::PaillierCiphertext& SdcStateEngine::budget_at(std::uint32_t group,
   return budget_.at(radio::ChannelId{group}, radio::BlockId{block});
 }
 
-void SdcStateEngine::apply_pu_update(const PuUpdateMsg& update) {
+crypto::PaillierCiphertext& SdcStateEngine::entry(std::uint64_t key) {
+  return budget_[(key >> 32) * budget_.blocks() + (key & 0xffffffffu)];
+}
+
+std::vector<SdcStateEngine::Cell> SdcStateEngine::apply_pu_update(
+    const PuUpdateMsg& update) {
   if (update.w_column.size() != groups_)
     throw std::invalid_argument(
         "SdcStateEngine: W column must have one ciphertext per channel group");
@@ -85,42 +106,14 @@ void SdcStateEngine::apply_pu_update(const PuUpdateMsg& update) {
   // applied — recovery replays it, and a crash between this append and the
   // fold below cannot lose or double-count the column.
   if (store_) store_->append(kRecPuColumn, update.encode(ct_width_));
-  fold_column(update, /*live=*/true);
+  auto touched = fold(update.pu_id, column_cells(update), /*replace=*/true,
+                      /*live=*/true, pool());
   maybe_compact();
+  return touched;
 }
 
-void SdcStateEngine::fold_column(const PuUpdateMsg& column, bool live) {
-  auto it = columns_.find(column.pu_id);
-  if (it != columns_.end())
-    sub_column(budget_, it->second.block, it->second.w_column, pk_, pool());
-  add_column(budget_, column.block, column.w_column, pk_, pool());
-  if (live) {
-    for (std::size_t g = 0; g < groups_; ++g) {
-      const auto group = static_cast<std::uint32_t>(g);
-      if (it != columns_.end()) dirty_.insert(cell_key(group, it->second.block));
-      dirty_.insert(cell_key(group, column.block));
-    }
-  }
-  // A full column resets the PU's contribution wholesale, so any §3.9 delta
-  // cells accumulated on top of the previous column are retracted with it.
-  retract_deltas(column.pu_id);
-  columns_.insert_or_assign(column.pu_id, column);
-}
-
-void SdcStateEngine::retract_deltas(std::uint32_t pu_id) {
-  auto it = deltas_.find(pu_id);
-  if (it == deltas_.end()) return;
-  const std::size_t blocks = budget_.blocks();
-  for (const auto& [key, ct] : it->second) {
-    const std::size_t g = key >> 32, b = key & 0xffffffffu;
-    auto& entry = budget_[g * blocks + b];
-    entry = pk_.sub(entry, ct);
-    dirty_.insert(key);
-  }
-  deltas_.erase(it);
-}
-
-void SdcStateEngine::apply_pu_delta(const PuDeltaMsg& delta) {
+std::vector<SdcStateEngine::Cell> SdcStateEngine::apply_pu_delta(
+    const PuDeltaMsg& delta) {
   if (delta.cells.empty())
     throw std::invalid_argument("SdcStateEngine: empty delta");
   if (delta.delta_seq == 0)
@@ -136,45 +129,86 @@ void SdcStateEngine::apply_pu_delta(const PuDeltaMsg& delta) {
       throw std::invalid_argument("SdcStateEngine: duplicate delta cell");
   }
 
-  apply_delta(delta, /*live=*/true);
+  auto touched = apply_delta(delta, /*live=*/true);
   maybe_compact();
+  return touched;
 }
 
-void SdcStateEngine::apply_delta(const PuDeltaMsg& delta, bool live) {
+std::vector<SdcStateEngine::Cell> SdcStateEngine::apply_delta(
+    const PuDeltaMsg& delta, bool live) {
   // Exactly-once under ordered at-least-once delivery: a re-delivered delta
   // is rejected by the seq guard.
-  auto seq_it = delta_seqs_.find(delta.pu_id);
-  if (seq_it != delta_seqs_.end() && delta.delta_seq <= seq_it->second) return;
+  auto it = pus_.find(delta.pu_id);
+  if (it != pus_.end() && delta.delta_seq <= it->second.delta_seq) return {};
 
   // Journal before apply, like the column folds (replay reads the record
   // that is already on disk).
   if (live && store_) store_->append(kRecDelta, delta.encode(ct_width_));
-
-  const std::size_t blocks = budget_.blocks();
-  auto& acc = deltas_[delta.pu_id];
-  for (const auto& cell : delta.cells) {
-    const std::uint64_t key = cell_key(cell.group, cell.block);
-    auto& entry = budget_[cell.group * blocks + cell.block];
-    entry = pk_.add(entry, cell.delta);
-    auto [pos, inserted] = acc.try_emplace(key, cell.delta);
-    if (!inserted) pos->second = pk_.add(pos->second, cell.delta);
-    if (live) dirty_.insert(key);
-  }
+  // A delta carries a handful of cells: one multiplication each costs less
+  // than waking the lanes.
+  auto touched = fold(delta.pu_id, delta.cells, /*replace=*/false, live,
+                      /*lanes=*/nullptr);
   if (live) delta_cells_folded_ += delta.cells.size();
-  delta_seqs_[delta.pu_id] = delta.delta_seq;
+  pus_[delta.pu_id].delta_seq = delta.delta_seq;
+  return touched;
+}
+
+void SdcStateEngine::multiply_in(const CellMap& cells, bool retract,
+                                 exec::ThreadPool* lanes) {
+  std::vector<const CellMap::value_type*> at;
+  at.reserve(cells.size());
+  for (const auto& kv : cells) at.push_back(&kv);
+  exec::parallel_for(lanes, 0, at.size(), [&](std::size_t i) {
+    auto& e = entry(at[i]->first);
+    e = retract ? pk_.sub(e, at[i]->second) : pk_.add(e, at[i]->second);
+  });
+}
+
+std::vector<SdcStateEngine::Cell> SdcStateEngine::fold(
+    std::uint32_t pu_id, const std::vector<PuDeltaMsg::Cell>& cells,
+    bool replace, bool live, exec::ThreadPool* lanes) {
+  auto& held = pus_[pu_id].cells;
+  std::vector<Cell> touched;
+  touched.reserve(cells.size());
+  for (const auto& c : cells) touched.emplace_back(c.group, c.block);
+
+  if (replace) {
+    // A full column is the PU's whole contribution: retract everything it
+    // holds — the previous column and every delta folded on top of it.
+    multiply_in(held, /*retract=*/true, lanes);
+    std::set<std::uint64_t> refolded;
+    for (const auto& c : cells) refolded.insert(cell_key(c.group, c.block));
+    for (const auto& [key, ct] : held)
+      if (!refolded.contains(key))
+        touched.emplace_back(static_cast<std::uint32_t>(key >> 32),
+                             static_cast<std::uint32_t>(key & 0xffffffffu));
+    held.clear();
+  }
+
+  // Contribution slots first (map inserts are not lane-safe): a fresh cell
+  // starts at its message ciphertext, a held one multiplies it in below.
+  std::vector<crypto::PaillierCiphertext*> acc(cells.size(), nullptr);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto key = cell_key(cells[i].group, cells[i].block);
+    auto [pos, fresh] = held.try_emplace(key, cells[i].delta);
+    if (!fresh) acc[i] = &pos->second;
+  }
+  exec::parallel_for(lanes, 0, cells.size(), [&](std::size_t i) {
+    auto& e = entry(cell_key(cells[i].group, cells[i].block));
+    e = pk_.add(e, cells[i].delta);
+    if (acc[i] != nullptr) *acc[i] = pk_.add(*acc[i], cells[i].delta);
+  });
+
+  if (live)
+    for (const auto& [g, b] : touched) dirty_.insert(cell_key(g, b));
+  return touched;
 }
 
 void SdcStateEngine::recompute() {
   budget_ = encrypt_matrix_packed_deterministic(e_matrix_, pk_, codec_,
                                                 /*tail_fill=*/1, pool());
-  for (const auto& [id, col] : columns_)
-    add_column(budget_, col.block, col.w_column, pk_, pool());
-  const std::size_t blocks = budget_.blocks();
-  for (const auto& [id, cells] : deltas_)
-    for (const auto& [key, ct] : cells) {
-      const std::size_t g = key >> 32, b = key & 0xffffffffu;
-      budget_[g * blocks + b] = pk_.add(budget_[g * blocks + b], ct);
-    }
+  for (const auto& [id, pu] : pus_)
+    multiply_in(pu.cells, /*retract=*/false, pool());
 }
 
 std::uint64_t SdcStateEngine::next_serial() {
@@ -192,13 +226,6 @@ std::uint64_t SdcStateEngine::next_serial() {
   return serial_;
 }
 
-std::optional<std::uint32_t> SdcStateEngine::pu_block(
-    std::uint32_t pu_id) const {
-  auto it = columns_.find(pu_id);
-  if (it == columns_.end()) return std::nullopt;
-  return it->second.block;
-}
-
 SdcStateEngine::FilterProbe SdcStateEngine::probe_exhausted(
     std::uint32_t group, std::uint32_t block) const {
   FilterProbe probe;
@@ -208,19 +235,6 @@ SdcStateEngine::FilterProbe SdcStateEngine::probe_exhausted(
   auto it = exhausted_.find(block);
   probe.confirmed = it != exhausted_.end() && it->second.contains(group);
   return probe;
-}
-
-void SdcStateEngine::set_block_exhaustion(
-    std::uint32_t block, const std::vector<std::uint32_t>& groups) {
-  if (!filter_on_) return;
-  if (block >= budget_.blocks())
-    throw std::out_of_range("SdcStateEngine: exhaustion block out of range");
-  std::vector<std::uint32_t> next;
-  for (std::uint32_t g : groups)
-    if (g < groups_) next.push_back(g);
-  std::sort(next.begin(), next.end());
-  next.erase(std::unique(next.begin(), next.end()), next.end());
-  replace_block_exhaustion(block, next);
 }
 
 void SdcStateEngine::update_block_exhaustion(
@@ -332,9 +346,9 @@ std::vector<std::uint8_t> SdcStateEngine::snapshot_payload() const {
   net::Encoder enc;
   // Configuration fingerprint: durable state is only valid under the exact
   // shape/packing/key it was written with. The two leading fields are the
-  // store index and store count of the on-disk format, always 0 and 1.
+  // store index of the on-disk format (always 0) and the payload layout.
   enc.put_u32(0);
-  enc.put_u32(1);
+  enc.put_u32(kSnapshotLayout);
   enc.put_u32(static_cast<std::uint32_t>(groups_));
   enc.put_u32(static_cast<std::uint32_t>(budget_.blocks()));
   enc.put_u32(static_cast<std::uint32_t>(codec_.slots()));
@@ -345,28 +359,15 @@ std::vector<std::uint8_t> SdcStateEngine::snapshot_payload() const {
 
   put_ciphertexts(enc, {budget_.begin(), budget_.end()}, ct_width_);
 
-  enc.put_u32(static_cast<std::uint32_t>(columns_.size()));
-  for (const auto& [id, col] : columns_) {
+  // One section per PU: its delta_seq guard, then its contribution cells.
+  enc.put_u32(static_cast<std::uint32_t>(pus_.size()));
+  for (const auto& [id, pu] : pus_) {
     enc.put_u32(id);
-    enc.put_u32(col.block);
-    put_ciphertexts(enc, col.w_column, ct_width_);
-  }
-
-  // §3.9 delta state: per PU the last applied delta_seq (the exactly-once
-  // guard must survive compaction even when a full column cleared the
-  // cells) plus the net accumulated delta ciphertext per cell.
-  enc.put_u32(static_cast<std::uint32_t>(delta_seqs_.size()));
-  for (const auto& [id, seq] : delta_seqs_) {
-    enc.put_u32(id);
-    enc.put_u64(seq);
-    auto dit = deltas_.find(id);
-    const std::size_t ncells = dit == deltas_.end() ? 0 : dit->second.size();
-    enc.put_u32(static_cast<std::uint32_t>(ncells));
-    if (dit != deltas_.end()) {
-      for (const auto& [key, ct] : dit->second) {
-        enc.put_u64(key);
-        enc.put_raw(ct.value.to_bytes_be(ct_width_));
-      }
+    enc.put_u64(pu.delta_seq);
+    enc.put_u32(static_cast<std::uint32_t>(pu.cells.size()));
+    for (const auto& [key, ct] : pu.cells) {
+      enc.put_u64(key);
+      enc.put_raw(ct.value.to_bytes_be(ct_width_));
     }
   }
 
@@ -381,7 +382,7 @@ void SdcStateEngine::restore_snapshot(const std::vector<std::uint8_t>& payload) 
   const std::size_t blocks = budget_.blocks();
 
   net::Decoder dec{payload};
-  bool ok = dec.get_u32() == 0 && dec.get_u32() == 1 &&
+  bool ok = dec.get_u32() == 0 && dec.get_u32() == kSnapshotLayout &&
             dec.get_u32() == groups_ && dec.get_u32() == blocks &&
             dec.get_u32() == codec_.slots() &&
             dec.get_u32() == codec_.slot_bits() && dec.get_u32() == ct_width_ &&
@@ -399,31 +400,17 @@ void SdcStateEngine::restore_snapshot(const std::vector<std::uint8_t>& payload) 
     throw std::runtime_error("SdcStateEngine: snapshot row count mismatch");
   for (std::size_t i = 0; i < rows.size(); ++i) budget_[i] = std::move(rows[i]);
 
-  std::uint32_t count = dec.get_u32();
-  columns_.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    PuUpdateMsg col;
-    col.pu_id = dec.get_u32();
-    col.block = dec.get_u32();
-    col.w_column = get_ciphertexts(dec);
-    if (col.w_column.size() != groups_)
-      throw std::runtime_error("SdcStateEngine: snapshot column size mismatch");
-    columns_.insert_or_assign(col.pu_id, std::move(col));
-  }
-
-  deltas_.clear();
-  delta_seqs_.clear();
+  pus_.clear();
   std::uint32_t npus = dec.get_u32();
   for (std::uint32_t i = 0; i < npus; ++i) {
-    std::uint32_t pu_id = dec.get_u32();
-    std::uint64_t seq = dec.get_u64();
+    auto& pu = pus_[dec.get_u32()];
+    pu.delta_seq = dec.get_u64();
     std::uint32_t ncells = dec.get_u32();
-    delta_seqs_[pu_id] = seq;
     for (std::uint32_t j = 0; j < ncells; ++j) {
       std::uint64_t key = dec.get_u64();
       if ((key >> 32) >= groups_ || (key & 0xffffffffu) >= blocks)
-        throw std::runtime_error("SdcStateEngine: snapshot delta cell out of range");
-      deltas_[pu_id][key] = {bn::BigUint::from_bytes_be(dec.get_raw(ct_width_))};
+        throw std::runtime_error("SdcStateEngine: snapshot cell out of range");
+      pu.cells[key] = {bn::BigUint::from_bytes_be(dec.get_raw(ct_width_))};
     }
   }
 
@@ -451,7 +438,8 @@ void SdcStateEngine::replay_record(const store::WalRecord& rec) {
     auto column = PuUpdateMsg::decode(rec.payload);
     if (column.w_column.size() != groups_ || column.block >= budget_.blocks())
       throw std::runtime_error("SdcStateEngine: WAL column shape mismatch");
-    fold_column(column, /*live=*/false);
+    fold(column.pu_id, column_cells(column), /*replace=*/true, /*live=*/false,
+         pool());
   } else if (rec.type == kRecDelta) {
     auto delta = PuDeltaMsg::decode(rec.payload);
     for (const auto& cell : delta.cells) {

@@ -1,18 +1,19 @@
 // SDC state engine with write-ahead durability (DESIGN.md §3.6).
 //
 // Owns everything the SDC must not lose across a crash: the encrypted
-// interference budget Ñ (eq. (10)), the latest W̃ column per PU (needed to
-// retract a stale column on the next update) and the license serial
-// counter. Every PU update folds one column into Ñ on the exec pool, and
-// with durability on every mutation is journaled to one WAL and compacted
-// into one snapshot (store/).
+// interference budget Ñ (eq. (10)), every PU's folded contribution (needed
+// to retract it on the next full column) and the license serial counter.
+// A PU's contribution is one cell map {(group, block) → net ciphertext}:
+// its last full column times every §3.9 delta folded since. Both PU
+// messages go through one fold over that map, on the exec pool, and with
+// durability on every mutation is journaled to one WAL and compacted into
+// one snapshot (store/).
 //
 // Contracts the tests pin down:
 //   * durability off ⇒ byte-identical to the pre-engine SdcServer: same
 //     kernels, same call order, same ciphertext bytes, at any num_threads.
-//   * recompute() lands on the incrementally folded bytes — column folds
-//     are entry-independent and Paillier addition lands on canonical
-//     residues.
+//   * recompute() lands on the incrementally folded bytes — folds are
+//     cell-independent and Paillier addition lands on canonical residues.
 //   * recover() (run by the constructor when durability is on) rebuilds
 //     byte-identical state from snapshot + WAL replay: journaling happens
 //     before the in-memory apply, a record present in the log is by
@@ -25,8 +26,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/cipher_ops.hpp"
@@ -74,26 +75,34 @@ class SdcStateEngine {
   const CipherMatrix& budget() const { return budget_; }
   crypto::PaillierCiphertext& budget_at(std::uint32_t group, std::uint32_t block);
 
-  /// Fold one PU column: journal it, retract the PU's previous column, add
-  /// the new one. Idempotent under re-delivery.
-  void apply_pu_update(const PuUpdateMsg& update);
+  /// One Ñ cell: (channel group, block).
+  using Cell = std::pair<std::uint32_t, std::uint32_t>;
+
+  /// Fold one full PU column: journal it, retract every cell the PU holds
+  /// (its previous column and any deltas since), add the new column and
+  /// make it the PU's whole contribution. Idempotent under re-delivery.
+  /// Returns the Ñ cells the fold touched: the column's cells in group
+  /// order, then the retracted cells it did not re-add (cell_key order).
+  std::vector<Cell> apply_pu_update(const PuUpdateMsg& update);
 
   /// Fold an incremental PU delta (§3.9): each cell multiplies one budget
-  /// entry — O(cells) work instead of O(groups × touched blocks). Delta
-  /// sequence numbers turn at-least-once ordered delivery into exactly-once
-  /// application: a delta applies iff its `delta_seq` exceeds the last one
-  /// journaled for that PU. One WAL record carries the whole delta, so a
-  /// crash leaves it either applied or not. Throws on out-of-range cell
-  /// coordinates, duplicate cells, an empty cell list or a zero seq.
-  void apply_pu_delta(const PuDeltaMsg& delta);
+  /// entry and the PU's contribution at that cell — O(cells) work instead
+  /// of O(groups × touched blocks). Delta sequence numbers turn
+  /// at-least-once ordered delivery into exactly-once application: a delta
+  /// applies iff its `delta_seq` exceeds the last one journaled for that
+  /// PU. One WAL record carries the whole delta, so a crash leaves it
+  /// either applied or not. Returns the delta's cells in message order
+  /// (none for a stale seq). Throws on out-of-range cell coordinates,
+  /// duplicate cells, an empty cell list or a zero seq.
+  std::vector<Cell> apply_pu_delta(const PuDeltaMsg& delta);
 
-  /// Cell key for dirty/delta bookkeeping: (group, block) packed into one
-  /// word, ordered group-major.
+  /// Cell key for dirty/contribution bookkeeping: (group, block) packed
+  /// into one word, ordered group-major.
   static std::uint64_t cell_key(std::uint32_t group, std::uint32_t block) {
     return (static_cast<std::uint64_t>(group) << 32) | block;
   }
 
-  /// Rebuild Ñ from Ẽ and every stored column (the paper's literal
+  /// Rebuild Ñ from Ẽ and every PU's contribution (the paper's literal
   /// eq. (9)/(10) aggregation). Derivable state — nothing is journaled.
   void recompute();
 
@@ -107,10 +116,8 @@ class SdcStateEngine {
   /// removed. No-op when durability is off.
   void checkpoint();
 
-  std::size_t pu_count() const { return columns_.size(); }
-
-  /// The block the engine currently holds a W̃ column for, per PU.
-  std::optional<std::uint32_t> pu_block(std::uint32_t pu_id) const;
+  /// PUs with a folded contribution.
+  std::size_t pu_count() const { return pus_.size(); }
 
   // ── §3.8 denial prefilter ─────────────────────────────────────────────
   //
@@ -129,26 +136,16 @@ class SdcStateEngine {
   };
   FilterProbe probe_exhausted(std::uint32_t group, std::uint32_t block) const;
 
-  /// Replace the recorded exhausted group set for `block` (full-set
-  /// semantics; groups outside [0, channel_groups) are ignored). Journals a
-  /// kRecExhaust record when the set actually changed, so WAL replay
-  /// rebuilds the filter byte-identically.
-  void set_block_exhaustion(std::uint32_t block,
-                            const std::vector<std::uint32_t>& groups);
-
-  /// Partial-evidence variant for the §3.9 delta path: only the groups in
-  /// `probed` were re-evaluated, so only their membership may change —
-  /// groups outside `probed` keep their recorded state (their budget cells
-  /// did not move). New set = (current − probed) ∪ (probed ∩ exhausted).
-  /// The resulting exact sets match what a full-block re-probe would
-  /// install (exhausted_state_bytes is the cross-path oracle); raw cuckoo
-  /// table bytes may differ — the paths erase/insert in different orders.
+  /// Install evidence for `block`: only the groups in `probed` were
+  /// re-evaluated, so only their membership may change — groups outside
+  /// `probed` keep their recorded state (their budget cells did not move).
+  /// New set = (current − probed) ∪ (probed ∩ exhausted); an empty
+  /// `exhausted` is the conservative invalidation of the probed cells.
+  /// Journals a kRecExhaust record carrying the full new set when it
+  /// actually changed, so WAL replay rebuilds the filter byte-identically.
   void update_block_exhaustion(std::uint32_t block,
                                const std::vector<std::uint32_t>& probed,
                                const std::vector<std::uint32_t>& exhausted);
-
-  /// Conservative invalidation: forget everything recorded about `block`.
-  void invalidate_block(std::uint32_t block) { set_block_exhaustion(block, {}); }
 
   /// Live (group, block) exhausted cells.
   std::size_t exhausted_entries() const;
@@ -189,11 +186,10 @@ class SdcStateEngine {
 
   // ── §3.9 dirty-pack tracking ──────────────────────────────────────────
   //
-  // The engine records the (group, block) budget cells touched since the
-  // last compaction — full-column folds mark every cell of the touched
-  // blocks, delta folds mark only their cells. The set is what makes WAL
-  // volume and exhaustion re-probes diff-proportional, and the bench reads
-  // it to report delta cells per tick.
+  // The engine records the (group, block) budget cells live folds touched
+  // since the last compaction — the cells each fold returns. The set is
+  // what makes WAL volume and exhaustion re-probes diff-proportional, and
+  // the bench reads it to report delta cells per tick.
 
   /// Dirty budget cells since the last compaction.
   std::size_t dirty_cells() const { return dirty_.size(); }
@@ -206,19 +202,32 @@ class SdcStateEngine {
   std::uint64_t delta_cells_folded() const { return delta_cells_folded_; }
 
  private:
+  using CellMap = std::map<std::uint64_t, crypto::PaillierCiphertext>;
+  /// One PU's folded contribution: the net ciphertext it has multiplied
+  /// into each Ñ cell, and the last delta_seq applied (the exactly-once
+  /// guard, which outlives any full column).
+  struct PuContribution {
+    std::uint64_t delta_seq = 0;
+    CellMap cells;
+  };
   exec::ThreadPool* pool() const { return exec_.get(); }
-  /// Fold `column` into Ñ, retracting the PU's previous column and its
-  /// accumulated deltas. `live` marks the two columns' cells dirty; it is
-  /// false during WAL replay, as in apply_delta.
-  void fold_column(const PuUpdateMsg& column, bool live);
-  /// Fold one validated, non-empty delta: seq-check, journal, multiply each
-  /// cell into the budget and into the PU's accumulated-delta map, mark
-  /// dirty. `live` is false during WAL replay: the record is already on
-  /// disk and the dirty/fold counters describe live traffic only.
-  void apply_delta(const PuDeltaMsg& delta, bool live);
-  /// Retract the accumulated delta cells for `pu_id` from the budget and
-  /// clear them (the seq guard survives).
-  void retract_deltas(std::uint32_t pu_id);
+  crypto::PaillierCiphertext& entry(std::uint64_t key);
+  /// Ñ ⊕= every cell of `cells` (⊖= with `retract`), on `lanes`.
+  void multiply_in(const CellMap& cells, bool retract, exec::ThreadPool* lanes);
+  /// The one fold (eqs. (9)–(10)) behind both PU messages and WAL replay:
+  /// with `replace` (a full column) retract every cell the PU holds and
+  /// start its contribution afresh, then multiply `cells` (distinct) into
+  /// Ñ and into the contribution, on `lanes`. Returns the touched cells:
+  /// `cells` in order, then retracted cells not re-added. `live` marks them
+  /// dirty; it is false during WAL replay, whose records describe no live
+  /// traffic.
+  std::vector<Cell> fold(std::uint32_t pu_id,
+                         const std::vector<PuDeltaMsg::Cell>& cells,
+                         bool replace, bool live, exec::ThreadPool* lanes);
+  /// Fold one validated, non-empty delta behind the seq guard: journal
+  /// (live only — replay reads the record already on disk), fold, advance
+  /// the guard. Returns no cells for a stale seq.
+  std::vector<Cell> apply_delta(const PuDeltaMsg& delta, bool live);
   /// Journal + apply a new exhausted set for `block` when it differs from
   /// the recorded one. `groups` must be sorted, deduped and in range.
   void replace_block_exhaustion(std::uint32_t block,
@@ -249,20 +258,13 @@ class SdcStateEngine {
   std::array<std::uint8_t, 32> filter_key_{};
 
   CipherMatrix budget_;  // Ñ
-  /// Latest W̃ column per PU.
-  std::map<std::uint32_t, PuUpdateMsg> columns_;
+  /// Every PU's folded contribution, by PU id.
+  std::map<std::uint32_t, PuContribution> pus_;
   std::unique_ptr<store::ShardStore> store_;  ///< null when durability is off
   /// §3.8: exact exhausted cells {block → sorted groups} and their keyed
   /// cuckoo mirror (null when the filter is off).
   std::map<std::uint32_t, std::set<std::uint32_t>> exhausted_;
   std::unique_ptr<crypto::CuckooFilter> filter_;
-  /// §3.9: net accumulated delta ciphertext per (PU, cell) on top of the
-  /// PU's stored column — retracted alongside the column when a full
-  /// update arrives.
-  std::map<std::uint32_t, std::map<std::uint64_t, crypto::PaillierCiphertext>>
-      deltas_;
-  /// Last delta_seq journaled-and-applied per PU.
-  std::map<std::uint32_t, std::uint64_t> delta_seqs_;
   /// Budget cells touched since the last compaction.
   std::set<std::uint64_t> dirty_;
   std::uint64_t delta_cells_folded_ = 0;

@@ -4,13 +4,16 @@
 // per message — so equivalence is judged after decryption), across both
 // pack layouts and packs with a partial tail. Plus the durability story:
 // delta WAL records replay to the same state after a crash, with the
-// sequence guard keeping replays and re-deliveries exactly-once. Malformed and stale deltas are rejected or
-// ignored without perturbing a single budget byte.
+// sequence guard keeping replays and re-deliveries exactly-once, and a
+// snapshot of mixed column + delta state restores every PU's cell map.
+// Malformed and stale deltas are rejected or ignored without perturbing a
+// single budget byte.
 #include "core/sdc_state.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <tuple>
 #include <vector>
@@ -209,25 +212,57 @@ TEST(DeltaFold, DeltaTouchingOnlyLastPartialPack) {
 
 // A full column replacing an accumulated delta stream must retract both the
 // stored column and the deltas — the "resync" path the scenario engine
-// leans on after an SDC restart.
+// leans on after an SDC restart. It must also report every cell it moved,
+// a delta cell away from both columns' blocks included, so that exhaustion
+// recorded there is dropped.
 TEST(DeltaFold, FullColumnRetractsAccumulatedDeltas) {
-  DeltaWorld w{delta_config()};
+  auto cfg = delta_config();
+  cfg.denial_filter.enabled = true;
+  DeltaWorld w{cfg};
   SdcStateEngine by_column{w.cfg, w.kp.pk, w.e};
   SdcStateEngine by_delta{w.cfg, w.kp.pk, w.e};
 
   auto u1 = make_update(0, 1, {5, -3, 0, 7}, w.cfg, w.kp.pk, w.rng);
   by_delta.apply_pu_update(u1);
-  by_delta.apply_pu_delta(
-      make_delta(0, 1, {{0, 1, {2}}, {3, 1, {-1}}}, w.cfg, w.kp.pk, w.rng));
+  // Group 1 at block 3 lies off both columns. The delta drives its budget
+  // to 0, and the engine records it exhausted, as a probe reply would.
+  const std::int64_t e = w.e.at(ChannelId{1}, BlockId{3});
+  by_delta.apply_pu_delta(make_delta(
+      0, 1, {{0, 1, {2}}, {3, 1, {-1}}, {1, 3, {-e}}}, w.cfg, w.kp.pk, w.rng));
+  by_delta.update_block_exhaustion(3, {1}, {1});
+  ASSERT_TRUE(by_delta.probe_exhausted(1, 3).confirmed);
+  const auto before = decrypt_budget(by_delta, w.kp.sk, w.cfg);
 
   // Both engines now receive the same authoritative full column.
   auto u2 = make_update(0, 2, {1, 1, 1, 1}, w.cfg, w.kp.pk, w.rng);
   by_column.apply_pu_update(u2);
-  by_delta.apply_pu_update(u2);
+  const auto touched = by_delta.apply_pu_update(u2);
+  const auto after = decrypt_budget(by_delta, w.kp.sk, w.cfg);
 
-  EXPECT_EQ(decrypt_budget(by_delta, w.kp.sk, w.cfg),
-            decrypt_budget(by_column, w.kp.sk, w.cfg))
+  EXPECT_EQ(after, decrypt_budget(by_column, w.kp.sk, w.cfg))
       << "column replacement must retract column + delta contributions";
+  EXPECT_EQ(after[1 * 4 + 3], bn::BigInt{e}) << "N(1, 3) is back to E";
+
+  // The new column's cells, then every retracted cell it did not re-add,
+  // group-major — a superset of the cells whose budget moved.
+  using Cell = SdcStateEngine::Cell;
+  EXPECT_EQ(touched, (std::vector<Cell>{{0, 2}, {1, 2}, {2, 2}, {3, 2},
+                                        {0, 1}, {1, 1}, {1, 3}, {2, 1},
+                                        {3, 1}}));
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    if (after[i] == before[i]) continue;
+    const Cell cell{static_cast<std::uint32_t>(i / 4),
+                    static_cast<std::uint32_t>(i % 4)};
+    EXPECT_NE(std::find(touched.begin(), touched.end(), cell), touched.end())
+        << "unreported move at group " << cell.first << ", block "
+        << cell.second;
+  }
+
+  // Invalidating exactly the reported cells (the SDC's re-probe) clears
+  // the stale exhaustion.
+  for (const auto& [g, b] : touched) by_delta.update_block_exhaustion(b, {g}, {});
+  EXPECT_FALSE(by_delta.probe_exhausted(1, 3).confirmed);
+  EXPECT_EQ(by_delta.exhausted_entries(), 0u);
 }
 
 // Stale sequence numbers (replays of already-folded deltas) are silent
@@ -338,6 +373,57 @@ TEST_F(DeltaDurabilityTest, WalReplayMatchesSurvivor) {
   survivor.apply_pu_delta(d3);
   EXPECT_EQ(decrypt_budget(recovered, w.kp.sk, cfg),
             decrypt_budget(survivor, w.kp.sk, cfg));
+}
+
+// Snapshot round-trip of a mixed state: one PU with a column and deltas on
+// and off its block, one column-only PU and one delta-only PU. The restored
+// cell maps are byte-identical — a later full column retracts them and
+// lands both engines on the same bytes and the same reported cells — and
+// the seq guards survive.
+TEST_F(DeltaDurabilityTest, MixedColumnDeltaSnapshotRoundTrip) {
+  auto cfg = delta_config(/*pack_slots=*/2);
+  cfg.durability.enabled = true;
+  cfg.durability.dir = dir_.string();
+  cfg.durability.snapshot_every = 1000;  // explicit checkpoints only
+  DeltaWorld w{cfg};
+
+  auto u0 = make_update(0, 1, {5, -3, 0, 7}, cfg, w.kp.pk, w.rng);
+  auto d0 = make_delta(0, 1, {{0, 1, {2, 0}}, {1, 3, {4, -1}}}, cfg, w.kp.pk,
+                       w.rng);
+  auto u1 = make_update(1, 2, {1, 2, 3, 4}, cfg, w.kp.pk, w.rng);
+  auto d2 = make_delta(2, 1, {{1, 0, {-6}}}, cfg, w.kp.pk, w.rng);
+  auto apply_all = [&](SdcStateEngine& engine) {
+    engine.apply_pu_update(u0);
+    engine.apply_pu_delta(d0);
+    engine.apply_pu_update(u1);
+    engine.apply_pu_delta(d2);
+  };
+
+  SdcStateEngine oracle{delta_config(2), w.kp.pk, w.e};
+  apply_all(oracle);
+  {
+    SdcStateEngine durable{cfg, w.kp.pk, w.e};
+    apply_all(durable);
+    durable.checkpoint();
+  }  // crash right after the checkpoint: the snapshot holds everything
+
+  SdcStateEngine recovered{cfg, w.kp.pk, w.e};
+  EXPECT_TRUE(recovered.recovery_stats().from_snapshot);
+  EXPECT_EQ(recovered.recovery_stats().wal_records_replayed, 0u);
+  EXPECT_EQ(recovered.budget(), oracle.budget());
+  EXPECT_EQ(recovered.pu_count(), 3u);
+
+  const auto before = recovered.budget();
+  EXPECT_TRUE(recovered.apply_pu_delta(d0).empty());
+  EXPECT_TRUE(recovered.apply_pu_delta(d2).empty());
+  EXPECT_EQ(recovered.budget(), before) << "seq guards must survive";
+
+  for (const auto& resync : {make_update(0, 2, {1, 1, 1, 1}, cfg, w.kp.pk, w.rng),
+                             make_update(2, 3, {0, 9, 0, 0}, cfg, w.kp.pk, w.rng)}) {
+    EXPECT_EQ(recovered.apply_pu_update(resync), oracle.apply_pu_update(resync));
+    EXPECT_EQ(recovered.budget(), oracle.budget())
+        << "restored cell maps must be byte-identical to the originals";
+  }
 }
 
 }  // namespace

@@ -203,6 +203,39 @@ TEST_F(DenialFilterFixture, PuDepartureUnExhaustsTheBlock) {
   EXPECT_TRUE(denied_again.fast_denied);
 }
 
+TEST_F(DenialFilterFixture, FullColumnAfterDeltaReprobesRetractedCells) {
+  // A full column retracts the PU's whole contribution, deltas included. A
+  // delta that landed away from the PU's column block must come back out of
+  // the filter with it, or the block stays "exhausted" after its budget
+  // recovered — a false denial.
+  system.add_su(100);
+  const watch::PuTuning ch0{ChannelId{0}, 1e-6};
+  tune(0, ch0);  // full column at block 0
+  system.pu_move(2, 3);
+  oracle.pu_move(2, BlockId{3});
+  tune(2, ch0);  // full column at block 3
+  system.pu_move(2, 0);
+  oracle.pu_move(2, BlockId{0});
+  ASSERT_TRUE(system.pu_delta(2, ch0));  // delta: block 3 → block 0
+  oracle.pu_update(2, ch0);
+  ASSERT_LE(oracle.sdc().budget().at(ChannelId{0}, BlockId{0}), 0);
+  ASSERT_TRUE(system.sdc().state().probe_exhausted(0, 0).confirmed);
+
+  system.pu_move(2, 1);
+  oracle.pu_move(2, BlockId{1});
+  tune(2, ch0);  // full column at block 1: retracts the block-0 delta cell
+  ASSERT_GT(oracle.sdc().budget().at(ChannelId{0}, BlockId{0}), 0);
+  EXPECT_FALSE(system.sdc().state().probe_exhausted(0, 0).confirmed);
+
+  auto weak = request(100, 0, 1e-9);
+  ASSERT_TRUE(oracle.process_request(weak).granted) << "oracle sanity";
+  for (auto range : {std::make_pair(0u, 4u), std::make_pair(0u, 1u)}) {
+    auto out = system.su_request(weak, range);
+    EXPECT_TRUE(out.granted) << "[" << range.first << ", " << range.second << ")";
+    EXPECT_FALSE(out.fast_denied);
+  }
+}
+
 TEST_F(DenialFilterFixture, CuckooFalsePositiveFallsBackToFullPipeline) {
   system.add_su(100);
   // Nothing is exhausted; plant block 3's cells in the cuckoo table only —
@@ -331,6 +364,95 @@ TEST(DenialFilterPacked, PackedSlotsSweepMatchesOracle) {
   EXPECT_GT(denies, 0u);
   EXPECT_GT(system.sdc().stats().prefilter_hits, 0u);
 }
+
+// Seeded PU churn over both update paths at once: each event moves, toggles
+// or retunes one PU, and a coin sends it as a full column or as a delta.
+// After every event the filter may only confirm a group that PlainWatch has
+// exhausted, and a weak SU at each block gets PlainWatch's decision. Eight
+// scenario seeds per pack layout; a full column that retracts a delta cell
+// off its own blocks while that cell is confirmed exhausted is the rare
+// event the sweep exists to reach.
+class DenialFilterMixedPaths : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DenialFilterMixedPaths, FilterTracksOracleAcrossColumnsAndDeltas) {
+  PisaConfig cfg = filter_config();
+  cfg.watch.channels = 3;  // pack 2: the second group has a tail slot
+  cfg.pack_slots = GetParam();
+  const std::size_t k = cfg.pack_slots;
+  const std::uint32_t blocks = 4;
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+  std::size_t columns = 0, deltas = 0, confirmed = 0, denies = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    crypto::ChaChaRng rng{seed};
+    PisaSystem system{cfg, filter_sites(), model, rng};
+    watch::PlainWatch oracle{cfg.watch, filter_sites(), model};
+    system.add_su(100);
+    std::vector<watch::PuTuning> tuning(filter_sites().size());
+    crypto::ChaChaRng scenario{seed};
+    auto draw = [&](std::uint64_t n) { return scenario.next_u64() % n; };
+    for (int event = 0; event < 24; ++event) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " event " +
+                   std::to_string(event));
+      const auto pu = static_cast<std::uint32_t>(draw(tuning.size()));
+      auto& t = tuning[pu];
+      switch (draw(3)) {
+        case 0: {  // move, biased onto blocks 0 and 1 so PUs pile up
+          const auto b = static_cast<std::uint32_t>(draw(4) < 3 ? draw(2)
+                                                                : draw(blocks));
+          system.pu_move(pu, b);
+          oracle.pu_move(pu, BlockId{b});
+          break;
+        }
+        case 1:  // on/off toggle
+          t = t.channel ? watch::PuTuning{}
+                        : watch::PuTuning{ChannelId{0}, 1e-6};
+          break;
+        default:  // retune, biased onto channel 0
+          t = {ChannelId{static_cast<std::uint32_t>(draw(4) ? 0 : draw(3))},
+               1e-6};
+          break;
+      }
+      const bool use_delta = draw(2) != 0;
+      system.pu_send(pu, t, use_delta);
+      oracle.pu_update(pu, t);
+      (use_delta ? deltas : columns)++;
+
+      const auto& n = oracle.sdc().budget();
+      for (std::uint32_t b = 0; b < blocks; ++b) {
+        for (std::uint32_t g = 0; g < cfg.channel_groups(); ++g) {
+          if (!system.sdc().state().probe_exhausted(g, b).confirmed) continue;
+          ++confirmed;
+          bool exhausted = false;
+          for (std::size_t c = g * k; c < (g + 1) * k && c < cfg.watch.channels;
+               ++c)
+            exhausted |=
+                n.at(ChannelId{static_cast<std::uint32_t>(c)}, BlockId{b}) <= 0;
+          EXPECT_TRUE(exhausted) << "filter confirms group " << g
+                                 << " at block " << b
+                                 << " but every channel has N > 0";
+        }
+        auto weak = watch::SuRequest{
+            100, BlockId{b}, std::vector<double>(cfg.watch.channels, 1e-9)};
+        const bool expected =
+            ranged_expected(oracle, system.build_f(weak), b, b + 1);
+        EXPECT_EQ(system.su_request(weak, std::make_pair(b, b + 1)).granted,
+                  expected)
+            << "block " << b;
+        denies += expected ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(columns, 0u);
+  EXPECT_GT(deltas, 0u);
+  EXPECT_GT(confirmed, 0u) << "sweep must exercise confirmed exhaustion";
+  EXPECT_GT(denies, 0u) << "sweep must exercise the deny path";
+}
+
+INSTANTIATE_TEST_SUITE_P(PackSlots, DenialFilterMixedPaths,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}),
+                         [](const auto& info) {
+                           return "pack" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace pisa::core

@@ -10,13 +10,16 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/stp_server.hpp"
 #include "crypto/chacha_rng.hpp"
+#include "crypto/key_codec.hpp"
 #include "crypto/packing.hpp"
 #include "exec/thread_pool.hpp"
+#include "net/codec.hpp"
 #include "store/snapshot.hpp"
 #include "watch/matrices.hpp"
 
@@ -291,19 +294,19 @@ TEST_F(DurableEngineTest, ConfigFingerprintMismatchThrows) {
       SdcStateEngine(repacked, kp.pk, watch::make_e_matrix(repacked.watch)),
       std::runtime_error);
 
-  // A snapshot whose header names a store count other than 1 (a store
-  // split into several files) is refused, not read as the whole state.
+  // A snapshot whose header names another payload layout is refused, not
+  // read as this one.
   {
     const auto snap = dir_ / "shard_0.snap";
     auto sealed = store::read_sealed_file(snap);
     ASSERT_TRUE(sealed.has_value());
     auto payload = sealed->payload;
-    ASSERT_EQ(payload[4], 1u);  // second little-endian u32: the store count
-    payload[4] = 2;
+    ASSERT_EQ(payload[4], 2u);  // second little-endian u32: the layout
+    payload[4] = 3;
     store::write_sealed_file(snap, sealed->epoch, payload);
     EXPECT_THROW(SdcStateEngine(cfg, kp.pk, watch::make_e_matrix(cfg.watch)),
                  std::runtime_error);
-    payload[4] = 1;
+    payload[4] = 2;
     store::write_sealed_file(snap, sealed->epoch, payload);
   }
 
@@ -316,6 +319,53 @@ TEST_F(DurableEngineTest, ConfigFingerprintMismatchThrows) {
 
   // The matching configuration still recovers fine afterwards.
   EXPECT_NO_THROW(SdcStateEngine(cfg, kp.pk, watch::make_e_matrix(cfg.watch)));
+}
+
+// A snapshot in layout 1 — a column section, then a delta section, as the
+// engine wrote it before one cell map per PU — is refused with the
+// configuration error, never parsed as layout 2.
+TEST_F(DurableEngineTest, LayoutOneSnapshotIsRefused) {
+  auto cfg = durable_config();
+  crypto::ChaChaRng key_rng{std::uint64_t{26}};
+  auto kp = crypto::paillier_generate(cfg.paillier_bits, key_rng, cfg.mr_rounds);
+  auto e = watch::make_e_matrix(cfg.watch);
+  crypto::ChaChaRng rng{std::uint64_t{1}};
+  auto update = make_update(0, 1, {1, 2, 3, 4}, cfg, kp.pk, rng);
+  std::uint64_t epoch = 0;
+  std::vector<std::uint8_t> layout1;
+  {
+    SdcStateEngine engine{cfg, kp.pk, e};
+    engine.apply_pu_update(update);
+    engine.checkpoint();
+    epoch = store::read_sealed_file(dir_ / "shard_0.snap")->epoch;
+
+    const std::size_t width = kp.pk.ciphertext_bytes();
+    net::Encoder enc;
+    // Every fingerprint field but the layout matches this engine.
+    for (std::size_t v : {std::size_t{0}, std::size_t{1}, cfg.channel_groups(),
+                          engine.budget().blocks(), cfg.pack_slots,
+                          std::size_t{cfg.slot_bits()}, width})
+      enc.put_u32(static_cast<std::uint32_t>(v));
+    enc.put_u64(crypto::key_fingerprint(kp.pk));
+    enc.put_u64(0);  // serial floor
+    put_ciphertexts(enc, {engine.budget().begin(), engine.budget().end()}, width);
+    enc.put_u32(1);  // columns: PU 0 at block 1
+    enc.put_u32(0);
+    enc.put_u32(1);
+    put_ciphertexts(enc, update.w_column, width);
+    enc.put_u32(0);  // delta section: no PU
+    enc.put_u8(0);   // denial filter off
+    layout1 = enc.take();
+  }
+  store::write_sealed_file(dir_ / "shard_0.snap", epoch, layout1);
+  try {
+    SdcStateEngine recovered{cfg, kp.pk, e};
+    ADD_FAILURE() << "a layout-1 snapshot must be refused";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("different configuration"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 TEST_F(DurableEngineTest, SerialReservationSurvivesRestartWithoutUpdates) {
