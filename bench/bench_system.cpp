@@ -29,8 +29,8 @@
 //       at num_threads ∈ {1, 2, 4, 8}, WAL off and on (§3.6): fold time,
 //       serve-only req/s — the WAL-overhead guard input — and the engine's
 //       own crash-recovery time.
-//   denial_sweep grant:deny mixes {80:20, 50:50, 20:80} with the encrypted
-//       cuckoo prefilter off and on, over both transports (§3.8).
+//   denial_sweep grant:deny mixes {80:20, 50:50, 20:80} with the
+//       exhausted-cell prefilter off and on, over both transports (§3.8).
 //   scenario_sweep the time-stepped mobility/churn/revocation schedule with
 //       full-column vs incremental PU updates (§3.9), checked decision by
 //       decision against the plaintext WATCH oracle.
@@ -895,7 +895,7 @@ std::vector<Row> run_durability_sweep(bool quick) {
 
 // ---- Denial-mix sweep (DESIGN.md §3.8) -----------------------------------
 //
-// The same grant:deny request mix served with the encrypted cuckoo
+// The same grant:deny request mix served with the exhausted-cell
 // prefilter off and on, over both transports. The
 // geometry keeps exhaustion block-local (d^c ≈ 527 m, 1000 m blocks): three
 // PUs stack onto (channel 0, block 0) until its budget is provably
@@ -956,7 +956,6 @@ class DenialRun {
     for (std::size_t i = 0; i < n_; ++i)
       asks_.push_back(ask(i + 1, deny_slot(i)));
     dec0_ = stp.entries_converted() + stp.probe_slots_signed();
-    fp0_ = dep_.sdc().stats().prefilter_false_positives;
   }
 
   double wall_ms() const { return wall_ms_; }
@@ -1005,8 +1004,6 @@ class DenialRun {
                  : 0.0)
         .add("wire_bytes_per_request",
              static_cast<double>(bytes_) / static_cast<double>(served))
-        .add("prefilter_false_positives",
-             dep_.sdc().stats().prefilter_false_positives - fp0_)
         .add("decisions_match", match_);
   }
 
@@ -1027,7 +1024,7 @@ class DenialRun {
   Deployment dep_;
   std::vector<Ask> asks_;
   bool match_ = false;
-  std::uint64_t entries_per_grant_ = 0, dec0_ = 0, fp0_ = 0, bytes_ = 0;
+  std::uint64_t entries_per_grant_ = 0, dec0_ = 0, bytes_ = 0;
   std::size_t rounds_ = 0, grants_ = 0, fast_ = 0, full_ = 0;
   double wall_ms_ = 0;
 };

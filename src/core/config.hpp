@@ -47,14 +47,13 @@ struct DurabilityConfig {
   std::size_t serial_reserve = 64;
 };
 
-/// Encrypted cuckoo-filter denial fast path (DESIGN.md §3.8). Disabled by
-/// default: the SDC then behaves exactly like the pre-filter server, byte
-/// for byte. Enabled, the SDC tracks provably-exhausted (channel-group,
-/// block) cells in a keyed cuckoo filter backed by an exact set, and denies
-/// a request whose disclosed block range touches a confirmed-exhausted cell
-/// in one cheap round — no Ṽ blinding, no STP round-trip. Cuckoo false
-/// positives are vetoed by the exact set, so decisions are always identical
-/// to the filter-off pipeline (no false denials, ever).
+/// Exhausted-cell denial fast path (DESIGN.md §3.8). Disabled by default:
+/// the SDC then behaves exactly like the pre-filter server, byte for byte.
+/// Enabled, the SDC keeps the exact set of (channel-group, block) cells the
+/// STP's budget probes confirmed exhausted, and denies a request whose
+/// disclosed block range touches one in one cheap round — no Ṽ blinding, no
+/// STP round-trip. Only a confirmed cell denies, so decisions are always
+/// identical to the filter-off pipeline (no false denials, ever).
 struct DenialFilterConfig {
   bool enabled = false;
 };
@@ -106,7 +105,7 @@ struct PisaConfig {
   /// Write-ahead durability + crash recovery for the SDC state engine.
   DurabilityConfig durability;
 
-  /// One-round denial fast path via a keyed cuckoo prefilter (§3.8).
+  /// One-round denial fast path over confirmed-exhausted cells (§3.8).
   DenialFilterConfig denial_filter;
 
   /// Spectrum-query transport (§3.10): Paillier round-trip (paper) or the

@@ -54,40 +54,6 @@ crypto::RsaKeyPair load_or_generate_identity(const PisaConfig& cfg,
   return kp;
 }
 
-/// The §3.8 prefilter fingerprint key. Only drawn when the filter is on —
-/// filter-off construction consumes exactly the rng sequence it always did.
-/// With durability on the key persists as a sealed file next to the RSA
-/// identity: a recovered SDC must re-derive the same fingerprints or the
-/// snapshot's cuckoo table bytes would be garbage under a fresh key.
-std::array<std::uint8_t, 32> load_or_generate_filter_key(
-    const PisaConfig& cfg, bn::RandomSource& rng) {
-  std::array<std::uint8_t, 32> key{};
-  if (!cfg.denial_filter.enabled) return key;
-  auto fill = [&] {
-    for (std::size_t i = 0; i < key.size(); i += 8) {
-      std::uint64_t w = rng.next_u64();
-      for (std::size_t j = 0; j < 8; ++j)
-        key[i + j] = static_cast<std::uint8_t>(w >> (8 * j));
-    }
-  };
-  if (!cfg.durability.enabled) {
-    fill();
-    return key;
-  }
-  auto file = std::filesystem::path(cfg.durability.dir) / "filter.key";
-  if (auto sealed = store::read_sealed_file(file)) {
-    if (sealed->payload.size() != key.size())
-      throw std::runtime_error("SdcServer: bad filter.key payload size");
-    std::copy(sealed->payload.begin(), sealed->payload.end(), key.begin());
-    return key;
-  }
-  fill();
-  std::filesystem::create_directories(cfg.durability.dir);
-  store::write_sealed_file(file, /*epoch=*/0,
-                           std::span<const std::uint8_t>(key.data(), key.size()));
-  return key;
-}
-
 }  // namespace
 
 SdcServer::SdcServer(const PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
@@ -97,11 +63,10 @@ SdcServer::SdcServer(const PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
       group_pk_(std::move(group_pk)), e_matrix_(std::move(e_matrix)),
       rsa_(load_or_generate_identity(cfg, rng)),
       issuer_(std::move(issuer_name)),
-      filter_key_(load_or_generate_filter_key(cfg, rng)),
       // The engine validates cfg, checks the E shape/sign invariants,
       // initializes Ñ from E (tail slots seeded with 1 — see sdc_state.hpp)
       // and, with durability on, recovers the previous run's state here.
-      state_(cfg_, group_pk_, e_matrix_, filter_key_),
+      state_(cfg_, group_pk_, e_matrix_),
       stream_(rng.next_u64()) {
   if (cfg_.query_mode == QueryMode::kPir) {
     // Replica 0 lives in this process and shares the SDC's store directory
@@ -188,15 +153,8 @@ bool SdcServer::fast_deny_check(const SuRequestMsg& request) {
   const std::size_t groups = cfg_.channel_groups();
   bool deny = false;
   for (std::uint32_t b = request.block_lo; !deny && b < request.block_hi; ++b) {
-    for (std::uint32_t g = 0; g < groups; ++g) {
-      auto probe = state_.probe_exhausted(g, b);
-      if (probe.cuckoo_hit && !probe.confirmed)
-        ++stats_.prefilter_false_positives;
-      if (probe.confirmed) {
-        deny = true;
-        break;
-      }
-    }
+    for (std::uint32_t g = 0; !deny && g < groups; ++g)
+      deny = state_.probe_exhausted(g, b);
   }
   stats_.prefilter.add(ms_since(t0));
   if (deny) {

@@ -9,7 +9,6 @@
 //   * the RSA license-signing key (eq. (17)).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -109,9 +108,6 @@ class SdcServer {
   /// durability on — are journaled to the WAL in cfg.durability.dir.
   const SdcStateEngine& state() const { return state_; }
 
-  /// TEST ONLY: mutable engine access, for planting §3.8 filter collisions.
-  SdcStateEngine& test_state() { return state_; }
-
   /// Force a compaction now (sealed snapshot + fresh WAL).
   /// No-op when durability is off.
   void checkpoint() { state_.checkpoint(); }
@@ -151,11 +147,9 @@ class SdcServer {
     std::uint64_t batches_timed_out = 0;  // watchdog-abandoned batches
     // §3.8 denial prefilter: every screened request counts exactly one of
     // hits (confirmed-exhausted → one-round FastDenyMsg sent) or misses (fell
-    // through to the full pipeline); false_positives counts cuckoo hits the
-    // exact set vetoed along the way (they proceed as misses).
+    // through to the full pipeline).
     std::uint64_t prefilter_hits = 0;
     std::uint64_t prefilter_misses = 0;
-    std::uint64_t prefilter_false_positives = 0;
     std::uint64_t probes_sent = 0;   // BudgetProbeMsgs to the STP
     // §3.9 incremental path:
     std::uint64_t pu_deltas = 0;     // handle_pu_delta calls
@@ -240,11 +234,6 @@ class SdcServer {
   watch::QMatrix e_matrix_;
   crypto::RsaKeyPair rsa_;
   std::string issuer_;
-  /// §3.8 prefilter fingerprint key. All-zero when the filter is off (no
-  /// rng draw, so filter-off construction is byte-identical to before);
-  /// with durability on it persists as a sealed file so a recovered SDC
-  /// rebuilds the same filter bytes.
-  std::array<std::uint8_t, 32> filter_key_{};
   std::shared_ptr<exec::ThreadPool> exec_;
 
   /// Ñ, the PU contributions and the serial counter — optionally durable.

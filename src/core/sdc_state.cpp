@@ -1,6 +1,5 @@
 #include "core/sdc_state.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <stdexcept>
@@ -21,9 +20,11 @@ double ms_since(Clock::time_point t0) {
 }
 
 /// Snapshot payload layout, the second header word. Layout 1 stored each
-/// PU's column and its deltas in two sections; layout 2 stores one cell map
-/// per PU. A snapshot of another layout is refused, never misparsed.
-constexpr std::uint32_t kSnapshotLayout = 2;
+/// PU's column and its deltas in two sections; layout 2 stored one cell map
+/// per PU and, with the denial filter on, a cuckoo table after the exhausted
+/// map; layout 3 drops that table. A snapshot of another layout is refused,
+/// never misparsed.
+constexpr std::uint32_t kSnapshotLayout = 3;
 
 /// A full column as fold cells: group g at the column's block.
 std::vector<PuDeltaMsg::Cell> column_cells(const PuUpdateMsg& column) {
@@ -35,30 +36,16 @@ std::vector<PuDeltaMsg::Cell> column_cells(const PuUpdateMsg& column) {
   return cells;
 }
 
-/// The exact exhausted map {block → sorted groups}, as the filter-state
-/// oracles and the snapshot carry it.
-void put_exhausted(
-    net::Encoder& enc,
-    const std::map<std::uint32_t, std::set<std::uint32_t>>& exhausted) {
-  enc.put_u32(static_cast<std::uint32_t>(exhausted.size()));
-  for (const auto& [block, groups] : exhausted) {
-    enc.put_u32(block);
-    enc.put_u32(static_cast<std::uint32_t>(groups.size()));
-    for (std::uint32_t g : groups) enc.put_u32(g);
-  }
-}
-
 }  // namespace
 
 SdcStateEngine::SdcStateEngine(const PisaConfig& cfg,
                                crypto::PaillierPublicKey group_pk,
-                               watch::QMatrix e_matrix,
-                               const std::array<std::uint8_t, 32>& filter_key)
+                               watch::QMatrix e_matrix)
     : cfg_(cfg), codec_(cfg.slot_bits(), cfg.pack_slots),
       pk_(std::move(group_pk)), e_matrix_(std::move(e_matrix)),
       groups_(cfg.channel_groups()),
       ct_width_(pk_.ciphertext_bytes()),
-      filter_on_(cfg.denial_filter.enabled), filter_key_(filter_key) {
+      filter_on_(cfg.denial_filter.enabled) {
   cfg_.validate();
   std::size_t blocks = cfg_.watch.grid_rows * cfg_.watch.grid_cols;
   if (e_matrix_.channels() != cfg_.watch.channels || e_matrix_.blocks() != blocks)
@@ -69,15 +56,6 @@ SdcStateEngine::SdcStateEngine(const PisaConfig& cfg,
   }
   budget_ = encrypt_matrix_packed_deterministic(e_matrix_, pk_, codec_,
                                                 /*tail_fill=*/1, nullptr);
-  if (filter_on_) {
-    // Sized for the whole groups × blocks grid (always sufficient); a
-    // 1/1024 false-positive target only trims wasted exact-set probes —
-    // the exact set makes false positives harmless.
-    crypto::CuckooParams params;
-    params.fingerprint_bits = crypto::cuckoo_fingerprint_bits(1.0 / 1024.0);
-    params.capacity = groups_ * blocks;
-    filter_ = std::make_unique<crypto::CuckooFilter>(filter_key_, params);
-  }
   if (cfg_.durability.enabled) recover();
 }
 
@@ -226,15 +204,10 @@ std::uint64_t SdcStateEngine::next_serial() {
   return serial_;
 }
 
-SdcStateEngine::FilterProbe SdcStateEngine::probe_exhausted(
-    std::uint32_t group, std::uint32_t block) const {
-  FilterProbe probe;
-  if (!filter_on_ || group >= groups_) return probe;
-  if (!filter_->contains(filter_item(group, block))) return probe;
-  probe.cuckoo_hit = true;
+bool SdcStateEngine::probe_exhausted(std::uint32_t group,
+                                     std::uint32_t block) const {
   auto it = exhausted_.find(block);
-  probe.confirmed = it != exhausted_.end() && it->second.contains(group);
-  return probe;
+  return it != exhausted_.end() && it->second.contains(group);
 }
 
 void SdcStateEngine::update_block_exhaustion(
@@ -245,56 +218,32 @@ void SdcStateEngine::update_block_exhaustion(
     throw std::out_of_range("SdcStateEngine: exhaustion block out of range");
   // Start from the recorded set; only probed groups may change state.
   std::set<std::uint32_t> next;
-  if (auto it = exhausted_.find(block); it != exhausted_.end()) next = it->second;
+  auto it = exhausted_.find(block);
+  if (it != exhausted_.end()) next = it->second;
   for (std::uint32_t g : probed) next.erase(g);
   for (std::uint32_t g : exhausted)
     if (g < groups_) next.insert(g);
-  replace_block_exhaustion(block,
-                           std::vector<std::uint32_t>(next.begin(), next.end()));
-}
-
-void SdcStateEngine::replace_block_exhaustion(
-    std::uint32_t block, const std::vector<std::uint32_t>& groups) {
-  auto it = exhausted_.find(block);
-  const bool unchanged =
-      it == exhausted_.end()
-          ? groups.empty()
-          : std::equal(groups.begin(), groups.end(), it->second.begin(),
-                       it->second.end());
-  if (unchanged) return;
+  if (it == exhausted_.end() ? next.empty() : next == it->second) return;
 
   // Journal before apply, like the PU folds: the record carries the full
-  // new set so replay applies the identical erase/insert diff in the
-  // identical order against the same prior table.
+  // new set, so replay stores the identical set.
   if (store_) {
     net::Encoder enc;
     enc.put_u32(block);
-    enc.put_u32(static_cast<std::uint32_t>(groups.size()));
-    for (std::uint32_t g : groups) enc.put_u32(g);
+    enc.put_u32(static_cast<std::uint32_t>(next.size()));
+    for (std::uint32_t g : next) enc.put_u32(g);
     store_->append(kRecExhaust, enc.take());
   }
-  apply_exhaust(block, groups);
+  apply_exhaust(block, std::move(next));
   maybe_compact();
 }
 
 void SdcStateEngine::apply_exhaust(std::uint32_t block,
-                                   const std::vector<std::uint32_t>& groups) {
-  auto& cur = exhausted_[block];
-  const std::set<std::uint32_t> next(groups.begin(), groups.end());
-  for (std::uint32_t g : cur) {
-    if (!next.contains(g) && !filter_->erase(filter_item(g, block)))
-      throw std::runtime_error("SdcStateEngine: filter erase of a live cell failed");
-  }
-  for (std::uint32_t g : next) {
-    if (!cur.contains(g) && !filter_->insert(filter_item(g, block)))
-      throw std::runtime_error(
-          "SdcStateEngine: cuckoo filter saturated (more exhausted cells "
-          "than the grid it was sized for)");
-  }
-  if (next.empty())
+                                   std::set<std::uint32_t> groups) {
+  if (groups.empty())
     exhausted_.erase(block);
   else
-    cur = next;
+    exhausted_[block] = std::move(groups);
 }
 
 std::size_t SdcStateEngine::exhausted_entries() const {
@@ -303,28 +252,17 @@ std::size_t SdcStateEngine::exhausted_entries() const {
   return total;
 }
 
-std::vector<std::uint8_t> SdcStateEngine::filter_state_bytes() const {
-  net::Encoder enc;
-  enc.put_u8(filter_on_ ? 1 : 0);
-  if (!filter_on_) return enc.take();
-  put_exhausted(enc, exhausted_);
-  auto table = filter_->serialize();
-  enc.put_bytes(std::span<const std::uint8_t>(table.data(), table.size()));
-  return enc.take();
-}
-
 std::vector<std::uint8_t> SdcStateEngine::exhausted_state_bytes() const {
   net::Encoder enc;
   enc.put_u8(filter_on_ ? 1 : 0);
-  if (filter_on_) put_exhausted(enc, exhausted_);
+  if (!filter_on_) return enc.take();
+  enc.put_u32(static_cast<std::uint32_t>(exhausted_.size()));
+  for (const auto& [block, groups] : exhausted_) {
+    enc.put_u32(block);
+    enc.put_u32(static_cast<std::uint32_t>(groups.size()));
+    for (std::uint32_t g : groups) enc.put_u32(g);
+  }
   return enc.take();
-}
-
-void SdcStateEngine::test_inject_filter_collision(std::uint32_t group,
-                                                  std::uint32_t block) {
-  if (!filter_on_) throw std::logic_error("denial filter is off");
-  if (!filter_->insert(filter_item(group, block)))
-    throw std::runtime_error("test collision insert failed");
 }
 
 void SdcStateEngine::checkpoint() {
@@ -371,10 +309,8 @@ std::vector<std::uint8_t> SdcStateEngine::snapshot_payload() const {
     }
   }
 
-  // §3.8 prefilter state: the exact exhausted map plus the cuckoo table
-  // verbatim, so a recovered engine resumes with byte-identical filter
-  // bytes (not merely an equivalent set — the kick history matters).
-  enc.put_raw(filter_state_bytes());
+  // §3.8 prefilter state: the filter-on flag and the exact exhausted map.
+  enc.put_raw(exhausted_state_bytes());
   return enc.take();
 }
 
@@ -423,12 +359,19 @@ void SdcStateEngine::restore_snapshot(const std::vector<std::uint8_t>& payload) 
     std::uint32_t nblocks = dec.get_u32();
     for (std::uint32_t i = 0; i < nblocks; ++i) {
       std::uint32_t block = dec.get_u32();
+      if (block >= blocks)
+        throw std::runtime_error(
+            "SdcStateEngine: snapshot exhausted block out of range");
       std::uint32_t ngroups = dec.get_u32();
       auto& groups = exhausted_[block];
-      for (std::uint32_t j = 0; j < ngroups; ++j) groups.insert(dec.get_u32());
+      for (std::uint32_t j = 0; j < ngroups; ++j) {
+        std::uint32_t g = dec.get_u32();
+        if (g >= groups_)
+          throw std::runtime_error(
+              "SdcStateEngine: snapshot exhausted group out of range");
+        groups.insert(g);
+      }
     }
-    auto table = dec.get_bytes();
-    filter_->deserialize(table);
   }
   dec.expect_done();
 }
@@ -454,12 +397,14 @@ void SdcStateEngine::replay_record(const store::WalRecord& rec) {
     net::Decoder dec{rec.payload};
     std::uint32_t block = dec.get_u32();
     std::uint32_t count = dec.get_u32();
-    std::vector<std::uint32_t> groups(count);
-    for (auto& g : groups) g = dec.get_u32();
+    std::set<std::uint32_t> groups;
+    for (std::uint32_t i = 0; i < count; ++i) groups.insert(dec.get_u32());
     dec.expect_done();
     if (block >= budget_.blocks())
       throw std::runtime_error("SdcStateEngine: WAL exhaustion block mismatch");
-    apply_exhaust(block, groups);
+    if (!groups.empty() && *groups.rbegin() >= groups_)
+      throw std::runtime_error("SdcStateEngine: WAL exhaustion group mismatch");
+    apply_exhaust(block, std::move(groups));
   } else if (rec.type == kRecSerial) {
     net::Decoder dec{rec.payload};
     std::uint64_t floor = dec.get_u64();

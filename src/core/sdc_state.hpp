@@ -22,7 +22,6 @@
 //     what turns at-least-once delivery into exactly-once application.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,7 +32,6 @@
 #include "core/cipher_ops.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "crypto/cuckoo_filter.hpp"
 #include "crypto/packing.hpp"
 #include "crypto/paillier.hpp"
 #include "store/shard_store.hpp"
@@ -62,11 +60,8 @@ class SdcStateEngine {
   /// and stale-epoch logs. Throws std::runtime_error when the durable state
   /// was written under a different configuration (shape, packing or group
   /// key).
-  /// `filter_key` keys the §3.8 cuckoo prefilter fingerprints; it is only
-  /// read when cfg.denial_filter.enabled (pass {} otherwise).
   SdcStateEngine(const PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
-                 watch::QMatrix e_matrix,
-                 const std::array<std::uint8_t, 32>& filter_key = {});
+                 watch::QMatrix e_matrix);
 
   /// Pool for the column kernels of the fold and recompute (nullptr =
   /// sequential).
@@ -121,20 +116,15 @@ class SdcStateEngine {
 
   // ── §3.8 denial prefilter ─────────────────────────────────────────────
   //
-  // The engine keeps an exact exhausted map {block → sorted group set},
-  // mirrored into one keyed cuckoo filter over the whole grid. The
-  // request path asks the filter first (cheap, keyed-hash lookups); only a
-  // cuckoo hit pays the exact-set probe, and only an exact-set confirmation
-  // may deny — cuckoo false positives can never cause a false denial.
+  // The engine keeps an exact exhausted map {block → sorted group set}:
+  // a cell is in it only once the STP's probe confirmed N ≤ 0 there, so a
+  // hit is a provable denial and the map itself is the filter.
 
   bool filter_enabled() const { return filter_on_; }
 
-  /// Result of one (group, block) prefilter lookup.
-  struct FilterProbe {
-    bool cuckoo_hit = false;  ///< keyed filter said "maybe exhausted"
-    bool confirmed = false;   ///< exact set agrees — denial is provable
-  };
-  FilterProbe probe_exhausted(std::uint32_t group, std::uint32_t block) const;
+  /// True iff (group, block) is confirmed exhausted (false with the filter
+  /// off).
+  bool probe_exhausted(std::uint32_t group, std::uint32_t block) const;
 
   /// Install evidence for `block`: only the groups in `probed` were
   /// re-evaluated, so only their membership may change — groups outside
@@ -142,7 +132,7 @@ class SdcStateEngine {
   /// New set = (current − probed) ∪ (probed ∩ exhausted); an empty
   /// `exhausted` is the conservative invalidation of the probed cells.
   /// Journals a kRecExhaust record carrying the full new set when it
-  /// actually changed, so WAL replay rebuilds the filter byte-identically.
+  /// actually changed, so WAL replay rebuilds the identical set.
   void update_block_exhaustion(std::uint32_t block,
                                const std::vector<std::uint32_t>& probed,
                                const std::vector<std::uint32_t>& exhausted);
@@ -150,22 +140,10 @@ class SdcStateEngine {
   /// Live (group, block) exhausted cells.
   std::size_t exhausted_entries() const;
 
-  /// Serialized filter + exhausted-set state, as the snapshot carries it —
-  /// the byte-identity oracle for the recovery tests.
-  std::vector<std::uint8_t> filter_state_bytes() const;
-
-  /// Exact exhausted sets only, no cuckoo table bytes — the cross-path
-  /// equivalence oracle (§3.9). Decisions depend solely on the exact sets
-  /// (a denial needs a cuckoo hit *and* exact-set confirmation, and the
-  /// filter has no false negatives for recorded cells), while the table's
-  /// raw bytes are insert/erase-history-dependent and may differ between
-  /// the delta path and a full-rebuild oracle.
+  /// The filter-on flag and the exhausted map, serialized as the snapshot
+  /// carries them — the state oracle of the recovery and cross-path
+  /// equivalence tests (§3.9).
   std::vector<std::uint8_t> exhausted_state_bytes() const;
-
-  /// TEST ONLY: plant (group, block) in the cuckoo table without touching
-  /// the exact set — manufactures a false positive so the fallback path can
-  /// be exercised deterministically.
-  void test_inject_filter_collision(std::uint32_t group, std::uint32_t block);
 
   bool durable() const { return store_ != nullptr; }
 
@@ -228,17 +206,9 @@ class SdcStateEngine {
   /// (live only — replay reads the record already on disk), fold, advance
   /// the guard. Returns no cells for a stale seq.
   std::vector<Cell> apply_delta(const PuDeltaMsg& delta, bool live);
-  /// Journal + apply a new exhausted set for `block` when it differs from
-  /// the recorded one. `groups` must be sorted, deduped and in range.
-  void replace_block_exhaustion(std::uint32_t block,
-                                const std::vector<std::uint32_t>& groups);
-  /// Apply an exhausted-set replacement for `block` (the journaled
-  /// kRecExhaust operation): erase departed groups from the cuckoo table in
-  /// ascending order, insert new ones in ascending order, store the set.
-  void apply_exhaust(std::uint32_t block, const std::vector<std::uint32_t>& groups);
-  static std::uint64_t filter_item(std::uint32_t group, std::uint32_t block) {
-    return cell_key(group, block);
-  }
+  /// Store `groups` as the exhausted set of `block` (the journaled
+  /// kRecExhaust operation); an empty set drops the block.
+  void apply_exhaust(std::uint32_t block, std::set<std::uint32_t> groups);
   void maybe_compact();
   void compact();
   std::vector<std::uint8_t> snapshot_payload() const;
@@ -255,16 +225,13 @@ class SdcStateEngine {
   std::shared_ptr<exec::ThreadPool> exec_;
 
   bool filter_on_ = false;
-  std::array<std::uint8_t, 32> filter_key_{};
 
   CipherMatrix budget_;  // Ñ
   /// Every PU's folded contribution, by PU id.
   std::map<std::uint32_t, PuContribution> pus_;
   std::unique_ptr<store::ShardStore> store_;  ///< null when durability is off
-  /// §3.8: exact exhausted cells {block → sorted groups} and their keyed
-  /// cuckoo mirror (null when the filter is off).
+  /// §3.8: exact exhausted cells {block → sorted groups}.
   std::map<std::uint32_t, std::set<std::uint32_t>> exhausted_;
-  std::unique_ptr<crypto::CuckooFilter> filter_;
   /// Budget cells touched since the last compaction.
   std::set<std::uint64_t> dirty_;
   std::uint64_t delta_cells_folded_ = 0;

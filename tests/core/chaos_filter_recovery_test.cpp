@@ -1,9 +1,9 @@
 // §3.8 prefilter under crash/recovery chaos (DESIGN.md §3.6): killing the
-// SDC wipes the in-memory cuckoo filter and exhausted sets; recovery must
-// rebuild them byte-identically from the sealed filter key plus the
-// journaled kRecExhaust records (or the snapshot that compacted them), so a
-// restarted SDC keeps fast-denying exactly where the dead one did — and
-// keeps every decision equal to the plaintext oracle.
+// SDC wipes the in-memory exhausted sets; recovery must rebuild them
+// byte-identically from the journaled kRecExhaust records (or the snapshot
+// that compacted them), so a restarted SDC keeps fast-denying exactly where
+// the dead one did — and keeps every decision equal to the plaintext
+// oracle.
 #include "core/protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -77,7 +77,7 @@ class ChaosFilterRecovery : public ::testing::Test {
       oracle.pu_update(pu, watch::PuTuning{ChannelId{0}, 1e-6});
     }
     ASSERT_GT(system.sdc().state().exhausted_entries(), 0u);
-    auto filter_before = system.sdc().state().filter_state_bytes();
+    auto filter_before = system.sdc().state().exhausted_state_bytes();
 
     auto deny = watch::SuRequest{
         100, BlockId{0}, std::vector<double>(cfg.watch.channels, 1e-4)};
@@ -87,14 +87,13 @@ class ChaosFilterRecovery : public ::testing::Test {
     ASSERT_FALSE(pre.granted);
     ASSERT_TRUE(pre.fast_denied);
 
-    // Kill: every in-memory byte of the filter and exhausted maps is gone.
+    // Kill: every in-memory byte of the exhausted sets is gone.
     system.crash_sdc();
     auto& revived = system.restart_sdc();
 
-    // Recovery rebuilt the filter byte-identically — same key (sealed
-    // file), same exhausted sets (WAL/snapshot), same deterministic cuckoo
-    // placement.
-    EXPECT_EQ(revived.state().filter_state_bytes(), filter_before);
+    // Recovery rebuilt the exhausted sets byte-identically from the WAL
+    // and the snapshot.
+    EXPECT_EQ(revived.state().exhausted_state_bytes(), filter_before);
     EXPECT_GT(revived.state().exhausted_entries(), 0u);
 
     // And it still fast-denies without any fresh probe round.
@@ -137,7 +136,7 @@ TEST_F(ChaosFilterRecovery, WalReplayRebuildsFilterByteIdentically) {
 
 TEST_F(ChaosFilterRecovery, SnapshotPathRebuildsFilterByteIdentically) {
   // Tiny snapshot_every: the exhausted sets ride the sealed snapshot and
-  // recovery restores the serialized filter image directly.
+  // recovery restores the exhausted map from it directly.
   run_kill_restart_sweep(/*snapshot_every=*/2);
 }
 

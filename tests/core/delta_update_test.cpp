@@ -230,7 +230,7 @@ TEST(DeltaFold, FullColumnRetractsAccumulatedDeltas) {
   by_delta.apply_pu_delta(make_delta(
       0, 1, {{0, 1, {2}}, {3, 1, {-1}}, {1, 3, {-e}}}, w.cfg, w.kp.pk, w.rng));
   by_delta.update_block_exhaustion(3, {1}, {1});
-  ASSERT_TRUE(by_delta.probe_exhausted(1, 3).confirmed);
+  ASSERT_TRUE(by_delta.probe_exhausted(1, 3));
   const auto before = decrypt_budget(by_delta, w.kp.sk, w.cfg);
 
   // Both engines now receive the same authoritative full column.
@@ -261,7 +261,7 @@ TEST(DeltaFold, FullColumnRetractsAccumulatedDeltas) {
   // Invalidating exactly the reported cells (the SDC's re-probe) clears
   // the stale exhaustion.
   for (const auto& [g, b] : touched) by_delta.update_block_exhaustion(b, {g}, {});
-  EXPECT_FALSE(by_delta.probe_exhausted(1, 3).confirmed);
+  EXPECT_FALSE(by_delta.probe_exhausted(1, 3));
   EXPECT_EQ(by_delta.exhausted_entries(), 0u);
 }
 

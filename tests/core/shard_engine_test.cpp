@@ -20,6 +20,7 @@
 #include "crypto/packing.hpp"
 #include "exec/thread_pool.hpp"
 #include "net/codec.hpp"
+#include "store/shard_store.hpp"
 #include "store/snapshot.hpp"
 #include "watch/matrices.hpp"
 
@@ -301,12 +302,12 @@ TEST_F(DurableEngineTest, ConfigFingerprintMismatchThrows) {
     auto sealed = store::read_sealed_file(snap);
     ASSERT_TRUE(sealed.has_value());
     auto payload = sealed->payload;
-    ASSERT_EQ(payload[4], 2u);  // second little-endian u32: the layout
-    payload[4] = 3;
+    ASSERT_EQ(payload[4], 3u);  // second little-endian u32: the layout
+    payload[4] = 4;
     store::write_sealed_file(snap, sealed->epoch, payload);
     EXPECT_THROW(SdcStateEngine(cfg, kp.pk, watch::make_e_matrix(cfg.watch)),
                  std::runtime_error);
-    payload[4] = 2;
+    payload[4] = 3;
     store::write_sealed_file(snap, sealed->epoch, payload);
   }
 
@@ -321,48 +322,138 @@ TEST_F(DurableEngineTest, ConfigFingerprintMismatchThrows) {
   EXPECT_NO_THROW(SdcStateEngine(cfg, kp.pk, watch::make_e_matrix(cfg.watch)));
 }
 
-// A snapshot in layout 1 — a column section, then a delta section, as the
-// engine wrote it before one cell map per PU — is refused with the
-// configuration error, never parsed as layout 2.
+// Hand-built snapshots the engine must refuse. Layout 1 (a column section,
+// then a delta section, as the engine wrote it before one cell map per PU)
+// and layout 2 (one cell map per PU, then the exhausted map and a cuckoo
+// table, as the engine wrote it before the exhausted map became the
+// filter) are refused with the configuration error, never parsed as layout
+// 3. A layout-3 snapshot whose exhausted map names a cell outside the grid
+// is refused too, as an out-of-range PU cell is.
 TEST_F(DurableEngineTest, LayoutOneSnapshotIsRefused) {
   auto cfg = durable_config();
+  cfg.denial_filter.enabled = true;
   crypto::ChaChaRng key_rng{std::uint64_t{26}};
   auto kp = crypto::paillier_generate(cfg.paillier_bits, key_rng, cfg.mr_rounds);
   auto e = watch::make_e_matrix(cfg.watch);
   crypto::ChaChaRng rng{std::uint64_t{1}};
   auto update = make_update(0, 1, {1, 2, 3, 4}, cfg, kp.pk, rng);
+  const std::size_t width = kp.pk.ciphertext_bytes();
+  const auto groups = static_cast<std::uint32_t>(cfg.channel_groups());
   std::uint64_t epoch = 0;
-  std::vector<std::uint8_t> layout1;
+  std::vector<std::uint8_t> budget;
   {
     SdcStateEngine engine{cfg, kp.pk, e};
     engine.apply_pu_update(update);
     engine.checkpoint();
     epoch = store::read_sealed_file(dir_ / "shard_0.snap")->epoch;
-
-    const std::size_t width = kp.pk.ciphertext_bytes();
     net::Encoder enc;
-    // Every fingerprint field but the layout matches this engine.
-    for (std::size_t v : {std::size_t{0}, std::size_t{1}, cfg.channel_groups(),
-                          engine.budget().blocks(), cfg.pack_slots,
+    put_ciphertexts(enc, {engine.budget().begin(), engine.budget().end()}, width);
+    budget = enc.take();
+  }
+  // Every fingerprint field but the layout matches this engine; then the
+  // serial floor and Ñ.
+  auto header = [&](std::uint32_t layout) {
+    net::Encoder enc;
+    for (std::size_t v : {std::size_t{0}, std::size_t{layout},
+                          cfg.channel_groups(), std::size_t{4}, cfg.pack_slots,
                           std::size_t{cfg.slot_bits()}, width})
       enc.put_u32(static_cast<std::uint32_t>(v));
     enc.put_u64(crypto::key_fingerprint(kp.pk));
     enc.put_u64(0);  // serial floor
-    put_ciphertexts(enc, {engine.budget().begin(), engine.budget().end()}, width);
+    enc.put_raw(budget);
+    return enc;
+  };
+  // Layouts 2 and 3: one PU section (PU 0's column at block 1), then the
+  // filter-on flag and an exhausted map of one cell.
+  auto cell_map = [&](std::uint32_t layout, std::uint32_t block,
+                      std::uint32_t group) {
+    auto enc = header(layout);
+    enc.put_u32(1);
+    enc.put_u32(0);  // PU 0
+    enc.put_u64(0);  // delta_seq
+    enc.put_u32(groups);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      enc.put_u64(SdcStateEngine::cell_key(g, 1));
+      enc.put_raw(update.w_column[g].value.to_bytes_be(width));
+    }
+    enc.put_u8(1);
+    enc.put_u32(1);
+    enc.put_u32(block);
+    enc.put_u32(1);
+    enc.put_u32(group);
+    return enc;
+  };
+
+  struct Input {
+    const char* name;
+    std::vector<std::uint8_t> payload;
+    const char* error;
+  };
+  std::vector<Input> inputs;
+  {
+    auto enc = header(1);
     enc.put_u32(1);  // columns: PU 0 at block 1
     enc.put_u32(0);
     enc.put_u32(1);
     put_ciphertexts(enc, update.w_column, width);
     enc.put_u32(0);  // delta section: no PU
-    enc.put_u8(0);   // denial filter off
-    layout1 = enc.take();
+    enc.put_u8(1);   // denial filter on, nothing exhausted
+    enc.put_u32(0);
+    inputs.push_back({"layout 1", enc.take(), "different configuration"});
   }
-  store::write_sealed_file(dir_ / "shard_0.snap", epoch, layout1);
+  {
+    auto enc = cell_map(2, 0, 0);
+    enc.put_bytes(std::vector<std::uint8_t>(64, 0));  // the cuckoo table
+    inputs.push_back({"layout 2", enc.take(), "different configuration"});
+  }
+  inputs.push_back({"exhausted group = channel_groups()",
+                    cell_map(3, 0, groups).take(), "out of range"});
+  inputs.push_back(
+      {"exhausted block = blocks", cell_map(3, 4, 0).take(), "out of range"});
+  {
+    // The layout-3 control: the same map with the cell in range recovers.
+    store::write_sealed_file(dir_ / "shard_0.snap", epoch,
+                             cell_map(3, 0, groups - 1).take());
+    SdcStateEngine recovered{cfg, kp.pk, e};
+    EXPECT_TRUE(recovered.probe_exhausted(groups - 1, 0));
+    EXPECT_EQ(recovered.pu_count(), 1u);
+  }
+
+  for (const auto& in : inputs) {
+    store::write_sealed_file(dir_ / "shard_0.snap", epoch, in.payload);
+    try {
+      SdcStateEngine recovered{cfg, kp.pk, e};
+      ADD_FAILURE() << in.name << ": the snapshot must be refused";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find(in.error), std::string::npos)
+          << in.name << ": " << err.what();
+    }
+  }
+}
+
+// A kRecExhaust WAL record naming a group outside the grid is refused on
+// replay, like a record with an out-of-range block.
+TEST_F(DurableEngineTest, OutOfRangeExhaustionRecordIsRefused) {
+  auto cfg = durable_config();
+  cfg.denial_filter.enabled = true;
+  crypto::ChaChaRng key_rng{std::uint64_t{27}};
+  auto kp = crypto::paillier_generate(cfg.paillier_bits, key_rng, cfg.mr_rounds);
+  auto e = watch::make_e_matrix(cfg.watch);
+  { SdcStateEngine engine{cfg, kp.pk, e}; }
+  {
+    store::ShardStore store{dir_, 0};
+    store.open();
+    net::Encoder enc;
+    enc.put_u32(0);  // block
+    enc.put_u32(1);
+    enc.put_u32(static_cast<std::uint32_t>(cfg.channel_groups()));
+    store.append(SdcStateEngine::kRecExhaust, enc.take());
+  }
   try {
     SdcStateEngine recovered{cfg, kp.pk, e};
-    ADD_FAILURE() << "a layout-1 snapshot must be refused";
+    ADD_FAILURE() << "the WAL record must be refused";
   } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find("different configuration"),
+    EXPECT_NE(std::string(err.what()).find("WAL exhaustion group"),
               std::string::npos)
         << err.what();
   }
